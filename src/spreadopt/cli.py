@@ -21,7 +21,6 @@ import dataclasses
 import hashlib
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -62,8 +61,6 @@ def _build_parser() -> _Parser:
                         help="prediction horizon in steps (ignored by the greedy controller)")
     common.add_argument("--scaling", choices=[s.value for s in DepositScaling], default=None,
                         help="density-to-mass conversion override")
-    common.add_argument("--threads", type=int, default=0,
-                        help="parallelism hint for the numerical backend, 0 = auto")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for optional multi-start optimizer draws")
     common.add_argument("--restarts", type=int, default=None,
@@ -144,8 +141,7 @@ def _value(v) -> str:
     return str(v)
 
 
-def _config_lines(scenario, settings, cal, constraints, scenario_path, calibration_path,
-                  threads):
+def _config_lines(scenario, settings, cal, constraints, scenario_path, calibration_path):
     grid = scenario.grid
     lines = [
         ("scenario_file", str(scenario_path)),
@@ -166,7 +162,6 @@ def _config_lines(scenario, settings, cal, constraints, scenario_path, calibrati
         ("run.horizon", _value(scenario.horizon)),
         ("run.scaling", scenario.scaling.value),
         ("run.triangle_support", scenario.support.value),
-        ("run.threads", _value(threads)),
         ("controls.flow_left", _value(scenario.initial_controls.flow_left)),
         ("controls.flow_right", _value(scenario.initial_controls.flow_right)),
         ("controls.rpm_left", _value(scenario.initial_controls.rpm_left)),
@@ -199,6 +194,8 @@ def _setup_logging(args):
         root.removeHandler(handler)
         handler.close()
     if not args.verbose:
+        # a verbose main() earlier in this process must not leave DEBUG on
+        root.setLevel(logging.NOTSET)
         return
     args.out.mkdir(parents=True, exist_ok=True)
     root.setLevel(logging.DEBUG)
@@ -210,19 +207,11 @@ def _setup_logging(args):
     root.addHandler(stream)
 
 
-def _apply_thread_hint(threads: int) -> None:
-    # a hint only: honored by BLAS pools spawned after this point
-    if threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
-
-
 def cmd_run(args) -> int:
     scenario_path, calibration_path, config, cal, constraints = _resolve_inputs(args)
     scenario, settings = _apply_overrides(args, config, getattr(args, "controller", None))
-    _apply_thread_hint(args.threads)
     config_lines = _config_lines(scenario, settings, cal, constraints, scenario_path,
-                                 calibration_path, args.threads)
+                                 calibration_path)
     digest = _settings_hash(config_lines)
     _log.info("run: controller=%s horizon=%d", scenario.controller.value, scenario.horizon)
 
@@ -253,7 +242,6 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     scenario_path, calibration_path, config, cal, constraints = _resolve_inputs(args)
     scenario, settings = _apply_overrides(args, config)
-    _apply_thread_hint(args.threads)
 
     if args.only is not None:
         names = [token.strip() for token in args.only.split(",") if token.strip()]
@@ -271,7 +259,7 @@ def cmd_compare(args) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     config_lines = _config_lines(scenario, settings, cal, constraints, scenario_path,
-                                 calibration_path, args.threads)
+                                 calibration_path)
     digest = _settings_hash(config_lines)
     write_comparison(args.out / "comparison.csv", result)
     for row in result.rows:
@@ -319,7 +307,7 @@ def cmd_validate(args) -> int:
         problems.append(f"initial controls {scenario.initial_controls} violate the actuator boxes")
 
     for key, value in _config_lines(scenario, settings, cal, constraints, scenario_path,
-                                    calibration_path, args.threads):
+                                    calibration_path):
         print(f"{key} = {value}")
     if problems:
         for problem in problems:

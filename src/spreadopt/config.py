@@ -8,6 +8,7 @@ in addition to ordinary floats, which keeps turn rates exact in the file.
 from __future__ import annotations
 
 import configparser
+import enum
 import math
 import re
 from dataclasses import dataclass
@@ -117,6 +118,16 @@ class _SectionReader:
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {self.section}.{key} in {self.path}: {exc}") from exc
 
+    def choice(self, key: str, kind: type[enum.Enum], default: enum.Enum) -> enum.Enum:
+        """The member of ``kind`` named by ``key``, or ``default`` when absent."""
+        name = self.raw(key, default.value).strip()
+        try:
+            return kind(name)
+        except ValueError:
+            raise ConfigurationError(
+                f"{self.path}: unknown {key} {name!r}, expected one of "
+                f"{[member.value for member in kind]}") from None
+
 
 def load_scenario(path) -> RunConfig:
     """Read a scenario file into a :class:`Scenario` and optimizer settings.
@@ -176,27 +187,9 @@ def load_scenario(path) -> RunConfig:
     plan = DrivePlan(start=start, segments=tuple(segments))
 
     run_sec = _SectionReader(parser, path, "run")
-    controller_name = run_sec.raw("controller", ControllerKind.MPC_FULL.value).strip()
-    try:
-        controller = ControllerKind(controller_name)
-    except ValueError:
-        raise ConfigurationError(
-            f"{path}: unknown controller {controller_name!r}, expected one of "
-            f"{[k.value for k in ControllerKind]}") from None
-    scaling_name = run_sec.raw("scaling", DepositScaling.LITERAL.value).strip()
-    try:
-        scaling = DepositScaling(scaling_name)
-    except ValueError:
-        raise ConfigurationError(
-            f"{path}: unknown scaling {scaling_name!r}, expected one of "
-            f"{[s.value for s in DepositScaling]}") from None
-    support_name = run_sec.raw("triangle_support", TriangleSupport.UNIT.value).strip()
-    try:
-        support = TriangleSupport(support_name)
-    except ValueError:
-        raise ConfigurationError(
-            f"{path}: unknown triangle_support {support_name!r}, expected one of "
-            f"{[s.value for s in TriangleSupport]}") from None
+    controller = run_sec.choice("controller", ControllerKind, ControllerKind.MPC_FULL)
+    scaling = run_sec.choice("scaling", DepositScaling, DepositScaling.LITERAL)
+    support = run_sec.choice("triangle_support", TriangleSupport, TriangleSupport.UNIT)
 
     controls_sec = _SectionReader(parser, path, "controls")
     initial = SpreaderControls(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import (CalibrationModel, ControlConstraints, SpreaderControls,
-                          satisfies_constraints)
+                          pattern_from_controls, satisfies_constraints)
 from .errors import (ConfigurationError, InfeasibleScheduleError, NumericalFailureError,
                      ShapeError)
 from .field import FieldGrid, as_amount_map
@@ -43,8 +43,9 @@ from .spread import (DepositScaling, DepositionModel, TriangleSupport, conservat
 _log = logging.getLogger("spreadopt.optimizer")
 
 # control-vector component order used throughout: flow_left, flow_right,
-# rpm_left, rpm_right; (column, sign of the center angle) per disc
-_DISC_COLUMNS = ((0, 2, -1.0), (1, 3, 1.0))
+# rpm_left, rpm_right; (flow column, rpm column, side, sign of the center
+# angle) per disc
+_DISC_COLUMNS = ((0, 2, "left", -1.0), (1, 3, "right", 1.0))
 
 
 class ControllerKind(str, enum.Enum):
@@ -176,16 +177,8 @@ class _Predictor:
     def horizon(self) -> int:
         return len(self.geometry)
 
-    def _disc_params(self, flow: float, rpm: float, sign: float):
-        from .spread import PatternParams
-
-        return PatternParams(
-            mass_flow=flow,
-            center_distance=self.cal.distance(rpm),
-            sigma_distance=self.cal.sigma_distance(rpm),
-            center_angle=sign * self.cal.angle(rpm),
-            sigma_angle=self.cal.sigma_angle(rpm),
-        )
+    def _disc_params(self, flow: float, rpm: float, side: str):
+        return pattern_from_controls(rpm, flow, self.cal, side)
 
     def cost(self, controls: np.ndarray) -> float:
         """Objective for a (H, 4) control array."""
@@ -193,14 +186,10 @@ class _Predictor:
 
         amount = self.applied.copy()
         for i, (dist, angle, scale) in enumerate(self.geometry):
-            for flow_col, rpm_col, sign in _DISC_COLUMNS:
-                params = self._disc_params(controls[i, flow_col], controls[i, rpm_col], sign)
+            for flow_col, rpm_col, side, _ in _DISC_COLUMNS:
+                params = self._disc_params(controls[i, flow_col], controls[i, rpm_col], side)
                 amount += disc_deposit(dist, angle, scale, params, self.model, self.support)
-        e = amount - self.target
-        value = float(e @ e)
-        if not math.isfinite(value):
-            raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
-        return value
+        return self._residual_cost(amount, controls)[0]
 
     def cost_residual_jacobian(self, controls: np.ndarray):
         """Objective, residual vector, and residual Jacobian with respect
@@ -209,9 +198,9 @@ class _Predictor:
         S = np.zeros((self.n_cells, 4 * h))
         amount = self.applied.copy()
         for i, (dist, angle, scale) in enumerate(self.geometry):
-            for flow_col, rpm_col, sign in _DISC_COLUMNS:
+            for flow_col, rpm_col, side, sign in _DISC_COLUMNS:
                 rpm = float(controls[i, rpm_col])
-                params = self._disc_params(float(controls[i, flow_col]), rpm, sign)
+                params = self._disc_params(float(controls[i, flow_col]), rpm, side)
                 value, unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
                     dist, angle, scale, params, self.model, self.support)
                 amount += value
@@ -221,21 +210,24 @@ class _Predictor:
                     + d_sd * self.cal.sigma_distance_slope(rpm)
                     + d_angle * sign * self.cal.angle_slope(rpm)
                     + d_sa * self.cal.sigma_angle_slope(rpm))
+        value, e = self._residual_cost(amount, controls)
+        return value, e, S
+
+    def _residual_cost(self, amount: np.ndarray, controls: np.ndarray):
         e = amount - self.target
         value = float(e @ e)
         if not math.isfinite(value):
             raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
-        return value, e, S
+        return value, e
 
 
-def _make_predictor(schedule_horizon, state, plan_tail, applied, prescribed, model, cal,
-                    grid, scaling, support, geometry_cache=None) -> _Predictor:
+def _make_predictor(schedule_horizon, plan_tail, applied, prescribed, model, cal, grid,
+                    scaling, support) -> _Predictor:
     poses = list(plan_tail)
     if len(poses) != schedule_horizon:
         raise ShapeError(
             f"schedule has {schedule_horizon} steps but the plan tail has {len(poses)} poses")
-    return _Predictor(grid, poses, applied, prescribed, model, cal, scaling, support,
-                      geometry_cache)
+    return _Predictor(grid, poses, applied, prescribed, model, cal, scaling, support)
 
 
 def predict_cost(schedule: ControlSchedule, state, plan_tail, applied, prescribed,
@@ -254,8 +246,8 @@ def predict_cost(schedule: ControlSchedule, state, plan_tail, applied, prescribe
     if previous is not None and constraints is not None:
         if not schedule_feasible(schedule, previous, constraints):
             raise InfeasibleScheduleError("schedule violates actuator bounds or rate limits")
-    predictor = _make_predictor(schedule.horizon, state, plan_tail, applied, prescribed,
-                                model, cal, grid, scaling, support)
+    predictor = _make_predictor(schedule.horizon, plan_tail, applied, prescribed, model, cal,
+                                grid, scaling, support)
     return predictor.cost(schedule.as_array())
 
 
@@ -266,8 +258,8 @@ def cost_gradient(schedule: ControlSchedule, state, plan_tail, applied, prescrib
     """Analytic gradient of :func:`predict_cost` with respect to every
     control entry, flattened step-major as (flow_left, flow_right,
     rpm_left, rpm_right) per step."""
-    predictor = _make_predictor(schedule.horizon, state, plan_tail, applied, prescribed,
-                                model, cal, grid, scaling, support)
+    predictor = _make_predictor(schedule.horizon, plan_tail, applied, prescribed, model, cal,
+                                grid, scaling, support)
     _, e, S = predictor.cost_residual_jacobian(schedule.as_array())
     return 2.0 * (S.T @ e)
 
@@ -280,8 +272,8 @@ def finite_difference_gradient(schedule: ControlSchedule, state, plan_tail, appl
                                epsilon: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of :func:`predict_cost`, for verifying
     the analytic one.  Same layout as :func:`cost_gradient`."""
-    predictor = _make_predictor(schedule.horizon, state, plan_tail, applied, prescribed,
-                                model, cal, grid, scaling, support)
+    predictor = _make_predictor(schedule.horizon, plan_tail, applied, prescribed, model, cal,
+                                grid, scaling, support)
     base = schedule.as_array()
     flat = base.ravel()
     out = np.empty(flat.size)
@@ -347,6 +339,17 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
     best_controls = controls.copy()
     min_gain = 1e-12
 
+    def line_search(direction, alpha, tries):
+        """First halving of ``alpha`` whose projected step decreases the cost."""
+        for _ in range(tries):
+            candidate = np.clip(x + alpha * direction, -rbox, rbox)
+            cand_controls, cand_masks = _unroll(candidate, prev, lo, hi)
+            cand_cost = predictor.cost(cand_controls)
+            if cand_cost < cost - min_gain * max(1.0, cost):
+                return candidate, cand_controls, cand_masks, cand_cost
+            alpha *= 0.5
+        return None
+
     iteration = 0
     for iteration in range(1, settings.max_iterations + 1):
         cost, e, S = predictor.cost_residual_jacobian(controls)
@@ -374,30 +377,12 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
             except np.linalg.LinAlgError:
                 direction = None
             if direction is not None:
-                alpha = 1.0
-                for _ in range(10):
-                    candidate = np.clip(x + alpha * direction, -rbox, rbox)
-                    cand_controls, cand_masks = _unroll(candidate, prev, lo, hi)
-                    cand_cost = predictor.cost(cand_controls)
-                    if cand_cost < cost - min_gain * max(1.0, cost):
-                        accepted = (candidate, cand_controls, cand_masks, cand_cost)
-                        lam = max(lam / 10.0, 1e-12)
-                        break
-                    alpha *= 0.5
-                if accepted is None:
-                    lam = min(lam * 100.0, 1e8)
+                accepted = line_search(direction, 1.0, 10)
+                lam = max(lam / 10.0, 1e-12) if accepted else min(lam * 100.0, 1e8)
 
         if accepted is None:
             scale = float(np.max(rbox)) / (float(np.max(np.abs(grad_x))) + 1e-300)
-            alpha = scale
-            for _ in range(14):
-                candidate = np.clip(x - alpha * grad_x, -rbox, rbox)
-                cand_controls, cand_masks = _unroll(candidate, prev, lo, hi)
-                cand_cost = predictor.cost(cand_controls)
-                if cand_cost < cost - min_gain * max(1.0, cost):
-                    accepted = (candidate, cand_controls, cand_masks, cand_cost)
-                    break
-                alpha *= 0.5
+            accepted = line_search(-grad_x, scale, 14)
 
         if accepted is None:
             break
@@ -410,6 +395,26 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         if moved <= settings.step_tolerance * (1.0 + float(np.max(np.abs(x)))):
             break
     return best_controls, best_cost, iteration
+
+
+def _optimize(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
+              constraints: ControlConstraints, settings: OptimizerSettings):
+    """Solve from the (H, 4) control schedule ``start``, then from
+    ``settings.restarts`` random delta starts, and return the best
+    ``(controls, cost)``."""
+    x0 = np.diff(np.vstack([prev, start]), axis=0)
+    best_controls, best_cost, _ = _solve_deltas(predictor, prev, x0, constraints, settings)
+    if not settings.restarts:
+        # the first default_rng() of a process adds about 1 MB of resident memory
+        return best_controls, best_cost
+    rng = np.random.default_rng(settings.seed)
+    rbox = constraints.rates() / math.sqrt(2.0)
+    for _ in range(settings.restarts):
+        candidate = rng.uniform(-rbox, rbox, size=(predictor.horizon, 4))
+        controls, cost, _ = _solve_deltas(predictor, prev, candidate, constraints, settings)
+        if cost < best_cost:
+            best_controls, best_cost = controls, cost
+    return best_controls, best_cost
 
 
 def optimize_schedule(initial: ControlSchedule, state, plan_tail, applied, prescribed,
@@ -427,24 +432,12 @@ def optimize_schedule(initial: ControlSchedule, state, plan_tail, applied, presc
     if not schedule_feasible(initial, previous, constraints):
         raise InfeasibleScheduleError(
             "initial schedule violates actuator bounds or rate limits")
-    predictor = _make_predictor(initial.horizon, state, plan_tail, applied, prescribed,
-                                model, cal, grid, scaling, support)
+    predictor = _make_predictor(initial.horizon, plan_tail, applied, prescribed, model, cal,
+                                grid, scaling, support)
     initial_arr = initial.as_array()
     initial_cost = predictor.cost(initial_arr)
-
-    prev = previous.as_array()
-    x0 = np.diff(np.vstack([prev, initial_arr]), axis=0)
-    best_controls, best_cost, _ = _solve_deltas(predictor, prev, x0, constraints, settings)
-
-    if settings.restarts:
-        rng = np.random.default_rng(settings.seed)
-        rbox = constraints.rates() / math.sqrt(2.0)
-        for _ in range(settings.restarts):
-            candidate = rng.uniform(-rbox, rbox, size=initial_arr.shape)
-            controls, cost, _ = _solve_deltas(predictor, prev, candidate, constraints, settings)
-            if cost < best_cost:
-                best_cost = cost
-                best_controls = controls
+    best_controls, best_cost = _optimize(predictor, previous.as_array(), initial_arr,
+                                         constraints, settings)
 
     # exact initial wins if no start improved on it (its deltas may exceed
     # the sqrt(2)-shrunk boxes the solver searches in)
@@ -478,10 +471,6 @@ class RecedingHorizonController:
         self._warm: np.ndarray | None = None
         self._geometry_cache: dict = {}
 
-    def reset(self) -> None:
-        self._warm = None
-        self._geometry_cache.clear()
-
     def plan_controls(self, plan_tail, applied, prescribed, previous: SpreaderControls,
                       grid: FieldGrid) -> SpreaderControls:
         """Optimize over ``min(horizon, len(plan_tail))`` steps and return
@@ -495,28 +484,16 @@ class RecedingHorizonController:
         if self._warm is None:
             warm = np.tile(prev, (h, 1))
         else:
-            warm = np.vstack([self._warm[1:], self._warm[-1:]])
-            if warm.shape[0] >= h:
-                warm = warm[:h]
-            else:
-                warm = np.vstack([warm, np.tile(warm[-1], (h - warm.shape[0], 1))])
+            # shift by one step and repeat the last entry to fill the horizon
+            warm = np.vstack([self._warm[1:], np.tile(self._warm[-1], (h, 1))])[:h]
 
+        # later calls only revisit this call's poses
+        keys = {(pose.x, pose.y, pose.heading) for pose in poses}
+        self._geometry_cache = {key: entry for key, entry in self._geometry_cache.items()
+                                if key in keys}
         predictor = _Predictor(grid, poses, applied, prescribed, self.model, self.cal,
                                self.scaling, self.support, self._geometry_cache)
-        x0 = np.diff(np.vstack([prev, warm]), axis=0)
-        controls, _, _ = _solve_deltas(predictor, prev, x0, self.constraints, self.settings)
-
-        if self.settings.restarts:
-            rng = np.random.default_rng(self.settings.seed)
-            rbox = self.constraints.rates() / math.sqrt(2.0)
-            best_cost = predictor.cost(controls)
-            for _ in range(self.settings.restarts):
-                candidate = rng.uniform(-rbox, rbox, size=(h, 4))
-                alt, alt_cost, _ = _solve_deltas(predictor, prev, candidate,
-                                                 self.constraints, self.settings)
-                if alt_cost < best_cost:
-                    best_cost = alt_cost
-                    controls = alt
+        controls, _ = _optimize(predictor, prev, warm, self.constraints, self.settings)
 
         self._warm = controls
         return SpreaderControls.from_array(controls[0])
@@ -555,18 +532,15 @@ def mpc_step(state, plan_tail, applied, prescribed, previous: SpreaderControls,
              model: DepositionModel, horizon: int, cal: CalibrationModel,
              constraints: ControlConstraints, settings: OptimizerSettings,
              grid: FieldGrid, scaling: DepositScaling = DepositScaling.LITERAL,
-             support: TriangleSupport = TriangleSupport.UNIT,
-             warm_start: ControlSchedule | None = None) -> SpreaderControls:
+             support: TriangleSupport = TriangleSupport.UNIT) -> SpreaderControls:
     """One-shot model-predictive decision over the given plan tail.
 
-    ``plan_tail`` starts at the current pose ``state``.  Pass the previous
-    solution as ``warm_start`` to reproduce receding-horizon behavior.
+    ``plan_tail`` starts at the current pose ``state``.  Stateless
+    convenience wrapper; closed-loop runs use
+    :class:`RecedingHorizonController` which carries the warm start.
     """
     controller = make_controller(
         ControllerKind.MPC_TRIANGLE if DepositionModel(model) is DepositionModel.TRIANGLE
         else ControllerKind.MPC_FULL,
         horizon, cal, constraints, settings, scaling, support)
-    if warm_start is not None:
-        # treated as the previous call's solution; plan_controls shifts it
-        controller._warm = warm_start.as_array()
     return controller.plan_controls(plan_tail, applied, prescribed, previous, grid)

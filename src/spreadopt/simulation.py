@@ -17,9 +17,9 @@ import numpy as np
 
 from .calibration import (CalibrationModel, ControlConstraints, SpreaderControls,
                           patterns_from_controls, satisfies_constraints)
-from .controllers import (ControllerKind, ControlSchedule, OptimizerSettings,
-                          RecedingHorizonController, make_controller)
-from .errors import ConfigurationError, RunAbortedError, ShapeError, SpreadOptError
+from .controllers import (ControllerKind, OptimizerSettings, RecedingHorizonController,
+                          make_controller)
+from .errors import ConfigurationError, RunAbortedError, SpreadOptError
 from .field import FieldGrid, as_amount_map, cost, save_map
 from .kinematics import DrivePlan, trajectory
 from .spread import (DepositScaling, DepositionModel, TriangleSupport, total_deposit)
@@ -68,7 +68,6 @@ class RunRecord:
     controls: np.ndarray
     deposit_mass: np.ndarray
     cost_trace: np.ndarray
-    plant_models: tuple[str, ...]
     final_map: np.ndarray
     final_cost: float
     controller_seconds: np.ndarray
@@ -82,29 +81,13 @@ class RunRecord:
         return float(np.sum(self.controller_seconds))
 
 
-class ScheduleReplayController:
-    """Test double that replays a fixed schedule instead of optimizing.
-
-    Useful for open-loop checks: prediction versus plant, mass accounting,
-    and accumulation identities.
-    """
-
-    def __init__(self, schedule: ControlSchedule):
-        self._steps = list(schedule.steps)
-        self._next = 0
-
-    def plan_controls(self, plan_tail, applied, prescribed, previous, grid) -> SpreaderControls:
-        if self._next >= len(self._steps):
-            raise ShapeError("replay schedule exhausted before the run finished")
-        controls = self._steps[self._next]
-        self._next += 1
-        return controls
-
-
 def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstraints,
         settings: OptimizerSettings,
-        controller: RecedingHorizonController | ScheduleReplayController | None = None) -> RunRecord:
+        controller: RecedingHorizonController | None = None) -> RunRecord:
     """Execute one closed-loop run and return its record.
+
+    ``controller`` defaults to the scenario's; any object with a
+    ``plan_controls`` method of the same signature may stand in for it.
 
     The feasibility of the initial controls against the boxes is required
     up front; each controller output is additionally verified before it is
@@ -131,13 +114,11 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
     deposit_mass = np.empty(n)
     cost_trace = np.empty(n)
     controller_seconds = np.empty(n)
-    plant_models = []
-    plant_model = DepositionModel.FULL_NORMAL
 
     def partial(k: int) -> RunRecord:
         return RunRecord(times[:k], poses[:k], controls_out[:k], deposit_mass[:k],
-                         cost_trace[:k], tuple(plant_models), applied.copy(),
-                         cost(applied, scenario.prescription), controller_seconds[:k])
+                         cost_trace[:k], applied.copy(), cost(applied, scenario.prescription),
+                         controller_seconds[:k])
 
     for k in range(1, n + 1):
         tail = states[k:k + scenario.horizon]
@@ -156,10 +137,9 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
 
         pose = states[k]
         left, right = patterns_from_controls(decided, cal)
-        deposit = total_deposit(pose, left, right, scenario.grid, plant_model,
+        deposit = total_deposit(pose, left, right, scenario.grid, DepositionModel.FULL_NORMAL,
                                 scenario.scaling, scenario.support)
         applied += deposit
-        plant_models.append(plant_model.value)
 
         idx = k - 1
         times[idx] = k * scenario.dt
@@ -169,9 +149,8 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
         cost_trace[idx] = cost(applied, scenario.prescription)
         previous = decided
 
-    return RunRecord(times, poses, controls_out, deposit_mass, cost_trace,
-                     tuple(plant_models), applied, cost(applied, scenario.prescription),
-                     controller_seconds)
+    return RunRecord(times, poses, controls_out, deposit_mass, cost_trace, applied,
+                     cost(applied, scenario.prescription), controller_seconds)
 
 
 @dataclass(frozen=True)

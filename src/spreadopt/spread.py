@@ -128,16 +128,37 @@ def bearing(cell: tuple[float, float], position: tuple[float, float], heading: f
     return -angle if cross < 0 else angle
 
 
-def deposition_density_normal(x_offset, y_offset, params: PatternParams):
-    """Density of the full model: product of two normal densities scaled by flow."""
-    sd = params.sigma_distance
-    sa = params.sigma_angle
-    x = np.asarray(x_offset, dtype=float)
-    y = np.asarray(y_offset, dtype=float)
-    radial = np.exp(-0.5 * (x / sd) ** 2) / (SQRT_TWO_PI * sd)
-    angular = np.exp(-0.5 * (y / sa) ** 2) / (SQRT_TWO_PI * sa)
+def _half_widths(sd: float, sa: float, support: TriangleSupport) -> tuple[float, float]:
+    if TriangleSupport(support) is TriangleSupport.UNIT:
+        return 1.0, 1.0
+    return SQRT_TWO_PI * sd, SQRT_TWO_PI * sa
+
+
+def _density_factors(x, y, sd: float, sa: float, model: DepositionModel,
+                     support: TriangleSupport):
+    """Radial and angular factors of one disc's density at offsets ``x``
+    and ``y``; the density is the mass flow times their product."""
+    if DepositionModel(model) is DepositionModel.FULL_NORMAL:
+        return (np.exp(-0.5 * (x / sd) ** 2) / (SQRT_TWO_PI * sd),
+                np.exp(-0.5 * (y / sa) ** 2) / (SQRT_TWO_PI * sa))
+    half_x, half_y = _half_widths(sd, sa, support)
+    return (np.maximum(0.0, 1.0 - np.abs(x) / half_x) / (SQRT_TWO_PI * sd),
+            np.maximum(0.0, 1.0 - np.abs(y) / half_y) / (SQRT_TWO_PI * sa))
+
+
+def _density(x_offset, y_offset, params: PatternParams, model: DepositionModel,
+             support: TriangleSupport = TriangleSupport.UNIT):
+    radial, angular = _density_factors(np.asarray(x_offset, dtype=float),
+                                       np.asarray(y_offset, dtype=float),
+                                       params.sigma_distance, params.sigma_angle,
+                                       model, support)
     out = params.mass_flow * radial * angular
     return float(out) if out.ndim == 0 else out
+
+
+def deposition_density_normal(x_offset, y_offset, params: PatternParams):
+    """Density of the full model: product of two normal densities scaled by flow."""
+    return _density(x_offset, y_offset, params, DepositionModel.FULL_NORMAL)
 
 
 def deposition_density_triangle(x_offset, y_offset, params: PatternParams,
@@ -147,18 +168,7 @@ def deposition_density_triangle(x_offset, y_offset, params: PatternParams,
     Shares the peak value of the full model at zero offset and is clamped
     to zero outside its support, so it never goes negative.
     """
-    sd = params.sigma_distance
-    sa = params.sigma_angle
-    if TriangleSupport(support) is TriangleSupport.UNIT:
-        half_x, half_y = 1.0, 1.0
-    else:
-        half_x, half_y = SQRT_TWO_PI * sd, SQRT_TWO_PI * sa
-    x = np.asarray(x_offset, dtype=float)
-    y = np.asarray(y_offset, dtype=float)
-    radial = np.maximum(0.0, 1.0 - np.abs(x) / half_x) / (SQRT_TWO_PI * sd)
-    angular = np.maximum(0.0, 1.0 - np.abs(y) / half_y) / (SQRT_TWO_PI * sa)
-    out = params.mass_flow * radial * angular
-    return float(out) if out.ndim == 0 else out
+    return _density(x_offset, y_offset, params, DepositionModel.TRIANGLE, support)
 
 
 def pose_geometry(cx: np.ndarray, cy: np.ndarray, x: float, y: float,
@@ -199,13 +209,10 @@ def disc_deposit(dist: np.ndarray, angle: np.ndarray, scale, params: PatternPara
     ``scale`` is 1.0 for literal scaling or the array from
     :func:`conservative_scale`.
     """
-    x_off = dist - params.center_distance
-    y_off = angle - params.center_angle
-    if DepositionModel(model) is DepositionModel.FULL_NORMAL:
-        density = deposition_density_normal(x_off, y_off, params)
-    else:
-        density = deposition_density_triangle(x_off, y_off, params, support)
-    return density * scale
+    radial, angular = _density_factors(dist - params.center_distance,
+                                       angle - params.center_angle, params.sigma_distance,
+                                       params.sigma_angle, model, support)
+    return params.mass_flow * radial * angular * scale
 
 
 def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
@@ -226,33 +233,21 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     sa = params.sigma_angle
     x = dist - params.center_distance
     y = angle - params.center_angle
+    radial, angular = _density_factors(x, y, sd, sa, model, support)
+    unit = radial * angular * scale
+    value = D * unit
 
     if DepositionModel(model) is DepositionModel.FULL_NORMAL:
-        radial = np.exp(-0.5 * (x / sd) ** 2) / (SQRT_TWO_PI * sd)
-        angular = np.exp(-0.5 * (y / sa) ** 2) / (SQRT_TWO_PI * sa)
-        unit = radial * angular * scale
-        value = D * unit
         d_dist = value * (x / sd ** 2)
         d_sigma_d = value * (x * x / sd ** 3 - 1.0 / sd)
         d_angle = value * (y / sa ** 2)
         d_sigma_a = value * (y * y / sa ** 3 - 1.0 / sa)
         return value, unit, d_dist, d_sigma_d, d_angle, d_sigma_a
 
-    if TriangleSupport(support) is TriangleSupport.UNIT:
-        half_x, half_y = 1.0, 1.0
-        dhalf_x, dhalf_y = 0.0, 0.0
-    else:
-        half_x, half_y = SQRT_TWO_PI * sd, SQRT_TWO_PI * sa
-        dhalf_x, dhalf_y = SQRT_TWO_PI, SQRT_TWO_PI
-
-    ramp_x = 1.0 - np.abs(x) / half_x
-    ramp_y = 1.0 - np.abs(y) / half_y
-    in_x = ramp_x > 0.0
-    in_y = ramp_y > 0.0
-    radial = np.where(in_x, ramp_x, 0.0) / (SQRT_TWO_PI * sd)
-    angular = np.where(in_y, ramp_y, 0.0) / (SQRT_TWO_PI * sa)
-    unit = radial * angular * scale
-    value = D * unit
+    half_x, half_y = _half_widths(sd, sa, support)
+    # a factor is positive exactly on the interior of its support
+    in_x = radial > 0.0
+    in_y = angular > 0.0
 
     # d(ramp)/dx = -sign(x)/half on the support interior, zero outside
     dradial_dx = np.where(in_x, -np.sign(x) / half_x, 0.0) / (SQRT_TWO_PI * sd)
@@ -264,11 +259,10 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     # sigma enters the normalization always, and the half-width when scaled
     dradial_dsd = -radial / sd
     dangular_dsa = -angular / sa
-    if dhalf_x:
-        dradial_dsd = dradial_dsd + np.where(in_x, np.abs(x) * dhalf_x / half_x ** 2, 0.0) / (
+    if TriangleSupport(support) is TriangleSupport.SIGMA:
+        dradial_dsd = dradial_dsd + np.where(in_x, np.abs(x) * SQRT_TWO_PI / half_x ** 2, 0.0) / (
             SQRT_TWO_PI * sd)
-    if dhalf_y:
-        dangular_dsa = dangular_dsa + np.where(in_y, np.abs(y) * dhalf_y / half_y ** 2, 0.0) / (
+        dangular_dsa = dangular_dsa + np.where(in_y, np.abs(y) * SQRT_TWO_PI / half_y ** 2, 0.0) / (
             SQRT_TWO_PI * sa)
     d_sigma_d = D * scale * angular * dradial_dsd
     d_sigma_a = D * scale * radial * dangular_dsa

@@ -24,7 +24,6 @@ from spreadopt import (
     OptimizerSettings,
     PatternParams,
     Scenario,
-    ScheduleReplayController,
     SpreaderControls,
     TractorState,
     bearing,
@@ -40,6 +39,8 @@ from spreadopt import (
 from spreadopt.cli import main
 from spreadopt.config import default_scenario_path, load_scenario
 from spreadopt.simulation import read_trace
+
+from replay import ScheduleReplayController
 
 CAL = DEFAULT_CALIBRATION
 CONSTRAINTS = DEFAULT_CONSTRAINTS

@@ -1,7 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
+from spreadopt import ConfigurationError, ControllerKind, DepositScaling, TriangleSupport
 from spreadopt.cli import main
+from spreadopt.config import load_scenario
 
 TINY_SCENARIO = """\
 [field]
@@ -197,6 +201,41 @@ def test_unknown_controller_choice_is_a_usage_error(scenario_file, tmp_path, cap
     assert "error:" in capsys.readouterr().err
 
 
+RUN_CHOICES = [("controller", ControllerKind), ("scaling", DepositScaling),
+               ("triangle_support", TriangleSupport)]
+
+
+def scenario_with_run_key(tmp_path, key, value):
+    lines = [line for line in TINY_SCENARIO.splitlines() if not line.startswith(f"{key} =")]
+    lines.insert(lines.index("[run]") + 1, f"{key} = {value}")
+    path = tmp_path / "choice.ini"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("key, kind", RUN_CHOICES)
+def test_unknown_run_choice_names_the_key_and_the_allowed_values(tmp_path, key, kind):
+    with pytest.raises(ConfigurationError) as excinfo:
+        load_scenario(scenario_with_run_key(tmp_path, key, "bogus"))
+    message = str(excinfo.value)
+    assert f"unknown {key} 'bogus'" in message
+    for member in kind:
+        assert repr(member.value) in message
+
+
+@pytest.mark.parametrize("key, kind", RUN_CHOICES)
+def test_every_run_choice_value_is_accepted(tmp_path, key, kind):
+    attr = {"triangle_support": "support"}.get(key, key)
+    for member in kind:
+        config = load_scenario(scenario_with_run_key(tmp_path, key, member.value))
+        assert getattr(config.scenario, attr) is member
+
+
+def test_triangle_support_defaults_to_unit(scenario_file):
+    assert "triangle_support" not in TINY_SCENARIO
+    assert load_scenario(scenario_file).scenario.support is TriangleSupport.UNIT
+
+
 def test_horizon_must_be_positive(scenario_file, tmp_path, capsys):
     code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
                  "--horizon", "0"])
@@ -242,3 +281,13 @@ def test_verbose_run_writes_a_log_file(scenario_file, tmp_path):
     assert code == 0
     assert (out / "run.log").exists()
     assert (out / "run.log").stat().st_size > 0
+
+
+def test_a_plain_run_after_a_verbose_one_turns_debug_logging_off(scenario_file, tmp_path):
+    logger = logging.getLogger("spreadopt")
+    assert main(["validate", "--scenario", str(scenario_file), "--out", str(tmp_path / "v"),
+                 "--verbose"]) == 0
+    assert logger.isEnabledFor(logging.DEBUG)
+    assert main(["validate", "--scenario", str(scenario_file), "--out", str(tmp_path / "p")]) == 0
+    assert not logger.isEnabledFor(logging.DEBUG)
+    assert not logger.handlers

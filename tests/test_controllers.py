@@ -16,7 +16,6 @@ from spreadopt import (
     OptimizerSettings,
     ConfigurationError,
     Scenario,
-    ScheduleReplayController,
     SpreaderControls,
     TractorState,
     as_amount_map,
@@ -36,6 +35,8 @@ from spreadopt import (
     DrivePlan,
 )
 from spreadopt.spread import SQRT_TWO_PI
+
+from replay import ScheduleReplayController
 
 CAL = DEFAULT_CALIBRATION
 RATE_DIAG = 20.0 / math.sqrt(2.0)  # largest per-disc flow change per step
@@ -377,3 +378,15 @@ def test_receding_horizon_controller_truncates_at_the_plan_end():
     previous = SpreaderControls(45.0, 45.0, 600.0, 600.0)
     out = controller.plan_controls(tail, grid.zeros(), prescribed, previous, grid)
     assert schedule_feasible(ControlSchedule((out,)), previous, DEFAULT_CONSTRAINTS)
+
+
+def test_geometry_cache_holds_only_the_current_horizon():
+    grid, prescribed = small_field()
+    start = TractorState(5.0, 20.0, 0.0)
+    plan = DrivePlan(start, (DriveCommand(4.0, 0.0, 6.0),))
+    scenario = Scenario(grid, prescribed, plan, 1.0, SpreaderControls(45.0, 45.0, 600.0, 600.0))
+    controller = make_controller(ControllerKind.MPC_FULL, 3, CAL, DEFAULT_CONSTRAINTS,
+                                 OptimizerSettings())
+    record = run(scenario, CAL, DEFAULT_CONSTRAINTS, OptimizerSettings(), controller=controller)
+    assert record.n_steps == 6
+    assert len(controller._geometry_cache) <= 3

@@ -17,7 +17,6 @@ from spreadopt import (
     OptimizerSettings,
     RunAbortedError,
     Scenario,
-    ScheduleReplayController,
     SpreaderControls,
     TractorState,
     as_amount_map,
@@ -35,6 +34,8 @@ from spreadopt.simulation import (
     write_run_outputs,
     write_trace,
 )
+
+from replay import ScheduleReplayController
 
 CAL = DEFAULT_CALIBRATION
 SETTINGS = OptimizerSettings()
@@ -62,7 +63,6 @@ def test_an_empty_plan_produces_an_empty_record():
                         1.0, SpreaderControls(45.0, 45.0, 600.0, 600.0))
     record = run(scenario, CAL, DEFAULT_CONSTRAINTS, SETTINGS)
     assert record.n_steps == 0
-    assert record.plant_models == ()
     assert np.array_equal(record.final_map, grid.zeros())
     assert record.final_cost == cost(grid.zeros(), prescribed)
 
@@ -104,8 +104,6 @@ def test_record_steps_follow_the_trajectory():
 def test_the_plant_is_always_the_full_model():
     scenario = tiny_scenario(ControllerKind.MPC_TRIANGLE, horizon=2)
     record = run(scenario, CAL, DEFAULT_CONSTRAINTS, SETTINGS)
-    assert record.plant_models == ("full-normal",) * record.n_steps
-
     # the applied map must be explained by full-model deposition of the
     # controls the surrogate chose
     applied = scenario.grid.zeros()
