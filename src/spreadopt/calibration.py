@@ -65,6 +65,10 @@ class CalibrationModel:
             if not all(math.isfinite(c) for c in coeffs):
                 raise ConfigurationError(f"{name} contains non-finite coefficients")
             object.__setattr__(self, name, coeffs)
+        # derivative coefficients of each polynomial, for the *_slope methods
+        for name in ("distance", "sigma_distance", "angle", "sigma_angle"):
+            object.__setattr__(self, f"_{name}_slope_coeffs",
+                               _polyder(getattr(self, f"{name}_coeffs")))
 
     def distance(self, rpm: float) -> float:
         return _polyval(self.distance_coeffs, rpm)
@@ -80,16 +84,16 @@ class CalibrationModel:
         return _polyval(self.sigma_angle_coeffs, rpm)
 
     def distance_slope(self, rpm: float) -> float:
-        return _polyval(_polyder(self.distance_coeffs), rpm)
+        return _polyval(self._distance_slope_coeffs, rpm)
 
     def sigma_distance_slope(self, rpm: float) -> float:
-        return _polyval(_polyder(self.sigma_distance_coeffs), rpm)
+        return _polyval(self._sigma_distance_slope_coeffs, rpm)
 
     def angle_slope(self, rpm: float) -> float:
-        return _polyval(_polyder(self.angle_coeffs), rpm)
+        return _polyval(self._angle_slope_coeffs, rpm)
 
     def sigma_angle_slope(self, rpm: float) -> float:
-        return _polyval(_polyder(self.sigma_angle_coeffs), rpm)
+        return _polyval(self._sigma_angle_slope_coeffs, rpm)
 
 
 #: Synthetic bench calibration shipped with the package.  At 600 RPM it

@@ -38,6 +38,13 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # the bearing is undefined and vectorized callers substitute zero.
 DEGENERATE_RADIUS = 1e-9
 
+# Largest deposit per gram of flow (before conservative area scaling) that
+# windowed evaluation drops; see _reach.  At 1e-14 a 36-step H=10 MPC run
+# already ended at a different cost (seventh significant digit); at 1e-32
+# the shipped comparison and the benchmark workloads end bitwise as with
+# dense evaluation.
+WINDOW_TOLERANCE = 1e-32
+
 
 class DepositionModel(str, enum.Enum):
     """Which density shape a deposit or prediction uses."""
@@ -132,6 +139,16 @@ def _half_widths(sd: float, sa: float, support: TriangleSupport) -> tuple[float,
     if TriangleSupport(support) is TriangleSupport.UNIT:
         return 1.0, 1.0
     return SQRT_TWO_PI * sd, SQRT_TWO_PI * sa
+
+
+def _reach(sd: float, sa: float, model: DepositionModel, support: TriangleSupport) -> float:
+    """Radial offset beyond which one disc's density per gram of flow is
+    zero (triangle: the support half-width) or at most
+    :data:`WINDOW_TOLERANCE` (normal: where the radial factor times the
+    angular peak ``1 / (sqrt(2 pi) sa)`` falls to it, about 12 sigma)."""
+    if DepositionModel(model) is DepositionModel.TRIANGLE:
+        return _half_widths(sd, sa, support)[0]
+    return sd * math.sqrt(2.0 * math.log(1.0 / (2.0 * math.pi * sd * sa * WINDOW_TOLERANCE)))
 
 
 def _density_factors(x, y, sd: float, sa: float, model: DepositionModel,

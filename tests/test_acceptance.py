@@ -112,6 +112,7 @@ def _random_feasible_schedule(rng, previous, horizon):
     return ControlSchedule(tuple(steps))
 
 
+@pytest.mark.slow
 def test_criterion_1_controller_ranking(comparison, capfd):
     j = {name: row[1] for name, row in comparison["rows"].items()}
     gaps_ok = (j["mpc-full"] < j["mpc-triangle"] < j["greedy"]
@@ -123,6 +124,7 @@ def test_criterion_1_controller_ranking(comparison, capfd):
             f" < greedy {j['greedy']:.4g}, gaps >= 1%, {comparison['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_greedy_hits_the_rpm_floor(comparison, capfd):
     trace = comparison["traces"]["greedy"]
     floor = CONSTRAINTS.rpm_min
@@ -130,6 +132,7 @@ def test_criterion_2_greedy_hits_the_rpm_floor(comparison, capfd):
     _report(capfd, 2, ok, f"greedy rpm reaches the {floor:g} floor at some step")
 
 
+@pytest.mark.slow
 def test_criterion_3_mpc_full_recovers_top_rpm(comparison, default_config, capfd):
     trace = comparison["traces"]["mpc-full"]
     scenario = default_config.scenario
@@ -144,6 +147,7 @@ def test_criterion_3_mpc_full_recovers_top_rpm(comparison, default_config, capfd
     _report(capfd, 3, ok, f"mpc-full rpm returns to {ceiling:g} on both discs in steps {spans}")
 
 
+@pytest.mark.slow
 def test_criterion_4_greedy_is_an_order_of_magnitude_faster(comparison, capfd):
     wall = {name: row[2] for name, row in comparison["rows"].items()}
     ok = (wall["greedy"] < 0.1 * wall["mpc-triangle"]
@@ -258,6 +262,7 @@ def test_criterion_8_geometry_identities(capfd):
                    f"mirror {mir_err:.2g} relative")
 
 
+@pytest.mark.slow
 def test_criterion_9_every_emitted_control_is_feasible(comparison, default_config, capfd):
     initial = default_config.scenario.initial_controls
     violations = 0
@@ -280,6 +285,7 @@ def test_criterion_9_every_emitted_control_is_feasible(comparison, default_confi
             f"{violations} box or rate violations across the three runs")
 
 
+@pytest.mark.slow
 def test_criterion_10_comparison_is_deterministic(comparison, capfd):
     first = {name: row[0] for name, row in comparison["rows"].items()}
     repeat = {name: row[0] for name, row in comparison["repeat_rows"].items()}
