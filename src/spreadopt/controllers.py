@@ -273,7 +273,7 @@ def _make_predictor(schedule_horizon, plan_tail, applied, prescribed, model, cal
     return _Predictor(grid, poses, applied, prescribed, model, cal, scaling, support)
 
 
-def predict_cost(schedule: ControlSchedule, state, plan_tail, applied, prescribed,
+def predict_cost(schedule: ControlSchedule, plan_tail, applied, prescribed,
                  model: DepositionModel, cal: CalibrationModel, grid: FieldGrid,
                  scaling: DepositScaling = DepositScaling.LITERAL,
                  support: TriangleSupport = TriangleSupport.UNIT,
@@ -281,9 +281,8 @@ def predict_cost(schedule: ControlSchedule, state, plan_tail, applied, prescribe
                  constraints: ControlConstraints | None = None) -> float:
     """Cost after simulating the schedule's deposits over the plan tail.
 
-    ``plan_tail`` holds the pose of each horizon step (the first entry is
-    the current pose ``state`` in closed-loop use).  When ``previous`` and
-    ``constraints`` are given the schedule is checked for feasibility
+    ``plan_tail`` holds the pose of each horizon step.  When ``previous``
+    and ``constraints`` are given the schedule is checked for feasibility
     first and an infeasible one raises :class:`InfeasibleScheduleError`.
     """
     if previous is not None and constraints is not None:
@@ -294,7 +293,7 @@ def predict_cost(schedule: ControlSchedule, state, plan_tail, applied, prescribe
     return predictor.cost(schedule.as_array())
 
 
-def cost_gradient(schedule: ControlSchedule, state, plan_tail, applied, prescribed,
+def cost_gradient(schedule: ControlSchedule, plan_tail, applied, prescribed,
                   model: DepositionModel, cal: CalibrationModel, grid: FieldGrid,
                   scaling: DepositScaling = DepositScaling.LITERAL,
                   support: TriangleSupport = TriangleSupport.UNIT) -> np.ndarray:
@@ -307,9 +306,8 @@ def cost_gradient(schedule: ControlSchedule, state, plan_tail, applied, prescrib
     return 2.0 * (S.T @ e)
 
 
-def finite_difference_gradient(schedule: ControlSchedule, state, plan_tail, applied,
-                               prescribed, model: DepositionModel, cal: CalibrationModel,
-                               grid: FieldGrid,
+def finite_difference_gradient(schedule: ControlSchedule, plan_tail, applied, prescribed,
+                               model: DepositionModel, cal: CalibrationModel, grid: FieldGrid,
                                scaling: DepositScaling = DepositScaling.LITERAL,
                                support: TriangleSupport = TriangleSupport.UNIT,
                                epsilon: float = 1e-5) -> np.ndarray:
@@ -354,14 +352,22 @@ def _fold_gradient(grad_u: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def _fold_jacobian(S: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Chain the residual Jacobian back through the unroll to deltas."""
+    """Chain the residual Jacobian back through the unroll to deltas.
+
+    Overwrites ``S`` with the delta Jacobian and returns it.  From the last
+    step back, each step's four columns become their own sum with the next
+    step's folded columns, zeroed where that step's control was clipped.
+    Folding in place keeps a Gauss-Newton iteration from mapping fresh
+    field-sized arrays.
+    """
     h = masks.shape[0]
-    out = np.empty_like(S)
-    carry = np.zeros((S.shape[0], 4))
+    blocks = S.reshape(S.shape[0], h, 4)
     for i in reversed(range(h)):
-        carry = masks[i][None, :] * (S[:, 4 * i:4 * i + 4] + carry)
-        out[:, 4 * i:4 * i + 4] = carry
-    return out
+        if i + 1 < h:
+            blocks[:, i] += blocks[:, i + 1]
+        if not masks[i].all():
+            blocks[:, i] *= masks[i]
+    return S
 
 
 def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
@@ -410,6 +416,7 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
 
         accepted = None
         if settings.gauss_newton:
+            # the fold overwrites S: grad_u above must be taken first
             Sx = _fold_jacobian(S, masks)
             M = Sx.T @ Sx
             rhs = -(Sx.T @ e)
@@ -460,7 +467,7 @@ def _optimize(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
     return best_controls, best_cost
 
 
-def optimize_schedule(initial: ControlSchedule, state, plan_tail, applied, prescribed,
+def optimize_schedule(initial: ControlSchedule, plan_tail, applied, prescribed,
                       model: DepositionModel, cal: CalibrationModel, grid: FieldGrid,
                       constraints: ControlConstraints, settings: OptimizerSettings,
                       previous: SpreaderControls,
@@ -558,7 +565,7 @@ def make_controller(kind: ControllerKind, horizon: int, cal: CalibrationModel,
                                      scaling, support)
 
 
-def greedy_step(state, plan_tail, applied, prescribed, previous: SpreaderControls,
+def greedy_step(state, applied, prescribed, previous: SpreaderControls,
                 cal: CalibrationModel, constraints: ControlConstraints,
                 settings: OptimizerSettings, grid: FieldGrid,
                 scaling: DepositScaling = DepositScaling.LITERAL) -> SpreaderControls:
@@ -571,14 +578,14 @@ def greedy_step(state, plan_tail, applied, prescribed, previous: SpreaderControl
     return controller.plan_controls([state], applied, prescribed, previous, grid)
 
 
-def mpc_step(state, plan_tail, applied, prescribed, previous: SpreaderControls,
+def mpc_step(plan_tail, applied, prescribed, previous: SpreaderControls,
              model: DepositionModel, horizon: int, cal: CalibrationModel,
              constraints: ControlConstraints, settings: OptimizerSettings,
              grid: FieldGrid, scaling: DepositScaling = DepositScaling.LITERAL,
              support: TriangleSupport = TriangleSupport.UNIT) -> SpreaderControls:
     """One-shot model-predictive decision over the given plan tail.
 
-    ``plan_tail`` starts at the current pose ``state``.  Stateless
+    ``plan_tail`` holds the pose of each horizon step.  Stateless
     convenience wrapper; closed-loop runs use
     :class:`RecedingHorizonController` which carries the warm start.
     """

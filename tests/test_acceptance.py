@@ -172,9 +172,9 @@ def test_criterion_5_gradient_matches_finite_differences(default_config, capfd):
         tail = trajectory(plan, scenario.dt)[1:]
         applied = grid.zeros()
         schedule = _random_feasible_schedule(rng, previous, 3)
-        analytic = cost_gradient(schedule, start, tail, applied, scenario.prescription,
+        analytic = cost_gradient(schedule, tail, applied, scenario.prescription,
                                  model, CAL, grid)
-        numeric = finite_difference_gradient(schedule, start, tail, applied,
+        numeric = finite_difference_gradient(schedule, tail, applied,
                                              scenario.prescription, model, CAL, grid,
                                              epsilon=1e-5)
         worst = max(worst, np.abs(analytic - numeric).max() / np.abs(numeric).max())
@@ -227,7 +227,7 @@ def test_criterion_7_prediction_equals_open_loop_simulation(default_config, capf
                                               rng.uniform(-0.15, 0.15), 5.0),))
         schedule = _random_feasible_schedule(rng, previous, 5)
         tail = trajectory(plan, scenario.dt)[1:]
-        predicted = predict_cost(schedule, start, tail, grid.zeros(),
+        predicted = predict_cost(schedule, tail, grid.zeros(),
                                  scenario.prescription, DepositionModel.FULL_NORMAL,
                                  CAL, grid)
         open_loop = Scenario(grid, scenario.prescription, plan, scenario.dt, previous)
