@@ -183,8 +183,14 @@ def _config_lines(scenario, settings, cal, constraints, scenario_path, calibrati
     return lines
 
 
+# where the settings were read from, not what they are
+_LOCATION_KEYS = ("scenario_file", "calibration_file")
+
+
 def _settings_hash(lines) -> str:
-    text = "\n".join(f"{k} = {v}" for k, v in lines)
+    """SHA-256 of the resolved configuration lines other than the input
+    file paths, so equal settings hash equally from any directory."""
+    text = "\n".join(f"{k} = {v}" for k, v in lines if k not in _LOCATION_KEYS)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -14,7 +14,13 @@ Steps are chosen by a Gauss-Newton direction on the least-squares
 structure (with a small Levenberg floor) and fall back to projected
 gradient descent, both under a backtracking line search that only ever
 accepts a decrease, so the result never predicts worse than the initial
-schedule.
+schedule.  A Gauss-Newton direction is searched only if the projected
+path ``alpha -> clip(x + alpha d)`` descends at its start, that is, if the
+gradient's product with the direction, less the components pushing
+against an active delta bound, is negative.  Clipping often makes the
+direction non-descent (Bertsekas, projected Newton, 1982); such a
+direction is treated as a failed search without spending a cost
+evaluation.
 
 The greedy controller is the single-step special case with the full
 deposition model; the model-predictive controllers look several steps
@@ -427,8 +433,16 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
             except np.linalg.LinAlgError:
                 direction = None
             if direction is not None:
-                accepted = line_search(direction, 1.0, 10)
-                lam = max(lam / 10.0, 1e-12) if accepted else min(lam * 100.0, 1e8)
+                # slope of alpha -> clip(x + alpha d) at 0+: components pushing
+                # against an active rbox bound do not move
+                blocked = ((x <= -rbox) & (direction < 0)) | ((x >= rbox) & (direction > 0))
+                slope = float(np.vdot(grad_x, np.where(blocked, 0.0, direction)))
+                if slope >= 0:
+                    lam = min(lam * 100.0, 1e8)
+                    _log.debug("skip non-descent direction: slope %.3e lam %.1e", slope, lam)
+                else:
+                    accepted = line_search(direction, 1.0, 10)
+                    lam = max(lam / 10.0, 1e-12) if accepted else min(lam * 100.0, 1e8)
 
         if accepted is None:
             scale = float(np.max(rbox)) / (float(np.max(np.abs(grad_x))) + 1e-300)
@@ -451,17 +465,22 @@ def _optimize(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
               constraints: ControlConstraints, settings: OptimizerSettings):
     """Solve from the (H, 4) control schedule ``start``, then from
     ``settings.restarts`` random delta starts, and return the best
-    ``(controls, cost)``."""
-    x0 = np.diff(np.vstack([prev, start]), axis=0)
-    best_controls, best_cost, _ = _solve_deltas(predictor, prev, x0, constraints, settings)
-    if not settings.restarts:
+    ``(controls, cost)``: ``start`` itself unless a solve improved on it.
+
+    ``start`` may hold deltas beyond the ``rate/sqrt(2)`` box the solver
+    searches in; its first solve then begins from the clipped deltas, a
+    different and possibly worse schedule.
+    """
+    best_controls, best_cost = start, predictor.cost(start)
+    starts = [np.diff(np.vstack([prev, start]), axis=0)]
+    if settings.restarts:
         # the first default_rng() of a process adds about 1 MB of resident memory
-        return best_controls, best_cost
-    rng = np.random.default_rng(settings.seed)
-    rbox = constraints.rates() / math.sqrt(2.0)
-    for _ in range(settings.restarts):
-        candidate = rng.uniform(-rbox, rbox, size=(predictor.horizon, 4))
-        controls, cost, _ = _solve_deltas(predictor, prev, candidate, constraints, settings)
+        rng = np.random.default_rng(settings.seed)
+        rbox = constraints.rates() / math.sqrt(2.0)
+        starts += [rng.uniform(-rbox, rbox, size=(predictor.horizon, 4))
+                   for _ in range(settings.restarts)]
+    for x0 in starts:
+        controls, cost, _ = _solve_deltas(predictor, prev, x0, constraints, settings)
         if cost < best_cost:
             best_controls, best_cost = controls, cost
     return best_controls, best_cost
@@ -484,15 +503,8 @@ def optimize_schedule(initial: ControlSchedule, plan_tail, applied, prescribed,
             "initial schedule violates actuator bounds or rate limits")
     predictor = _make_predictor(initial.horizon, plan_tail, applied, prescribed, model, cal,
                                 grid, scaling, support)
-    initial_arr = initial.as_array()
-    initial_cost = predictor.cost(initial_arr)
-    best_controls, best_cost = _optimize(predictor, previous.as_array(), initial_arr,
-                                         constraints, settings)
-
-    # exact initial wins if no start improved on it (its deltas may exceed
-    # the sqrt(2)-shrunk boxes the solver searches in)
-    if best_cost >= initial_cost:
-        return initial
+    best_controls, _ = _optimize(predictor, previous.as_array(), initial.as_array(),
+                                 constraints, settings)
     return ControlSchedule.from_array(best_controls)
 
 

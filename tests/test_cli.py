@@ -5,7 +5,7 @@ import pytest
 
 from spreadopt import ConfigurationError, ControllerKind, DepositScaling, TriangleSupport
 from spreadopt.cli import main
-from spreadopt.config import load_scenario
+from spreadopt.config import default_calibration_path, load_scenario
 
 TINY_SCENARIO = """\
 [field]
@@ -259,6 +259,28 @@ def test_repeated_runs_are_byte_identical(scenario_file, tmp_path):
     assert (first / "trace.csv").read_bytes() == (second / "trace.csv").read_bytes()
     hash_of = lambda p: dict(summary_pairs(p / "summary.txt"))["settings_hash"]
     assert hash_of(first) == hash_of(second)
+
+
+def test_settings_hash_ignores_where_the_input_files_live(tmp_path):
+    calibration = default_calibration_path().read_text()
+
+    def summary_of(name, scenario_text):
+        inputs = tmp_path / name
+        inputs.mkdir()
+        (inputs / "tiny.ini").write_text(scenario_text)
+        (inputs / "calibration.ini").write_text(calibration)
+        out = tmp_path / f"{name}-out"
+        assert main(["run", "--scenario", str(inputs / "tiny.ini"),
+                     "--calibration", str(inputs / "calibration.ini"), "--out", str(out)]) == 0
+        return dict(summary_pairs(out / "summary.txt"))
+
+    first = summary_of("a", TINY_SCENARIO)
+    second = summary_of("b", TINY_SCENARIO)
+    assert first["scenario_file"] != second["scenario_file"]
+    assert first["calibration_file"] != second["calibration_file"]
+    assert first["settings_hash"] == second["settings_hash"]
+    changed = summary_of("c", TINY_SCENARIO.replace("horizon = 2", "horizon = 3"))
+    assert changed["settings_hash"] != first["settings_hash"]
 
 
 def test_repeated_comparisons_are_byte_identical(scenario_file, tmp_path):

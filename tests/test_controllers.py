@@ -327,6 +327,68 @@ def test_optimizer_never_increases_the_cost(model, seed):
     assert schedule_feasible(out, previous, DEFAULT_CONSTRAINTS)
 
 
+def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
+    # the seed-0 full-model problem of test_optimizer_never_increases_the_cost
+    grid, prescribed = small_field(n=8, side=30.0)
+    tail = straight_tail(TractorState(5.0, 15.0, 0.0), 5.0, 3)
+    rng = np.random.default_rng(0)
+    previous = SpreaderControls(45.0, 45.0, 600.0, 600.0)
+    applied = as_amount_map(rng.uniform(0.0, 15.0, (8, 8)), grid)
+    initial = random_feasible_schedule(rng, previous, DEFAULT_CONSTRAINTS, 3)
+    predictor = controllers._Predictor(grid, tail, applied, prescribed,
+                                       DepositionModel.FULL_NORMAL, CAL)
+    events = []
+    cost, jacobian = predictor.cost, predictor.cost_residual_jacobian
+
+    def counted_cost(controls):
+        events.append(("cost", controls.copy()))
+        return cost(controls)
+
+    def counted_jacobian(controls):
+        events.append(("jac", controls.copy()))
+        return jacobian(controls)
+
+    predictor.cost = counted_cost
+    predictor.cost_residual_jacobian = counted_jacobian
+    prev = previous.as_array()
+    controllers._optimize(predictor, prev, initial.as_array(), DEFAULT_CONSTRAINTS,
+                          OptimizerSettings(max_iterations=4))
+
+    # the parent spent 14 evaluations: one for each of three accepted
+    # Gauss-Newton steps, then ten failed halvings along the fourth
+    # direction and one projected-gradient step
+    evaluations = [controls for kind, controls in events if kind == "cost"]
+    assert len(evaluations) < 14
+    fourth = [i for i, (kind, _) in enumerate(events) if kind == "jac"][3]
+    controls = events[fourth][1]
+    lo, hi = DEFAULT_CONSTRAINTS.lower(), DEFAULT_CONSTRAINTS.upper()
+    assert np.all((controls > lo) & (controls < hi))  # no actuator clip: x is the diff
+    x = np.diff(np.vstack([prev, controls]), axis=0)
+    rbox = DEFAULT_CONSTRAINTS.rates() / math.sqrt(2.0)
+
+    # the fourth direction, after three accepted steps cut lam 1e-8 -> 1e-11,
+    # has a non-negative slope along its clipped path
+    _, e, S = jacobian(controls)
+    grad_x = controllers._fold_gradient((2.0 * (S.T @ e)).reshape(3, 4), np.ones((3, 4)))
+    Sx = controllers._fold_jacobian(S, np.ones((3, 4)))
+    M = Sx.T @ Sx
+    M[np.diag_indices_from(M)] += 1e-11 * (np.trace(M) / M.shape[0] + 1e-12)
+    direction = np.linalg.solve(M, -(Sx.T @ e)).reshape(3, 4)
+    blocked = (((x <= -rbox + 1e-9) & (direction < 0))
+               | ((x >= rbox - 1e-9) & (direction > 0)))
+    assert blocked.any()
+    assert np.vdot(grad_x, np.where(blocked, 0.0, direction)) >= 0
+
+    # every evaluation of that iteration lies on the projected-gradient path
+    searched = [c for kind, c in events[fourth + 1:] if kind == "cost"]
+    assert searched
+    scale = float(np.max(rbox)) / float(np.max(np.abs(grad_x)))
+    for halvings, candidate in enumerate(searched):
+        step = np.clip(x - scale * 0.5 ** halvings * grad_x, -rbox, rbox)
+        expected, _ = controllers._unroll(step, prev, lo, hi)
+        assert np.allclose(candidate, expected, rtol=0.0, atol=1e-9)
+
+
 def test_optimizer_rejects_an_infeasible_start():
     grid, state, prescribed = single_cell_problem()
     previous = SpreaderControls(0.0, 0.0, 600.0, 600.0)

@@ -1,0 +1,107 @@
+"""Invariants of the schedule solver over random small problems.
+
+Each example draws a field of 6-30 cells per side, a driven tail of 1-4
+poses, random applied and prescribed maps, either deposition model, either
+scaling and either triangle support, a previous control anywhere in the
+actuator boxes (edges included) and a feasible warm start whose pair
+changes reach up to the full rate disc.  ``controllers._optimize`` must
+return a schedule that meets the boxes and the 2-norm pair rate limit,
+predicts no worse than the warm start, and is bitwise the same on a second
+call.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spreadopt import (
+    DEFAULT_CALIBRATION,
+    DEFAULT_CONSTRAINTS,
+    ControlSchedule,
+    DepositScaling,
+    DepositionModel,
+    DriveCommand,
+    DrivePlan,
+    FieldGrid,
+    OptimizerSettings,
+    SpreaderControls,
+    TractorState,
+    schedule_feasible,
+    trajectory,
+)
+from spreadopt import controllers
+from spreadopt.spread import TriangleSupport
+
+CONSTRAINTS = DEFAULT_CONSTRAINTS
+
+
+def _in_box(lo, hi):
+    return st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(6, 30))
+    side = draw(st.floats(10.0, 200.0))
+    horizon = draw(st.integers(1, 4))
+    start = TractorState(draw(st.floats(-0.2, 1.2)) * side, draw(st.floats(-0.2, 1.2)) * side,
+                         draw(st.floats(-math.pi, math.pi)))
+    command = DriveCommand(draw(st.floats(1.0, 8.0)), draw(st.floats(-0.4, 0.4)),
+                           float(horizon))
+    poses = trajectory(DrivePlan(start, (command,)), 1.0)[1:]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    applied = rng.uniform(0.0, draw(st.floats(0.0, 40.0)), (n, n))
+    prescribed = rng.choice([0.0, 12.0, 20.0, 30.0], size=(n, n))
+    grid = FieldGrid(side, n)
+    predictor = controllers._Predictor(
+        grid, poses, applied, prescribed, draw(st.sampled_from(DepositionModel)),
+        DEFAULT_CALIBRATION, draw(st.sampled_from(DepositScaling)),
+        draw(st.sampled_from(TriangleSupport)))
+
+    lo, hi = CONSTRAINTS.lower(), CONSTRAINTS.upper()
+    previous = SpreaderControls(*(draw(_in_box(float(a), float(b))) for a, b in zip(lo, hi)))
+    # each step moves the flow pair and the rpm pair to a point of the rate
+    # disc around the last step, clipped to the boxes (which only shrinks it)
+    steps = []
+    current = previous.as_array()
+    for _ in range(horizon):
+        delta = np.empty(4)
+        for pair, rate in (((0, 1), CONSTRAINTS.flow_rate_max),
+                           ((2, 3), CONSTRAINTS.rpm_rate_max)):
+            radius = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))) * rate
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
+            delta[list(pair)] = radius * math.cos(angle), radius * math.sin(angle)
+        current = np.clip(current + delta, lo, hi)
+        steps.append(current)
+    return predictor, previous, np.array(steps)
+
+
+def _check_solver(predictor, previous, start):
+    assert schedule_feasible(ControlSchedule.from_array(start), previous, CONSTRAINTS)
+    prev = previous.as_array()
+    controls, cost = controllers._optimize(predictor, prev, start, CONSTRAINTS,
+                                           OptimizerSettings())
+    assert schedule_feasible(ControlSchedule.from_array(controls), previous, CONSTRAINTS)
+    # the solver's costs come from the Jacobian path, whose deposit rounds
+    # differently from cost()'s
+    assert cost == pytest.approx(predictor.cost(controls), rel=1e-12, abs=0.0)
+    assert predictor.cost(controls) <= predictor.cost(start)
+    again, again_cost = controllers._optimize(predictor, prev, start, CONSTRAINTS,
+                                              OptimizerSettings())
+    assert again.tobytes() == controls.tobytes()
+    assert again_cost == cost
+
+
+@settings(max_examples=15, deadline=None)
+@given(problem=problems())
+def test_solver_returns_a_feasible_no_worse_deterministic_schedule(problem):
+    _check_solver(*problem)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(problem=problems())
+def test_solver_invariants_over_many_problems(problem):
+    _check_solver(*problem)
