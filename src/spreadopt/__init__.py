@@ -20,7 +20,7 @@ from .errors import (CalibrationDomainError, ConfigurationError, DegenerateGeome
                      InfeasibleScheduleError, InvalidStateError, NumericalFailureError,
                      RunAbortedError, ShapeError, SpreadOptError)
 from .field import FieldGrid, accumulate, as_amount_map, cell_centers, cost, load_map, save_map
-from .kinematics import DriveCommand, DrivePlan, TractorState, step, step_exact, trajectory
+from .kinematics import DriveCommand, DrivePlan, TractorState, step, trajectory
 from .simulation import ComparisonResult, ComparisonRow, RunRecord, Scenario, compare, run
 from .spread import (DepositScaling, DepositionModel, PatternParams, TriangleSupport,
                      bearing, deposition_density_normal, deposition_density_triangle,

@@ -186,13 +186,11 @@ def pattern_from_controls(rpm: float, mass_flow: float, cal: CalibrationModel,
 
     ``side`` is ``"left"`` or ``"right"`` and fixes the sign of the center
     angle.  Parameters that land outside the pattern domain (non-positive
-    spreads, center angle at or beyond pi) raise
+    spreads, center angle at or beyond pi) or are not finite raise
     :class:`CalibrationDomainError`.
     """
     if side not in ("left", "right"):
         raise ConfigurationError(f"disc side must be 'left' or 'right', got {side!r}")
-    if not (math.isfinite(rpm) and math.isfinite(mass_flow)):
-        raise CalibrationDomainError(f"rpm and mass flow must be finite, got {rpm}, {mass_flow}")
     angle = cal.angle(rpm)
     if side == "left":
         angle = -angle
@@ -231,9 +229,15 @@ def clamp_controls(controls: SpreaderControls, previous: SpreaderControls,
     return SpreaderControls.from_array(np.clip(u, lo, hi))
 
 
+# rounding slack of the feasibility test: absolute on the boxes, absolute
+# plus relative on the rate limits
+_FEASIBILITY_TOL = 1e-9
+
+
 def satisfies_constraints(controls: SpreaderControls, previous: SpreaderControls,
-                          constraints: ControlConstraints, tol: float = 1e-9) -> bool:
+                          constraints: ControlConstraints) -> bool:
     """Exact feasibility test: boxes plus Euclidean pair-norm rate limits."""
+    tol = _FEASIBILITY_TOL
     u = controls.as_array()
     if np.any(u < constraints.lower() - tol) or np.any(u > constraints.upper() + tol):
         return False
@@ -305,13 +309,12 @@ def validate_calibration(cal: CalibrationModel, constraints: ControlConstraints)
     problems = []
     rpms = np.arange(constraints.rpm_min, constraints.rpm_max + 0.5, 1.0)
     checks = (
-        ("center distance", np.polyval(cal.distance_coeffs, rpms), lambda v: v > 0,
-         "must be positive"),
-        ("radial spread (sigma_distance)", np.polyval(cal.sigma_distance_coeffs, rpms),
+        ("center distance", cal.distance(rpms), lambda v: v > 0, "must be positive"),
+        ("radial spread (sigma_distance)", cal.sigma_distance(rpms),
          lambda v: v > 0, "must be positive"),
-        ("center angle", np.polyval(cal.angle_coeffs, rpms),
+        ("center angle", cal.angle(rpms),
          lambda v: (v > 0) & (v < math.pi), "must lie in (0, pi)"),
-        ("angular spread (sigma_angle)", np.polyval(cal.sigma_angle_coeffs, rpms),
+        ("angular spread (sigma_angle)", cal.sigma_angle(rpms),
          lambda v: v > 0, "must be positive"),
     )
     for name, values, ok, requirement in checks:
@@ -357,39 +360,23 @@ def load_calibration(path) -> tuple[CalibrationModel, ControlConstraints]:
     section with the actuator envelope.  Domain violations over the
     admissible RPM range are rejected at load time.
     """
-    from .config import parse_number, read_ini
+    from .config import _SectionReader, read_ini
 
-    parser = read_ini(path)
-    for section in ("pattern", "constraints"):
-        if not parser.has_section(section):
-            raise ConfigurationError(f"calibration file {path} is missing [{section}]")
+    parser = read_ini(path, "calibration file", ("pattern", "constraints"))
 
+    pattern = _SectionReader(parser, path, "pattern")
     kwargs = {}
     for key, (attr, count) in _PATTERN_KEYS.items():
-        raw = parser.get("pattern", key, fallback=None)
-        if raw is None:
-            raise ConfigurationError(f"calibration file {path} is missing pattern.{key}")
-        try:
-            coeffs = tuple(parse_number(tok) for tok in raw.split())
-        except ValueError as exc:
-            raise ConfigurationError(f"bad coefficients for pattern.{key} in {path}: {exc}") from exc
+        coeffs = pattern.numbers(key)
         if len(coeffs) != count:
             raise ConfigurationError(
                 f"pattern.{key} in {path} needs {count} coefficients, got {len(coeffs)}")
         kwargs[attr] = coeffs
 
-    constraint_kwargs = {}
-    for key in _CONSTRAINT_KEYS:
-        raw = parser.get("constraints", key, fallback=None)
-        if raw is None:
-            raise ConfigurationError(f"calibration file {path} is missing constraints.{key}")
-        try:
-            constraint_kwargs[key] = parse_number(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad value for constraints.{key} in {path}: {exc}") from exc
-
+    limits = _SectionReader(parser, path, "constraints")
+    bounds = {key: limits.number(key) for key in _CONSTRAINT_KEYS}
     cal = CalibrationModel(**kwargs)
-    constraints = ControlConstraints(**constraint_kwargs)
+    constraints = ControlConstraints(**bounds)
     problems = validate_calibration(cal, constraints)
     if problems:
         raise ConfigurationError(

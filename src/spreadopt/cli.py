@@ -24,9 +24,9 @@ import math
 import sys
 from pathlib import Path
 
-from .calibration import load_calibration, validate_calibration
+from .calibration import load_calibration
 from .config import default_calibration_path, default_scenario_path, load_scenario
-from .controllers import ControllerKind, OptimizerSettings
+from .controllers import ControllerKind
 from .errors import ConfigurationError, NumericalFailureError, RunAbortedError, SpreadOptError
 from .simulation import (comparison_failed, compare, run, write_comparison,
                          write_run_outputs, write_trace)
@@ -92,10 +92,6 @@ def _resolve_inputs(args):
     scenario_path = args.scenario if args.scenario is not None else default_scenario_path()
     calibration_path = (args.calibration if args.calibration is not None
                         else default_calibration_path())
-    if not Path(calibration_path).is_file():
-        raise ConfigurationError(f"calibration file not found: {calibration_path}")
-    if not Path(scenario_path).is_file():
-        raise ConfigurationError(f"scenario file not found: {scenario_path}")
     config = load_scenario(scenario_path)
     cal, constraints = load_calibration(calibration_path)
     return scenario_path, calibration_path, config, cal, constraints
@@ -117,17 +113,9 @@ def _apply_overrides(args, config, controller_override=None):
     if args.scaling is not None:
         scenario = dataclasses.replace(scenario, scaling=DepositScaling(args.scaling))
 
-    overrides = {}
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if args.gradient_tolerance is not None:
-        overrides["gradient_tolerance"] = args.gradient_tolerance
-    if args.step_tolerance is not None:
-        overrides["step_tolerance"] = args.step_tolerance
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    # a flag overrides the OptimizerSettings field its destination is named after
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(settings)
+                 if getattr(args, f.name, None) is not None}
     if overrides:
         settings = dataclasses.replace(settings, **overrides)
     return scenario, settings
@@ -194,6 +182,17 @@ def _settings_hash(lines) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _run_summary(command, controller, record, digest, config_lines):
+    """The ``summary.txt`` lines of one controller's run."""
+    return ([("command", command),
+             ("controller", controller),
+             ("n_steps", str(record.n_steps)),
+             ("final_cost", format(record.final_cost, ".12g")),
+             ("settings_hash", digest)]
+            + config_lines
+            + [("wall_clock.controller_seconds", format(record.total_controller_seconds, ".6f"))])
+
+
 def _setup_logging(args):
     root = logging.getLogger("spreadopt")
     for handler in list(root.handlers):
@@ -231,15 +230,9 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    summary = [("command", "run"),
-               ("controller", scenario.controller.value),
-               ("n_steps", str(record.n_steps)),
-               ("final_cost", format(record.final_cost, ".12g")),
-               ("settings_hash", digest)]
-    summary += config_lines
-    summary.append(("wall_clock.controller_seconds",
-                    format(record.total_controller_seconds, ".6f")))
-    write_run_outputs(args.out, record, summary)
+    write_run_outputs(args.out, record,
+                      _run_summary("run", scenario.controller.value, record, digest,
+                                   config_lines))
     print(f"final cost {record.final_cost:.6g} after {record.n_steps} steps "
           f"-> {args.out}")
     return 0
@@ -273,15 +266,9 @@ def cmd_compare(args) -> int:
         if record is None:
             continue
         sub_dir = args.out / row.controller
-        summary = [("command", "compare"),
-                   ("controller", row.controller),
-                   ("n_steps", str(record.n_steps)),
-                   ("final_cost", format(record.final_cost, ".12g")),
-                   ("settings_hash", digest)]
-        summary += config_lines
-        summary.append(("wall_clock.controller_seconds",
-                        format(record.total_controller_seconds, ".6f")))
-        write_run_outputs(sub_dir, record, summary)
+        write_run_outputs(sub_dir, record,
+                          _run_summary("compare", row.controller, record, digest,
+                                       config_lines))
         if not math.isfinite(row.final_cost):
             (sub_dir / "diagnostic.txt").write_text(
                 f"variant {row.controller} aborted; partial trace written\n")
@@ -306,18 +293,14 @@ def cmd_validate(args) -> int:
     scenario_path, calibration_path, config, cal, constraints = _resolve_inputs(args)
     scenario, settings = _apply_overrides(args, config)
 
-    problems = validate_calibration(cal, constraints)
-    lo, hi = constraints.lower(), constraints.upper()
-    u0 = scenario.initial_controls.as_array()
-    if (u0 < lo).any() or (u0 > hi).any():
-        problems.append(f"initial controls {scenario.initial_controls} violate the actuator boxes")
-
     for key, value in _config_lines(scenario, settings, cal, constraints, scenario_path,
                                     calibration_path):
         print(f"{key} = {value}")
-    if problems:
-        for problem in problems:
-            print(f"problem: {problem}", file=sys.stderr)
+    # load_calibration has already rejected a calibration that fails validation
+    u0 = scenario.initial_controls.as_array()
+    if (u0 < constraints.lower()).any() or (u0 > constraints.upper()).any():
+        print(f"problem: initial controls {scenario.initial_controls} violate the actuator boxes",
+              file=sys.stderr)
         return 1
     print("ok")
     return 0
@@ -334,16 +317,10 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "compare": cmd_compare, "validate": cmd_validate}
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NumericalFailureError, RunAbortedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SpreadOptError as exc:
+    except (_UsageError, SpreadOptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ in addition to ordinary floats, which keeps turn rates exact in the file.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import enum
 import math
 import re
@@ -54,16 +55,21 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def read_ini(path) -> configparser.ConfigParser:
+def read_ini(path, kind: str, sections: tuple[str, ...]) -> configparser.ConfigParser:
+    """Parse the ``kind`` file (such as ``"scenario file"``) at ``path``,
+    which must have every section in ``sections``."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     path = Path(path)
     if not path.is_file():
-        raise ConfigurationError(f"configuration file not found: {path}")
+        raise ConfigurationError(f"{kind} not found: {path}")
     try:
         with open(path) as handle:
             parser.read_file(handle)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"could not parse {path}: {exc}") from exc
+    for section in sections:
+        if not parser.has_section(section):
+            raise ConfigurationError(f"{kind} {path} is missing [{section}]")
     return parser
 
 
@@ -97,12 +103,19 @@ class _SectionReader:
             raise ConfigurationError(f"{self.path} is missing {self.section}.{key}")
         return value
 
-    def number(self, key: str, fallback: str | None = None) -> float:
+    def _parse(self, key: str, parse, fallback: str | None = None):
         raw = self.raw(key, fallback)
         try:
-            return parse_number(raw)
+            return parse(raw)
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {self.section}.{key} in {self.path}: {exc}") from exc
+
+    def number(self, key: str, fallback: str | None = None) -> float:
+        return self._parse(key, parse_number, fallback)
+
+    def numbers(self, key: str) -> tuple[float, ...]:
+        """Whitespace-separated numbers, such as polynomial coefficients."""
+        return self._parse(key, lambda raw: tuple(map(parse_number, raw.split())))
 
     def integer(self, key: str, fallback: str | None = None) -> int:
         value = self.number(key, fallback)
@@ -111,12 +124,8 @@ class _SectionReader:
                 f"{self.section}.{key} in {self.path} must be an integer, got {value}")
         return int(value)
 
-    def boolean(self, key: str, fallback: str) -> bool:
-        raw = self.raw(key, fallback)
-        try:
-            return parse_bool(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad value for {self.section}.{key} in {self.path}: {exc}") from exc
+    def boolean(self, key: str, fallback: str | None = None) -> bool:
+        return self._parse(key, parse_bool, fallback)
 
     def choice(self, key: str, kind: type[enum.Enum], default: enum.Enum) -> enum.Enum:
         """The member of ``kind`` named by ``key``, or ``default`` when absent."""
@@ -139,10 +148,7 @@ def load_scenario(path) -> RunConfig:
     per-disc flow and RPM), and optional ``[optimizer]`` overrides.
     """
     path = Path(path)
-    parser = read_ini(path)
-    for section in ("field", "prescription", "plan", "run", "controls"):
-        if not parser.has_section(section):
-            raise ConfigurationError(f"scenario file {path} is missing [{section}]")
+    parser = read_ini(path, "scenario file", ("field", "prescription", "plan", "run", "controls"))
 
     field_sec = _SectionReader(parser, path, "field")
     grid = FieldGrid(
@@ -211,19 +217,21 @@ def load_scenario(path) -> RunConfig:
         support=support,
     )
 
-    defaults = OptimizerSettings()
+    settings = OptimizerSettings()
     if parser.has_section("optimizer"):
-        opt = _SectionReader(parser, path, "optimizer")
-        settings = OptimizerSettings(
-            max_iterations=opt.integer("max_iterations", str(defaults.max_iterations)),
-            gradient_tolerance=opt.number("gradient_tolerance", repr(defaults.gradient_tolerance)),
-            step_tolerance=opt.number("step_tolerance", repr(defaults.step_tolerance)),
-            finite_diff_epsilon=opt.number("finite_diff_epsilon",
-                                           repr(defaults.finite_diff_epsilon)),
-            gauss_newton=opt.boolean("gauss_newton", str(defaults.gauss_newton)),
-            restarts=opt.integer("restarts", str(defaults.restarts)),
-            seed=opt.integer("seed", str(defaults.seed)),
-        )
-    else:
-        settings = defaults
+        settings = _read_optimizer(_SectionReader(parser, path, "optimizer"))
     return RunConfig(scenario=scenario, settings=settings)
+
+
+def _read_optimizer(opt: _SectionReader) -> OptimizerSettings:
+    """Optimizer settings from the keys present, each parsed as the type of
+    its :class:`OptimizerSettings` default; an unknown key is an error."""
+    defaults = {f.name: f.default for f in dataclasses.fields(OptimizerSettings)}
+    keys = opt.parser.options(opt.section)
+    unknown = [key for key in keys if key not in defaults]
+    if unknown:
+        raise ConfigurationError(
+            f"{opt.path}: unknown [optimizer] key {unknown[0]!r}, expected one of "
+            f"{list(defaults)}")
+    readers = {bool: opt.boolean, int: opt.integer, float: opt.number}
+    return OptimizerSettings(**{key: readers[type(defaults[key])](key) for key in keys})

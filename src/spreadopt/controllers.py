@@ -106,11 +106,11 @@ class OptimizerSettings:
 
     ``gradient_tolerance`` bounds the infinity norm of the projected
     gradient at which iteration stops; ``step_tolerance`` the relative
-    change of the delta iterate.  ``finite_diff_epsilon`` is the central
-    difference half-step used by the gradient verification helper.
+    change of the delta iterate.  ``finite_diff_epsilon`` is read by
+    nothing: :func:`finite_difference_gradient` takes its own ``epsilon``.
     ``restarts`` adds that many random feasible starting points on top of
     the warm start (off by default; runs stay deterministic for a fixed
-    seed).
+    non-negative integer ``seed``).
     """
 
     max_iterations: int = 60
@@ -130,18 +130,20 @@ class OptimizerSettings:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be positive, got {value!r}")
-        if int(self.restarts) != self.restarts or self.restarts < 0:
-            raise ConfigurationError(f"restarts must be a non-negative integer, got {self.restarts!r}")
-        object.__setattr__(self, "restarts", int(self.restarts))
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if int(value) != value or value < 0:
+                raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 def schedule_feasible(schedule: ControlSchedule, previous: SpreaderControls,
-                      constraints: ControlConstraints, tol: float = 1e-9) -> bool:
+                      constraints: ControlConstraints) -> bool:
     """Exact feasibility of a whole schedule: boxes and pair-norm rates
     between consecutive entries, anchored at the previously applied control."""
     anchor = previous
     for controls in schedule.steps:
-        if not satisfies_constraints(controls, anchor, constraints, tol):
+        if not satisfies_constraints(controls, anchor, constraints):
             return False
         anchor = controls
     return True
@@ -380,7 +382,8 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
                   constraints: ControlConstraints, settings: OptimizerSettings):
     """Minimize the predicted cost over delta space from one start.
 
-    Returns ``(best_controls, best_cost, iterations)``.
+    Returns ``(controls, cost, iterations)``.  Every accepted step lowers
+    the cost, so the last iterate is the best one.
     """
     lo = constraints.lower()
     hi = constraints.upper()
@@ -390,8 +393,6 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
     x = np.clip(x0, -rbox, rbox)
     controls, masks = _unroll(x, prev, lo, hi)
     lam = 1e-8
-    best_cost = math.inf
-    best_controls = controls.copy()
     min_gain = 1e-12
 
     def line_search(direction, alpha, tries):
@@ -408,9 +409,6 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
     iteration = 0
     for iteration in range(1, settings.max_iterations + 1):
         cost, e, S = predictor.cost_residual_jacobian(controls)
-        if cost < best_cost:
-            best_cost = cost
-            best_controls = controls.copy()
         grad_u = 2.0 * (S.T @ e)
         grad_x = _fold_gradient(grad_u.reshape(h, 4), masks)
         projected = x - np.clip(x - grad_x, -rbox, rbox)
@@ -453,12 +451,9 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         new_x, controls, masks, cost = accepted
         moved = float(np.max(np.abs(new_x - x)))
         x = new_x
-        if cost < best_cost:
-            best_cost = cost
-            best_controls = controls.copy()
         if moved <= settings.step_tolerance * (1.0 + float(np.max(np.abs(x)))):
             break
-    return best_controls, best_cost, iteration
+    return controls, cost, iteration
 
 
 def _optimize(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,

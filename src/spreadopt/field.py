@@ -116,8 +116,6 @@ def load_map(path, grid: FieldGrid | None = None) -> np.ndarray:
     """Read a map written by :func:`save_map` and validate it."""
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
-    except ValueError as exc:
-        raise ConfigurationError(f"could not parse map file {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"could not read map file {path}: {exc}") from exc
     return as_amount_map(arr, grid, name=f"map file {path}")

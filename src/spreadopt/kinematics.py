@@ -87,29 +87,7 @@ def step(state: TractorState, command: DriveCommand, dt: float) -> TractorState:
     )
 
 
-def step_exact(state: TractorState, command: DriveCommand, dt: float) -> TractorState:
-    """Advance one step along the exact constant-rate arc.
-
-    Provided for sensitivity studies against the Euler update.  For a
-    near-zero turn rate the straight-line limit is used.
-    """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigurationError(f"step size must be positive and finite, got {dt!r}")
-    w = command.turn_rate
-    if abs(w) < 1e-12:
-        return step(state, command, dt)
-    radius = command.speed / w
-    return TractorState(
-        x=state.x + radius * (math.sin(state.heading + w * dt) - math.sin(state.heading)),
-        y=state.y - radius * (math.cos(state.heading + w * dt) - math.cos(state.heading)),
-        heading=state.heading + w * dt,
-    )
-
-
-_INTEGRATORS = {"euler": step, "exact": step_exact}
-
-
-def trajectory(plan: DrivePlan, dt: float, integrator: str = "euler") -> list[TractorState]:
+def trajectory(plan: DrivePlan, dt: float) -> list[TractorState]:
     """Integrate the plan and return states at each multiple of ``dt``.
 
     The returned list includes both endpoints, so a plan of total duration
@@ -118,13 +96,6 @@ def trajectory(plan: DrivePlan, dt: float, integrator: str = "euler") -> list[Tr
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"step size must be positive and finite, got {dt!r}")
-    try:
-        advance = _INTEGRATORS[integrator]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown integrator {integrator!r}, expected one of {sorted(_INTEGRATORS)}"
-        ) from None
-
     states = [plan.start]
     for seg in plan.segments:
         n_steps = round(seg.duration / dt)
@@ -133,5 +104,5 @@ def trajectory(plan: DrivePlan, dt: float, integrator: str = "euler") -> list[Tr
                 f"segment duration {seg.duration} is not an integer multiple of dt={dt}"
             )
         for _ in range(n_steps):
-            states.append(advance(states[-1], seg, dt))
+            states.append(step(states[-1], seg, dt))
     return states

@@ -95,6 +95,13 @@ def test_out_of_domain_calibration_raises():
         pattern_from_controls(600.0, 45.0, broken, "right")
 
 
+@pytest.mark.parametrize("rpm, flow", [(math.nan, 45.0), (math.inf, 45.0), (600.0, math.nan),
+                                       (600.0, math.inf)])
+def test_non_finite_operating_point_raises(rpm, flow):
+    with pytest.raises(CalibrationDomainError):
+        pattern_from_controls(rpm, flow, DEFAULT_CALIBRATION, "left")
+
+
 # --- actuator envelope ----------------------------------------------------
 
 def test_clamp_respects_the_rpm_ceiling():

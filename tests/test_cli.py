@@ -1,9 +1,15 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spreadopt import ConfigurationError, ControllerKind, DepositScaling, TriangleSupport
+import spreadopt
+from spreadopt import (ConfigurationError, ControllerKind, DepositScaling, OptimizerSettings,
+                       TriangleSupport)
 from spreadopt.cli import main
 from spreadopt.config import default_calibration_path, load_scenario
 
@@ -61,6 +67,13 @@ def scenario_file(tmp_path):
     return path
 
 
+def run_cli(args, cwd):
+    """Run the command line in a fresh interpreter; returns the finished process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadopt.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "spreadopt.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def summary_pairs(path):
     pairs = []
     for line in path.read_text().splitlines():
@@ -116,6 +129,25 @@ def test_missing_scenario_file_fails_cleanly(tmp_path, capsys):
     code = main(["run", "--scenario", str(missing), "--out", str(tmp_path / "o")])
     assert code == 1
     assert str(missing) in capsys.readouterr().err
+
+
+def test_missing_prescription_map_fails_cleanly(tmp_path):
+    scenario = tmp_path / "mapped.ini"
+    scenario.write_text(TINY_SCENARIO.replace("uniform = 20", "file = missing.csv"))
+    done = run_cli(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert str(tmp_path / "missing.csv") in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_negative_seed_fails_cleanly(scenario_file, tmp_path):
+    done = run_cli(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
+                    "--seed", "-1", "--restarts", "1"], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert "seed" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_malformed_scenario_fails_cleanly(tmp_path, capsys):
@@ -234,6 +266,41 @@ def test_every_run_choice_value_is_accepted(tmp_path, key, kind):
 def test_triangle_support_defaults_to_unit(scenario_file):
     assert "triangle_support" not in TINY_SCENARIO
     assert load_scenario(scenario_file).scenario.support is TriangleSupport.UNIT
+
+
+OPTIMIZER_SECTION = """
+[optimizer]
+max_iterations = 7
+gradient_tolerance = 1e-4
+step_tolerance = 1e-8
+finite_diff_epsilon = 1e-3
+gauss_newton = false
+restarts = 2
+seed = 5
+"""
+
+
+def test_every_optimizer_key_is_read(tmp_path):
+    path = tmp_path / "tuned.ini"
+    path.write_text(TINY_SCENARIO + OPTIMIZER_SECTION)
+    expected = OptimizerSettings(max_iterations=7, gradient_tolerance=1e-4, step_tolerance=1e-8,
+                                 finite_diff_epsilon=1e-3, gauss_newton=False, restarts=2,
+                                 seed=5)
+    defaults = OptimizerSettings()
+    assert all(getattr(expected, name) != getattr(defaults, name)
+               for name in OptimizerSettings.__dataclass_fields__)
+    assert load_scenario(path).settings == expected
+
+
+def test_unknown_optimizer_key_names_the_key_and_the_allowed_keys(tmp_path):
+    path = tmp_path / "typo.ini"
+    path.write_text(TINY_SCENARIO + OPTIMIZER_SECTION.replace("max_iterations", "max_iteration"))
+    with pytest.raises(ConfigurationError) as excinfo:
+        load_scenario(path)
+    message = str(excinfo.value)
+    assert "'max_iteration'" in message
+    for name in OptimizerSettings.__dataclass_fields__:
+        assert repr(name) in message
 
 
 def test_horizon_must_be_positive(scenario_file, tmp_path, capsys):

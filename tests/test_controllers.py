@@ -441,6 +441,11 @@ def test_settings_validation():
         OptimizerSettings(gradient_tolerance=-1.0)
     with pytest.raises(ConfigurationError):
         OptimizerSettings(restarts=-1)
+    with pytest.raises(ConfigurationError):
+        OptimizerSettings(seed=-1)
+    with pytest.raises(ConfigurationError):
+        OptimizerSettings(seed=1.5)
+    assert type(OptimizerSettings(seed=3.0).seed) is int
 
 
 # --- controller steps -------------------------------------------------------

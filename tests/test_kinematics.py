@@ -10,7 +10,6 @@ from spreadopt import (
     InvalidStateError,
     TractorState,
     step,
-    step_exact,
     trajectory,
 )
 
@@ -45,25 +44,6 @@ def test_first_euler_step_of_turn_has_no_lateral_motion():
     assert out.heading == -math.pi / 16
 
 
-def test_exact_arc_step_matches_closed_form():
-    w = -math.pi / 16
-    out = step_exact(TractorState(0.0, 0.0, 0.0), DriveCommand(4.0, w, 1.0), 1.0)
-    radius = 4.0 / w
-    assert out.x == pytest.approx(radius * math.sin(w), abs=1e-12)
-    assert out.y == pytest.approx(-radius * (math.cos(w) - 1.0), abs=1e-12)
-    # the Euler update hides roughly 0.39 m of lateral drop on this step
-    assert out.y == pytest.approx(-0.3914, abs=5e-4)
-    assert out.heading == w
-
-
-def test_exact_arc_reduces_to_straight_line_without_turning():
-    state = TractorState(2.0, 3.0, 0.7)
-    cmd = DriveCommand(5.0, 0.0, 1.0)
-    euler = step(state, cmd, 1.0)
-    arc = step_exact(state, cmd, 1.0)
-    assert (arc.x, arc.y, arc.heading) == (euler.x, euler.y, euler.heading)
-
-
 def test_trajectory_includes_both_endpoints():
     plan = DrivePlan(TractorState(0.0, 0.0, 0.0), (DriveCommand(10.0, 0.0, 3.0),))
     states = trajectory(plan, 1.0)
@@ -94,11 +74,6 @@ def test_fractional_segment_duration_is_rejected():
     plan = DrivePlan(TractorState(0.0, 0.0, 0.0), (DriveCommand(10.0, 0.0, 2.5),))
     with pytest.raises(ConfigurationError):
         trajectory(plan, 1.0)
-
-
-def test_unknown_integrator_is_rejected():
-    with pytest.raises(ConfigurationError):
-        trajectory(S_PLAN, 1.0, integrator="rk4")
 
 
 def test_nonfinite_state_is_rejected():
