@@ -12,13 +12,11 @@ from .calibration import (CalibrationFit, CalibrationModel, ControlConstraints,
                           pattern_from_controls, patterns_from_controls,
                           satisfies_constraints, save_calibration, validate_calibration)
 from .config import RunConfig, default_calibration_path, default_scenario_path, load_scenario
-from .controllers import (ControlSchedule, ControllerKind, OptimizerSettings,
-                          RecedingHorizonController, cost_gradient,
-                          finite_difference_gradient, greedy_step, make_controller,
-                          mpc_step, optimize_schedule, predict_cost, schedule_feasible)
+from .controllers import (ControllerKind, OptimizerSettings, RecedingHorizonController,
+                          make_controller)
 from .errors import (CalibrationDomainError, ConfigurationError, DegenerateGeometryError,
-                     InfeasibleScheduleError, InvalidStateError, NumericalFailureError,
-                     RunAbortedError, ShapeError, SpreadOptError)
+                     InvalidStateError, NumericalFailureError, RunAbortedError, ShapeError,
+                     SpreadOptError)
 from .field import FieldGrid, accumulate, as_amount_map, cell_centers, cost, load_map, save_map
 from .kinematics import DriveCommand, DrivePlan, TractorState, step, trajectory
 from .simulation import ComparisonResult, ComparisonRow, RunRecord, Scenario, compare, run

@@ -375,8 +375,11 @@ def load_calibration(path) -> tuple[CalibrationModel, ControlConstraints]:
 
     limits = _SectionReader(parser, path, "constraints")
     bounds = {key: limits.number(key) for key in _CONSTRAINT_KEYS}
-    cal = CalibrationModel(**kwargs)
-    constraints = ControlConstraints(**bounds)
+    try:
+        cal = CalibrationModel(**kwargs)
+        constraints = ControlConstraints(**bounds)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     problems = validate_calibration(cal, constraints)
     if problems:
         raise ConfigurationError(

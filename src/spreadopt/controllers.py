@@ -52,9 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import (CalibrationModel, ControlConstraints, SpreaderControls,
-                          pattern_from_controls, satisfies_constraints)
-from .errors import (ConfigurationError, InfeasibleScheduleError, NumericalFailureError,
-                     ShapeError)
+                          pattern_from_controls)
+from .errors import ConfigurationError, NumericalFailureError, ShapeError
 from .field import FieldGrid, as_amount_map
 from .spread import (DepositScaling, DepositionModel, PatternParams, TriangleSupport, _reach,
                      conservative_scale, disc_deposit_partials, pose_geometry)
@@ -74,40 +73,13 @@ class ControllerKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ControlSchedule:
-    """A sequence of actuator commands, one per horizon step."""
-
-    steps: tuple[SpreaderControls, ...]
-
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        if not steps:
-            raise ShapeError("a control schedule needs at least one step")
-        object.__setattr__(self, "steps", steps)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.steps)
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([s.as_array() for s in self.steps])
-
-    @classmethod
-    def from_array(cls, values) -> "ControlSchedule":
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ShapeError(f"schedule array must have shape (H, 4), got {arr.shape}")
-        return cls(tuple(SpreaderControls.from_array(row) for row in arr))
-
-
-@dataclass(frozen=True)
 class OptimizerSettings:
     """Tuning knobs of the schedule optimizer.
 
     ``gradient_tolerance`` bounds the infinity norm of the projected
     gradient at which iteration stops; ``step_tolerance`` the relative
-    change of the delta iterate.  ``finite_diff_epsilon`` is read by
-    nothing: :func:`finite_difference_gradient` takes its own ``epsilon``.
+    change of the delta iterate.  ``finite_diff_epsilon`` is validated
+    but read by nothing: the solver uses the analytic gradient only.
     ``restarts`` adds that many random feasible starting points on top of
     the warm start (off by default; runs stay deterministic for a fixed
     non-negative integer ``seed``).
@@ -135,18 +107,6 @@ class OptimizerSettings:
             if int(value) != value or value < 0:
                 raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-
-
-def schedule_feasible(schedule: ControlSchedule, previous: SpreaderControls,
-                      constraints: ControlConstraints) -> bool:
-    """Exact feasibility of a whole schedule: boxes and pair-norm rates
-    between consecutive entries, anchored at the previously applied control."""
-    anchor = previous
-    for controls in schedule.steps:
-        if not satisfies_constraints(controls, anchor, constraints):
-            return False
-        anchor = controls
-    return True
 
 
 class _Predictor:
@@ -270,70 +230,6 @@ class _Predictor:
         if not math.isfinite(value):
             raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
         return value, e
-
-
-def _make_predictor(schedule_horizon, plan_tail, applied, prescribed, model, cal, grid,
-                    scaling, support) -> _Predictor:
-    poses = list(plan_tail)
-    if len(poses) != schedule_horizon:
-        raise ShapeError(
-            f"schedule has {schedule_horizon} steps but the plan tail has {len(poses)} poses")
-    return _Predictor(grid, poses, applied, prescribed, model, cal, scaling, support)
-
-
-def predict_cost(schedule: ControlSchedule, plan_tail, applied, prescribed,
-                 model: DepositionModel, cal: CalibrationModel, grid: FieldGrid,
-                 scaling: DepositScaling = DepositScaling.LITERAL,
-                 support: TriangleSupport = TriangleSupport.UNIT,
-                 previous: SpreaderControls | None = None,
-                 constraints: ControlConstraints | None = None) -> float:
-    """Cost after simulating the schedule's deposits over the plan tail.
-
-    ``plan_tail`` holds the pose of each horizon step.  When ``previous``
-    and ``constraints`` are given the schedule is checked for feasibility
-    first and an infeasible one raises :class:`InfeasibleScheduleError`.
-    """
-    if previous is not None and constraints is not None:
-        if not schedule_feasible(schedule, previous, constraints):
-            raise InfeasibleScheduleError("schedule violates actuator bounds or rate limits")
-    predictor = _make_predictor(schedule.horizon, plan_tail, applied, prescribed, model, cal,
-                                grid, scaling, support)
-    return predictor.cost(schedule.as_array())
-
-
-def cost_gradient(schedule: ControlSchedule, plan_tail, applied, prescribed,
-                  model: DepositionModel, cal: CalibrationModel, grid: FieldGrid,
-                  scaling: DepositScaling = DepositScaling.LITERAL,
-                  support: TriangleSupport = TriangleSupport.UNIT) -> np.ndarray:
-    """Analytic gradient of :func:`predict_cost` with respect to every
-    control entry, flattened step-major as (flow_left, flow_right,
-    rpm_left, rpm_right) per step."""
-    predictor = _make_predictor(schedule.horizon, plan_tail, applied, prescribed, model, cal,
-                                grid, scaling, support)
-    _, e, S = predictor.cost_residual_jacobian(schedule.as_array())
-    return 2.0 * (S.T @ e)
-
-
-def finite_difference_gradient(schedule: ControlSchedule, plan_tail, applied, prescribed,
-                               model: DepositionModel, cal: CalibrationModel, grid: FieldGrid,
-                               scaling: DepositScaling = DepositScaling.LITERAL,
-                               support: TriangleSupport = TriangleSupport.UNIT,
-                               epsilon: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of :func:`predict_cost`, for verifying
-    the analytic one.  Same layout as :func:`cost_gradient`."""
-    predictor = _make_predictor(schedule.horizon, plan_tail, applied, prescribed, model, cal,
-                                grid, scaling, support)
-    base = schedule.as_array()
-    flat = base.ravel()
-    out = np.empty(flat.size)
-    for idx in range(flat.size):
-        bumped = flat.copy()
-        bumped[idx] = flat[idx] + epsilon
-        up = predictor.cost(bumped.reshape(base.shape))
-        bumped[idx] = flat[idx] - epsilon
-        down = predictor.cost(bumped.reshape(base.shape))
-        out[idx] = (up - down) / (2.0 * epsilon)
-    return out
 
 
 def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -481,28 +377,6 @@ def _optimize(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
     return best_controls, best_cost
 
 
-def optimize_schedule(initial: ControlSchedule, plan_tail, applied, prescribed,
-                      model: DepositionModel, cal: CalibrationModel, grid: FieldGrid,
-                      constraints: ControlConstraints, settings: OptimizerSettings,
-                      previous: SpreaderControls,
-                      scaling: DepositScaling = DepositScaling.LITERAL,
-                      support: TriangleSupport = TriangleSupport.UNIT) -> ControlSchedule:
-    """Improve a feasible schedule; never returns one predicting worse.
-
-    Raises :class:`InfeasibleScheduleError` when the initial schedule
-    violates the constraints and :class:`NumericalFailureError` when the
-    objective stops being finite.
-    """
-    if not schedule_feasible(initial, previous, constraints):
-        raise InfeasibleScheduleError(
-            "initial schedule violates actuator bounds or rate limits")
-    predictor = _make_predictor(initial.horizon, plan_tail, applied, prescribed, model, cal,
-                                grid, scaling, support)
-    best_controls, _ = _optimize(predictor, previous.as_array(), initial.as_array(),
-                                 constraints, settings)
-    return ControlSchedule.from_array(best_controls)
-
-
 class RecedingHorizonController:
     """Stateful receding-horizon controller.
 
@@ -570,34 +444,3 @@ def make_controller(kind: ControllerKind, horizon: int, cal: CalibrationModel,
              else DepositionModel.FULL_NORMAL)
     return RecedingHorizonController(model, horizon, cal, constraints, settings,
                                      scaling, support)
-
-
-def greedy_step(state, applied, prescribed, previous: SpreaderControls,
-                cal: CalibrationModel, constraints: ControlConstraints,
-                settings: OptimizerSettings, grid: FieldGrid,
-                scaling: DepositScaling = DepositScaling.LITERAL) -> SpreaderControls:
-    """One-shot greedy decision for the current pose.
-
-    Stateless convenience wrapper; closed-loop runs use
-    :class:`RecedingHorizonController` which carries the warm start.
-    """
-    controller = make_controller(ControllerKind.GREEDY, 1, cal, constraints, settings, scaling)
-    return controller.plan_controls([state], applied, prescribed, previous, grid)
-
-
-def mpc_step(plan_tail, applied, prescribed, previous: SpreaderControls,
-             model: DepositionModel, horizon: int, cal: CalibrationModel,
-             constraints: ControlConstraints, settings: OptimizerSettings,
-             grid: FieldGrid, scaling: DepositScaling = DepositScaling.LITERAL,
-             support: TriangleSupport = TriangleSupport.UNIT) -> SpreaderControls:
-    """One-shot model-predictive decision over the given plan tail.
-
-    ``plan_tail`` holds the pose of each horizon step.  Stateless
-    convenience wrapper; closed-loop runs use
-    :class:`RecedingHorizonController` which carries the warm start.
-    """
-    controller = make_controller(
-        ControllerKind.MPC_TRIANGLE if DepositionModel(model) is DepositionModel.TRIANGLE
-        else ControllerKind.MPC_FULL,
-        horizon, cal, constraints, settings, scaling, support)
-    return controller.plan_controls(plan_tail, applied, prescribed, previous, grid)

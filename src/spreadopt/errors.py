@@ -25,10 +25,6 @@ class DegenerateGeometryError(SpreadOptError, ValueError):
     """A grid cell coincides with the vehicle position, so no bearing exists."""
 
 
-class InfeasibleScheduleError(SpreadOptError, ValueError):
-    """A control schedule violates actuator bounds or rate limits."""
-
-
 class NumericalFailureError(SpreadOptError, ArithmeticError):
     """An optimization produced non-finite values and cannot continue."""
 

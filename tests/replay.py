@@ -1,17 +1,17 @@
 """Test double for closed-loop runs."""
 
-from spreadopt import ControlSchedule, ShapeError, SpreaderControls
+from spreadopt import ShapeError, SpreaderControls
 
 
 class ScheduleReplayController:
-    """Replays a fixed schedule instead of optimizing.
+    """Replays a fixed sequence of controls instead of optimizing.
 
     Useful for open-loop checks: prediction versus plant, mass accounting,
     and accumulation identities.
     """
 
-    def __init__(self, schedule: ControlSchedule):
-        self._steps = list(schedule.steps)
+    def __init__(self, steps):
+        self._steps = list(steps)
         self._next = 0
 
     def plan_controls(self, plan_tail, applied, prescribed, previous, grid) -> SpreaderControls:

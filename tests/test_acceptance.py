@@ -15,7 +15,6 @@ import pytest
 from spreadopt import (
     DEFAULT_CALIBRATION,
     DEFAULT_CONSTRAINTS,
-    ControlSchedule,
     DepositScaling,
     DepositionModel,
     DriveCommand,
@@ -28,18 +27,17 @@ from spreadopt import (
     TractorState,
     bearing,
     clamp_controls,
-    cost_gradient,
-    finite_difference_gradient,
     patterns_from_controls,
-    predict_cost,
     run,
     total_deposit,
     trajectory,
 )
+from spreadopt import controllers
 from spreadopt.cli import main
 from spreadopt.config import default_scenario_path, load_scenario
 from spreadopt.simulation import read_trace
 
+from checks import analytic_gradient, central_difference_gradient
 from replay import ScheduleReplayController
 
 CAL = DEFAULT_CALIBRATION
@@ -109,7 +107,7 @@ def _random_feasible_schedule(rng, previous, horizon):
                                   [14.0, 14.0, 70.0, 70.0]))
         prev = clamp_controls(wish, prev, CONSTRAINTS)
         steps.append(prev)
-    return ControlSchedule(tuple(steps))
+    return steps
 
 
 @pytest.mark.slow
@@ -172,11 +170,11 @@ def test_criterion_5_gradient_matches_finite_differences(default_config, capfd):
         tail = trajectory(plan, scenario.dt)[1:]
         applied = grid.zeros()
         schedule = _random_feasible_schedule(rng, previous, 3)
-        analytic = cost_gradient(schedule, tail, applied, scenario.prescription,
-                                 model, CAL, grid)
-        numeric = finite_difference_gradient(schedule, tail, applied,
-                                             scenario.prescription, model, CAL, grid,
-                                             epsilon=1e-5)
+        predictor = controllers._Predictor(grid, tail, applied, scenario.prescription,
+                                           model, CAL)
+        rows = np.stack([controls.as_array() for controls in schedule])
+        analytic = analytic_gradient(predictor, rows)
+        numeric = central_difference_gradient(predictor, rows, epsilon=1e-5)
         worst = max(worst, np.abs(analytic - numeric).max() / np.abs(numeric).max())
     _report(capfd, 5, worst < 1e-4,
             f"max relative gradient error {worst:.3g} over 20 random schedules")
@@ -194,7 +192,7 @@ def test_criterion_6_conservative_scaling_conserves_mass(default_config, capfd):
     single_err = abs(float(np.sum(single)) - dispensed) / dispensed
 
     n = int(scenario.plan.total_duration / scenario.dt)
-    replay = ScheduleReplayController(ControlSchedule((controls,) * n))
+    replay = ScheduleReplayController((controls,) * n)
     conservative = Scenario(grid, scenario.prescription, scenario.plan, scenario.dt,
                             controls, scaling=DepositScaling.CONSERVATIVE)
     record = run(conservative, CAL, CONSTRAINTS, OptimizerSettings(), controller=replay)
@@ -227,9 +225,9 @@ def test_criterion_7_prediction_equals_open_loop_simulation(default_config, capf
                                               rng.uniform(-0.15, 0.15), 5.0),))
         schedule = _random_feasible_schedule(rng, previous, 5)
         tail = trajectory(plan, scenario.dt)[1:]
-        predicted = predict_cost(schedule, tail, grid.zeros(),
-                                 scenario.prescription, DepositionModel.FULL_NORMAL,
-                                 CAL, grid)
+        predictor = controllers._Predictor(grid, tail, grid.zeros(), scenario.prescription,
+                                           DepositionModel.FULL_NORMAL, CAL)
+        predicted = predictor.cost(np.stack([controls.as_array() for controls in schedule]))
         open_loop = Scenario(grid, scenario.prescription, plan, scenario.dt, previous)
         record = run(open_loop, CAL, CONSTRAINTS, OptimizerSettings(),
                      controller=ScheduleReplayController(schedule))

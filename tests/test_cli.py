@@ -166,6 +166,19 @@ def test_invalid_calibration_names_the_problem(scenario_file, tmp_path, capsys):
     assert "sigma_angle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, broken", [("flow_min = 0", "flow_min = -1"),
+                                          ("distance = 0.02 3", "distance = 0.02 nan")])
+def test_invalid_calibration_values_name_the_file(scenario_file, tmp_path, line, broken):
+    bad = tmp_path / "bad_values.ini"
+    bad.write_text(default_calibration_path().read_text().replace(line, broken))
+    done = run_cli(["validate", "--scenario", str(scenario_file), "--calibration", str(bad)],
+                   tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert str(bad) in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_validate_echoes_the_configuration_and_says_ok(scenario_file, capsys):
     code = main(["validate", "--scenario", str(scenario_file)])
     assert code == 0

@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from spreadopt import (
     ControlConstraints,
-    ControlSchedule,
     ControllerKind,
     DEFAULT_CALIBRATION,
     DEFAULT_CONSTRAINTS,
     DepositScaling,
     DepositionModel,
     FieldGrid,
-    InfeasibleScheduleError,
     OptimizerSettings,
     ConfigurationError,
     Scenario,
@@ -23,15 +21,9 @@ from spreadopt import (
     as_amount_map,
     clamp_controls,
     cost,
-    cost_gradient,
-    finite_difference_gradient,
-    greedy_step,
     make_controller,
-    mpc_step,
-    optimize_schedule,
-    predict_cost,
     run,
-    schedule_feasible,
+    satisfies_constraints,
     trajectory,
     DriveCommand,
     DrivePlan,
@@ -39,6 +31,7 @@ from spreadopt import (
 from spreadopt import controllers
 from spreadopt.spread import SQRT_TWO_PI
 
+from checks import analytic_gradient, central_difference_gradient, chain_feasible
 from replay import ScheduleReplayController
 
 CAL = DEFAULT_CALIBRATION
@@ -67,7 +60,7 @@ def single_cell_problem(deficit=30.0, rpm=600.0):
 
 
 def schedule_of(rows):
-    return ControlSchedule(tuple(SpreaderControls(*row) for row in rows))
+    return np.array(rows, dtype=float)
 
 
 def random_feasible_schedule(rng, previous, constraints, horizon):
@@ -77,9 +70,9 @@ def random_feasible_schedule(rng, previous, constraints, horizon):
         wish = SpreaderControls(*(prev.as_array() + rng.uniform(-1.0, 1.0, 4) *
                                   [RATE_DIAG, RATE_DIAG, 70.0, 70.0]))
         nxt = clamp_controls(wish, prev, constraints)
-        steps.append(nxt)
+        steps.append(nxt.as_array())
         prev = nxt
-    return ControlSchedule(tuple(steps))
+    return np.stack(steps)
 
 
 def small_field(n=10, side=40.0, dose=20.0):
@@ -93,6 +86,23 @@ def straight_tail(start, speed, count):
     return trajectory(plan, 1.0)[1:]
 
 
+def predictor_for(grid, tail, applied, prescribed, model=DepositionModel.FULL_NORMAL,
+                  scaling=DepositScaling.LITERAL):
+    return controllers._Predictor(grid, tail, applied, prescribed, model, CAL, scaling)
+
+
+def optimized(predictor, initial, previous, constraints=DEFAULT_CONSTRAINTS,
+              settings=OptimizerSettings()):
+    return controllers._optimize(predictor, previous.as_array(), initial, constraints,
+                                 settings)[0]
+
+
+def decide(kind, horizon, tail, applied, prescribed, previous, grid):
+    """One decision of a fresh controller of ``kind`` over ``tail``."""
+    controller = make_controller(kind, horizon, CAL, DEFAULT_CONSTRAINTS, OptimizerSettings())
+    return controller.plan_controls(tail, applied, prescribed, previous, grid)
+
+
 # --- prediction -------------------------------------------------------------
 
 def test_zero_flow_schedule_predicts_the_current_cost():
@@ -101,8 +111,7 @@ def test_zero_flow_schedule_predicts_the_current_cost():
     applied = as_amount_map(rng.uniform(0.0, 10.0, (10, 10)), grid)
     schedule = schedule_of([(0.0, 0.0, 600.0, 600.0)])
     tail = [TractorState(20.0, 20.0, 0.0)]
-    value = predict_cost(schedule, tail, applied, prescribed,
-                         DepositionModel.FULL_NORMAL, CAL, grid)
+    value = predictor_for(grid, tail, applied, prescribed).cost(schedule)
     assert value == cost(applied, prescribed)
 
 
@@ -110,9 +119,8 @@ def test_single_cell_prediction_reduces_to_scalar_arithmetic():
     grid, state, prescribed = single_cell_problem(deficit=30.0)
     applied = as_amount_map(np.full((1, 1), 5.0), grid)
     schedule = schedule_of([(12.0, 25.0, 600.0, 600.0)])
-    value = predict_cost(schedule, [state], applied, prescribed,
-                         DepositionModel.FULL_NORMAL, CAL, grid,
-                         DepositScaling.CONSERVATIVE)
+    value = predictor_for(grid, [state], applied, prescribed,
+                          scaling=DepositScaling.CONSERVATIVE).cost(schedule)
     assert value == pytest.approx((30.0 - 5.0 - 12.0 - 25.0) ** 2, rel=1e-12)
 
 
@@ -125,35 +133,12 @@ def test_five_step_prediction_matches_the_open_loop_simulation():
     schedule = random_feasible_schedule(rng, previous, DEFAULT_CONSTRAINTS, 5)
 
     tail = trajectory(plan, 1.0)[1:]
-    predicted = predict_cost(schedule, tail, grid.zeros(), prescribed,
-                             DepositionModel.FULL_NORMAL, CAL, grid)
+    predicted = predictor_for(grid, tail, grid.zeros(), prescribed).cost(schedule)
 
     scenario = Scenario(grid, prescribed, plan, 1.0, previous)
-    record = run(scenario, CAL, DEFAULT_CONSTRAINTS, OptimizerSettings(),
-                 controller=ScheduleReplayController(schedule))
+    replay = ScheduleReplayController(SpreaderControls.from_array(row) for row in schedule)
+    record = run(scenario, CAL, DEFAULT_CONSTRAINTS, OptimizerSettings(), controller=replay)
     assert predicted == pytest.approx(record.final_cost, rel=1e-9)
-
-
-def test_prediction_rejects_an_infeasible_schedule():
-    grid, state, prescribed = single_cell_problem()
-    previous = SpreaderControls(0.0, 0.0, 600.0, 600.0)
-    jump = schedule_of([(50.0, 0.0, 600.0, 600.0)])  # flow rate 50 > 20
-    with pytest.raises(InfeasibleScheduleError):
-        predict_cost(jump, [state], grid.zeros(), prescribed,
-                     DepositionModel.FULL_NORMAL, CAL, grid,
-                     previous=previous, constraints=DEFAULT_CONSTRAINTS)
-
-
-def test_schedule_feasibility_checks_boxes_and_pair_rates():
-    previous = SpreaderControls(45.0, 45.0, 600.0, 600.0)
-    good = schedule_of([(55.0, 45.0, 650.0, 600.0), (60.0, 50.0, 700.0, 650.0)])
-    assert schedule_feasible(good, previous, DEFAULT_CONSTRAINTS)
-    paired_rate = schedule_of([(60.0, 60.0, 600.0, 600.0)])  # pair norm 21.2
-    assert not schedule_feasible(paired_rate, previous, DEFAULT_CONSTRAINTS)
-    box = schedule_of([(45.0, 45.0, 600.0, 910.0)])
-    assert not schedule_feasible(box, previous, DEFAULT_CONSTRAINTS)
-    later_jump = schedule_of([(45.0, 45.0, 600.0, 600.0), (45.0, 45.0, 780.0, 600.0)])
-    assert not schedule_feasible(later_jump, previous, DEFAULT_CONSTRAINTS)
 
 
 # --- gradients ----------------------------------------------------------------
@@ -168,9 +153,9 @@ def test_gradient_matches_central_differences(model):
     applied = as_amount_map(rng.uniform(0.0, 8.0, (10, 10)), grid)
     schedule = random_feasible_schedule(rng, previous, DEFAULT_CONSTRAINTS, 3)
 
-    analytic = cost_gradient(schedule, tail, applied, prescribed, model, CAL, grid)
-    numeric = finite_difference_gradient(schedule, tail, applied, prescribed,
-                                         model, CAL, grid)
+    predictor = predictor_for(grid, tail, applied, prescribed, model)
+    analytic = analytic_gradient(predictor, schedule)
+    numeric = central_difference_gradient(predictor, schedule)
     scale = np.abs(numeric).max()
     assert scale > 0
     assert np.abs(analytic - numeric).max() / scale < 1e-6
@@ -180,8 +165,7 @@ def test_flow_gradient_is_negative_on_an_unfertilized_field():
     grid, prescribed = small_field()
     start = TractorState(30.0, 20.0, 0.0)
     schedule = schedule_of([(0.0, 0.0, 600.0, 600.0)])
-    g = cost_gradient(schedule, [start], grid.zeros(), prescribed,
-                      DepositionModel.FULL_NORMAL, CAL, grid)
+    g = analytic_gradient(predictor_for(grid, [start], grid.zeros(), prescribed), schedule)
     assert g[0] < 0 and g[1] < 0  # more flow reduces the shortfall
     assert g[2] == 0.0 and g[3] == 0.0  # disc speed is inert at zero flow
 
@@ -190,8 +174,8 @@ def test_gradient_vanishes_at_a_met_prescription():
     grid, prescribed = small_field()
     start = TractorState(20.0, 20.0, 0.0)
     schedule = schedule_of([(0.0, 0.0, 600.0, 600.0)])
-    g = cost_gradient(schedule, [start], prescribed.copy(), prescribed,
-                      DepositionModel.FULL_NORMAL, CAL, grid)
+    g = analytic_gradient(predictor_for(grid, [start], prescribed.copy(), prescribed),
+                          schedule)
     assert np.array_equal(g, np.zeros(4))
 
 
@@ -267,16 +251,13 @@ def test_optimizer_reaches_the_single_cell_target():
     grid, state, prescribed = single_cell_problem(deficit=30.0)
     previous = SpreaderControls(5.0, 5.0, 600.0, 600.0)
     initial = schedule_of([(5.0, 5.0, 600.0, 600.0)])
-    out = optimize_schedule(initial, [state], grid.zeros(), prescribed,
-                            DepositionModel.FULL_NORMAL, CAL, grid,
-                            pinned_rpm_constraints(), OptimizerSettings(), previous,
-                            DepositScaling.CONSERVATIVE)
-    first = out.steps[0]
+    predictor = predictor_for(grid, [state], grid.zeros(), prescribed,
+                              scaling=DepositScaling.CONSERVATIVE)
+    out = optimized(predictor, initial, previous, pinned_rpm_constraints())
+    first = SpreaderControls.from_array(out[0])
     assert first.flow_left + first.flow_right == pytest.approx(30.0, abs=1e-3)
     assert first.rpm_left == 600.0 and first.rpm_right == 600.0
-    final = predict_cost(out, [state], grid.zeros(), prescribed,
-                         DepositionModel.FULL_NORMAL, CAL, grid,
-                         DepositScaling.CONSERVATIVE)
+    final = predictor.cost(out)
     assert final < 1e-6
 
 
@@ -284,11 +265,9 @@ def test_optimizer_saturates_rates_for_an_out_of_reach_deficit():
     grid, state, prescribed = single_cell_problem(deficit=100.0)
     previous = SpreaderControls(0.0, 0.0, 600.0, 600.0)
     initial = schedule_of([(0.0, 0.0, 600.0, 600.0)] * 2)
-    out = optimize_schedule(initial, [state, state], grid.zeros(), prescribed,
-                            DepositionModel.FULL_NORMAL, CAL, grid,
-                            pinned_rpm_constraints(), OptimizerSettings(), previous,
-                            DepositScaling.CONSERVATIVE)
-    flows = out.as_array()[:, :2]
+    predictor = predictor_for(grid, [state, state], grid.zeros(), prescribed,
+                              scaling=DepositScaling.CONSERVATIVE)
+    flows = optimized(predictor, initial, previous, pinned_rpm_constraints())[:, :2]
     assert np.allclose(flows[0], RATE_DIAG, atol=1e-6)
     assert np.allclose(flows[1], 2.0 * RATE_DIAG, atol=1e-6)
     # both steps ride the disc-pair rate circle
@@ -301,11 +280,9 @@ def test_optimizer_returns_a_stationary_start_unchanged():
     start = TractorState(20.0, 20.0, 0.0)
     previous = SpreaderControls(0.0, 0.0, 600.0, 600.0)
     initial = schedule_of([(0.0, 0.0, 600.0, 600.0)] * 2)
-    out = optimize_schedule(initial, straight_tail(start, 5.0, 2),
-                            prescribed.copy(), prescribed,
-                            DepositionModel.FULL_NORMAL, CAL, grid,
-                            DEFAULT_CONSTRAINTS, OptimizerSettings(), previous)
-    assert np.array_equal(out.as_array(), initial.as_array())
+    predictor = predictor_for(grid, straight_tail(start, 5.0, 2), prescribed.copy(), prescribed)
+    out = optimized(predictor, initial, previous)
+    assert np.array_equal(out, initial)
 
 
 @pytest.mark.parametrize("model", [DepositionModel.FULL_NORMAL, DepositionModel.TRIANGLE])
@@ -319,12 +296,12 @@ def test_optimizer_never_increases_the_cost(model, seed):
     applied = as_amount_map(rng.uniform(0.0, 15.0, (8, 8)), grid)
     initial = random_feasible_schedule(rng, previous, DEFAULT_CONSTRAINTS, 3)
 
-    before = predict_cost(initial, tail, applied, prescribed, model, CAL, grid)
-    out = optimize_schedule(initial, tail, applied, prescribed, model, CAL, grid,
-                            DEFAULT_CONSTRAINTS, OptimizerSettings(), previous)
-    after = predict_cost(out, tail, applied, prescribed, model, CAL, grid)
+    predictor = predictor_for(grid, tail, applied, prescribed, model)
+    before = predictor.cost(initial)
+    out = optimized(predictor, initial, previous)
+    after = predictor.cost(out)
     assert after <= before + 1e-9
-    assert schedule_feasible(out, previous, DEFAULT_CONSTRAINTS)
+    assert chain_feasible(out, previous, DEFAULT_CONSTRAINTS)
 
 
 def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
@@ -351,7 +328,7 @@ def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
     predictor.cost = counted_cost
     predictor.cost_residual_jacobian = counted_jacobian
     prev = previous.as_array()
-    controllers._optimize(predictor, prev, initial.as_array(), DEFAULT_CONSTRAINTS,
+    controllers._optimize(predictor, prev, initial, DEFAULT_CONSTRAINTS,
                           OptimizerSettings(max_iterations=4))
 
     # the parent spent 14 evaluations: one for each of three accepted
@@ -389,16 +366,6 @@ def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
         assert np.allclose(candidate, expected, rtol=0.0, atol=1e-9)
 
 
-def test_optimizer_rejects_an_infeasible_start():
-    grid, state, prescribed = single_cell_problem()
-    previous = SpreaderControls(0.0, 0.0, 600.0, 600.0)
-    initial = schedule_of([(80.0, 80.0, 600.0, 600.0)])
-    with pytest.raises(InfeasibleScheduleError):
-        optimize_schedule(initial, [state], grid.zeros(), prescribed,
-                          DepositionModel.FULL_NORMAL, CAL, grid,
-                          DEFAULT_CONSTRAINTS, OptimizerSettings(), previous)
-
-
 def test_optimizer_is_deterministic():
     grid, prescribed = small_field(n=8, side=30.0)
     start = TractorState(5.0, 15.0, 0.0)
@@ -407,10 +374,8 @@ def test_optimizer_is_deterministic():
     initial = schedule_of([(45.0, 45.0, 600.0, 600.0)] * 2)
 
     def solve(settings):
-        out = optimize_schedule(initial, tail, grid.zeros(), prescribed,
-                                DepositionModel.FULL_NORMAL, CAL, grid,
-                                DEFAULT_CONSTRAINTS, settings, previous)
-        return out.as_array()
+        predictor = predictor_for(grid, tail, grid.zeros(), prescribed)
+        return optimized(predictor, initial, previous, settings=settings)
 
     assert np.array_equal(solve(OptimizerSettings()), solve(OptimizerSettings()))
     seeded = OptimizerSettings(restarts=2, seed=7)
@@ -425,11 +390,8 @@ def test_restarts_can_only_improve():
     initial = schedule_of([(45.0, 45.0, 600.0, 600.0)] * 2)
 
     def final_cost(settings):
-        out = optimize_schedule(initial, tail, grid.zeros(), prescribed,
-                                DepositionModel.FULL_NORMAL, CAL, grid,
-                                DEFAULT_CONSTRAINTS, settings, previous)
-        return predict_cost(out, tail, grid.zeros(), prescribed,
-                            DepositionModel.FULL_NORMAL, CAL, grid)
+        predictor = predictor_for(grid, tail, grid.zeros(), prescribed)
+        return predictor.cost(optimized(predictor, initial, previous, settings=settings))
 
     assert final_cost(OptimizerSettings(restarts=3, seed=1)) <= final_cost(OptimizerSettings()) + 1e-9
 
@@ -454,8 +416,8 @@ def test_greedy_backs_off_once_the_prescription_is_met():
     grid, prescribed = small_field()
     start = TractorState(20.0, 20.0, 0.0)
     previous = SpreaderControls(45.0, 45.0, 600.0, 600.0)
-    out = greedy_step(start, prescribed.copy(), prescribed, previous,
-                      CAL, DEFAULT_CONSTRAINTS, OptimizerSettings(), grid)
+    out = decide(ControllerKind.GREEDY, 1, [start], prescribed.copy(), prescribed, previous,
+                 grid)
     assert out.flow_left == pytest.approx(45.0 - RATE_DIAG, abs=1e-6)
     assert out.flow_right == pytest.approx(45.0 - RATE_DIAG, abs=1e-6)
 
@@ -465,8 +427,7 @@ def test_greedy_treats_a_symmetric_field_symmetrically():
     prescribed = as_amount_map(np.full((10, 10), 20.0), grid)
     start = TractorState(15.0, 15.0, 0.0)  # grid is mirror symmetric about y=15
     previous = SpreaderControls(45.0, 45.0, 600.0, 600.0)
-    out = greedy_step(start, grid.zeros(), prescribed, previous,
-                      CAL, DEFAULT_CONSTRAINTS, OptimizerSettings(), grid)
+    out = decide(ControllerKind.GREEDY, 1, [start], grid.zeros(), prescribed, previous, grid)
     d_flow = (out.flow_left - previous.flow_left) - (out.flow_right - previous.flow_right)
     d_rpm = (out.rpm_left - previous.rpm_left) - (out.rpm_right - previous.rpm_right)
     assert abs(d_flow) <= 1e-6
@@ -479,11 +440,8 @@ def test_greedy_is_single_step_full_model_mpc():
     previous = SpreaderControls(45.0, 45.0, 600.0, 600.0)
     rng = np.random.default_rng(4)
     applied = as_amount_map(rng.uniform(0.0, 10.0, (10, 10)), grid)
-    a = greedy_step(start, applied, prescribed, previous,
-                    CAL, DEFAULT_CONSTRAINTS, OptimizerSettings(), grid)
-    b = mpc_step([start], applied, prescribed, previous,
-                 DepositionModel.FULL_NORMAL, 1, CAL, DEFAULT_CONSTRAINTS,
-                 OptimizerSettings(), grid)
+    a = decide(ControllerKind.GREEDY, 1, [start], applied, prescribed, previous, grid)
+    b = decide(ControllerKind.MPC_FULL, 1, [start], applied, prescribed, previous, grid)
     assert np.array_equal(a.as_array(), b.as_array())
 
 
@@ -492,10 +450,9 @@ def test_controller_outputs_stay_feasible():
     start = TractorState(5.0, 20.0, 0.0)
     tail = straight_tail(start, 5.0, 4)
     previous = SpreaderControls(45.0, 45.0, 600.0, 600.0)
-    for model in (DepositionModel.FULL_NORMAL, DepositionModel.TRIANGLE):
-        out = mpc_step(tail[:3], grid.zeros(), prescribed, previous, model,
-                       3, CAL, DEFAULT_CONSTRAINTS, OptimizerSettings(), grid)
-        assert schedule_feasible(ControlSchedule((out,)), previous, DEFAULT_CONSTRAINTS)
+    for kind in (ControllerKind.MPC_FULL, ControllerKind.MPC_TRIANGLE):
+        out = decide(kind, 3, tail[:3], grid.zeros(), prescribed, previous, grid)
+        assert satisfies_constraints(out, previous, DEFAULT_CONSTRAINTS)
 
 
 def test_greedy_controller_forces_a_single_step_horizon():
@@ -513,7 +470,7 @@ def test_receding_horizon_controller_truncates_at_the_plan_end():
                                  OptimizerSettings())
     previous = SpreaderControls(45.0, 45.0, 600.0, 600.0)
     out = controller.plan_controls(tail, grid.zeros(), prescribed, previous, grid)
-    assert schedule_feasible(ControlSchedule((out,)), previous, DEFAULT_CONSTRAINTS)
+    assert satisfies_constraints(out, previous, DEFAULT_CONSTRAINTS)
 
 
 def test_geometry_cache_holds_only_the_current_horizon():

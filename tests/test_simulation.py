@@ -5,7 +5,6 @@ import pytest
 
 from spreadopt import (
     ConfigurationError,
-    ControlSchedule,
     ControllerKind,
     DEFAULT_CALIBRATION,
     DEFAULT_CONSTRAINTS,
@@ -52,8 +51,7 @@ def tiny_scenario(controller=ControllerKind.GREEDY, horizon=1, steps=3, dose=20.
 
 
 def fixed_schedule(steps):
-    return ControlSchedule(tuple(SpreaderControls(45.0, 45.0, 600.0, 600.0)
-                                 for _ in range(steps)))
+    return (SpreaderControls(45.0, 45.0, 600.0, 600.0),) * steps
 
 
 def test_an_empty_plan_produces_an_empty_record():
@@ -75,7 +73,7 @@ def test_replayed_deposits_accumulate_exactly():
 
     applied = scenario.grid.zeros()
     states = trajectory(scenario.plan, scenario.dt)
-    for k, controls in enumerate(schedule.steps, start=1):
+    for k, controls in enumerate(schedule, start=1):
         left, right = patterns_from_controls(controls, CAL)
         deposit = total_deposit(states[k], left, right, scenario.grid,
                                 DepositionModel.FULL_NORMAL)

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from spreadopt import (
     DEFAULT_CALIBRATION,
     DEFAULT_CONSTRAINTS,
-    ControlSchedule,
     DepositScaling,
     DepositionModel,
     DriveCommand,
@@ -28,11 +27,12 @@ from spreadopt import (
     OptimizerSettings,
     SpreaderControls,
     TractorState,
-    schedule_feasible,
     trajectory,
 )
 from spreadopt import controllers
 from spreadopt.spread import TriangleSupport
+
+from checks import chain_feasible
 
 CONSTRAINTS = DEFAULT_CONSTRAINTS
 
@@ -79,11 +79,11 @@ def problems(draw):
 
 
 def _check_solver(predictor, previous, start):
-    assert schedule_feasible(ControlSchedule.from_array(start), previous, CONSTRAINTS)
+    assert chain_feasible(start, previous, CONSTRAINTS)
     prev = previous.as_array()
     controls, cost = controllers._optimize(predictor, prev, start, CONSTRAINTS,
                                            OptimizerSettings())
-    assert schedule_feasible(ControlSchedule.from_array(controls), previous, CONSTRAINTS)
+    assert chain_feasible(controls, previous, CONSTRAINTS)
     # the solver's costs come from the Jacobian path, whose deposit rounds
     # differently from cost()'s
     assert cost == pytest.approx(predictor.cost(controls), rel=1e-12, abs=0.0)
