@@ -252,7 +252,9 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     y = angle - params.center_angle
     radial, angular = _density_factors(x, y, sd, sa, model, support)
     unit = radial * angular * scale
-    value = D * unit
+    # multiplied in disc_deposit's order, so that a cost summed from these
+    # values rounds exactly like one summed from disc_deposit's
+    value = D * radial * angular * scale
 
     if DepositionModel(model) is DepositionModel.FULL_NORMAL:
         d_dist = value * (x / sd ** 2)

@@ -84,9 +84,7 @@ def _check_solver(predictor, previous, start):
     controls, cost = controllers._optimize(predictor, prev, start, CONSTRAINTS,
                                            OptimizerSettings())
     assert chain_feasible(controls, previous, CONSTRAINTS)
-    # the solver's costs come from the Jacobian path, whose deposit rounds
-    # differently from cost()'s
-    assert cost == pytest.approx(predictor.cost(controls), rel=1e-12, abs=0.0)
+    assert cost == predictor.cost(controls)
     assert predictor.cost(controls) <= predictor.cost(start)
     again, again_cost = controllers._optimize(predictor, prev, start, CONSTRAINTS,
                                               OptimizerSettings())
@@ -98,6 +96,15 @@ def _check_solver(predictor, previous, start):
 @given(problem=problems())
 def test_solver_returns_a_feasible_no_worse_deterministic_schedule(problem):
     _check_solver(*problem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=problems())
+def test_cost_and_jacobian_paths_give_the_same_cost(problem):
+    # the solver compares line-search costs from cost() with iterate costs
+    # from cost_residual_jacobian(), so the two must round alike
+    predictor, _, controls = problem
+    assert predictor.cost(controls) == predictor.cost_residual_jacobian(controls)[0]
 
 
 @pytest.mark.slow
