@@ -1,6 +1,8 @@
-"""Reference computations the tests hold the predictor and solver to."""
+"""Reference computations the tests hold the predictor and solver to, and
+the strategy that draws their starting controls."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from spreadopt import SpreaderControls, satisfies_constraints
 
@@ -27,6 +29,13 @@ def central_difference_gradient(predictor, controls, epsilon=1e-5):
         down = predictor.cost(bumped.reshape(base.shape))
         out[idx] = (up - down) / (2.0 * epsilon)
     return out
+
+
+def controls_in_boxes(constraints):
+    """Controls anywhere in the actuator boxes, edges included."""
+    return st.builds(SpreaderControls, *(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
+                                         for lo, hi in zip(constraints.lower().tolist(),
+                                                           constraints.upper().tolist())))
 
 
 def chain_feasible(rows, previous, constraints):

@@ -27,7 +27,6 @@ from spreadopt import (
     FieldGrid,
     OptimizerSettings,
     Scenario,
-    SpreaderControls,
     TractorState,
     make_controller,
     run,
@@ -35,15 +34,11 @@ from spreadopt import (
 from spreadopt import controllers
 from spreadopt.spread import TriangleSupport
 
-from checks import chain_feasible
+from checks import chain_feasible, controls_in_boxes
 
 CAL = DEFAULT_CALIBRATION
 CONSTRAINTS = DEFAULT_CONSTRAINTS
 SETTINGS = OptimizerSettings()
-
-
-def _in_box(lo, hi):
-    return st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
 
 
 @st.composite
@@ -64,9 +59,8 @@ def scenarios(draw):
         st.builds(DriveCommand, st.floats(1.0, 8.0), st.floats(-0.4, 0.4),
                   st.integers(1, 3).map(float)),
         min_size=1, max_size=3))
-    lo, hi = CONSTRAINTS.lower(), CONSTRAINTS.upper()
-    initial = SpreaderControls(*(draw(_in_box(float(a), float(b))) for a, b in zip(lo, hi)))
-    return Scenario(grid, prescription, DrivePlan(start, tuple(segments)), 1.0, initial,
+    return Scenario(grid, prescription, DrivePlan(start, tuple(segments)), 1.0,
+                    draw(controls_in_boxes(CONSTRAINTS)),
                     draw(st.sampled_from(ControllerKind)), draw(st.integers(1, 4)),
                     draw(st.sampled_from(DepositScaling)), draw(st.sampled_from(TriangleSupport)))
 

@@ -25,20 +25,15 @@ from spreadopt import (
     DrivePlan,
     FieldGrid,
     OptimizerSettings,
-    SpreaderControls,
     TractorState,
     trajectory,
 )
 from spreadopt import controllers
 from spreadopt.spread import TriangleSupport
 
-from checks import chain_feasible
+from checks import chain_feasible, controls_in_boxes
 
 CONSTRAINTS = DEFAULT_CONSTRAINTS
-
-
-def _in_box(lo, hi):
-    return st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
 
 
 @st.composite
@@ -61,7 +56,7 @@ def problems(draw):
         draw(st.sampled_from(TriangleSupport)))
 
     lo, hi = CONSTRAINTS.lower(), CONSTRAINTS.upper()
-    previous = SpreaderControls(*(draw(_in_box(float(a), float(b))) for a, b in zip(lo, hi)))
+    previous = draw(controls_in_boxes(CONSTRAINTS))
     # each step moves the flow pair and the rpm pair to a point of the rate
     # disc around the last step, clipped to the boxes (which only shrinks it)
     steps = []
