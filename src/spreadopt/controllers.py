@@ -20,7 +20,10 @@ gradient's product with the direction, less the components pushing
 against an active delta bound, is negative.  Clipping often makes the
 direction non-descent (Bertsekas, projected Newton, 1982); such a
 direction is treated as a failed search without spending a cost
-evaluation.
+evaluation.  A solve stops without searching at all when the Gauss-Newton
+model promises less than the line search's acceptance threshold over the
+deltas that may move (the predicted-reduction test of Levenberg-Marquardt
+methods).
 
 The greedy controller is the single-step special case with the full
 deposition model; the model-predictive controllers look several steps
@@ -34,12 +37,14 @@ distance plus or minus a reach (``spread._reach``): the triangle
 surrogate's exact support, or the offset at which the full model's
 density per gram falls to ``spread.WINDOW_TOLERANCE`` (1e-32, about 12
 sigma).  One crescent covers a few percent of a large field, so this
-skips most of the kernel work.  Residual and Jacobian keep one row per
-cell, with zeros outside the bands: dropping rows would change the
-order in which BLAS sums them, and with it the rounding of every
-Gauss-Newton step.  With both choices the shipped comparison writes
-byte-identical outputs and the benchmark workloads end at bitwise-equal
-costs compared with dense evaluation.
+skips most of the kernel work.  The predicted map and the cost stay
+dense, so both cost paths round alike, but the residual and the Jacobian
+keep only the rows of the union of the bands: every other row of the
+Jacobian is zero.  The solver then forms its 4H x 4H normal equations
+from that Jacobian's Gram matrix, so no iteration fills, folds or
+multiplies a Jacobian with a row for every cell.  Sums over fewer rows
+round differently from the dense ones, so Gauss-Newton steps agree with
+dense evaluation to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -123,7 +128,8 @@ class _Predictor:
     cells through the permutation.  Outside the band the normal model's
     deposit is at most ``spread.WINDOW_TOLERANCE`` per gram of flow (times
     the conservative area scale) and the triangle's is exactly zero.  The
-    cost residual and the Jacobian keep all ``n_cells`` rows.
+    cost is summed over all ``n_cells`` cells; the residual and the
+    Jacobian that the solver reads keep only the bands' rows.
     """
 
     def __init__(self, grid: FieldGrid, poses, applied, prescribed,
@@ -202,27 +208,38 @@ class _Predictor:
         return self._residual_cost(amount, controls)[0]
 
     def cost_residual_jacobian(self, controls: np.ndarray):
-        """Objective, residual vector, and residual Jacobian with respect
-        to every control entry (columns step-major in component order)."""
-        h = self.horizon
-        S = np.zeros((self.n_cells, 4 * h))
-        amount = self.applied.copy()
+        """Objective, then the residual and its Jacobian with respect to
+        every control entry (columns step-major in component order) on the
+        union of the discs' bands, and the cell index of each of their rows.
+        Every other row of the Jacobian is zero."""
+        bands = []
+        marked = np.zeros(self.n_cells, dtype=bool)
         for i, geometry in enumerate(self.geometry):
             for flow_col, rpm_col, side, sign in _DISC_COLUMNS:
                 rpm = float(controls[i, rpm_col])
                 params = self._disc_params(float(controls[i, flow_col]), rpm, side)
-                cells, dist, angle, scale = self._band(geometry, params)
-                value, unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
-                    dist, angle, scale, params, self.model, self.support)
-                amount[cells] += value
-                S[cells, 4 * i + flow_col] = unit
-                S[cells, 4 * i + rpm_col] = (
-                    d_dist * self.cal.distance_slope(rpm)
-                    + d_sd * self.cal.sigma_distance_slope(rpm)
-                    + d_angle * sign * self.cal.angle_slope(rpm)
-                    + d_sa * self.cal.sigma_angle_slope(rpm))
+                band = self._band(geometry, params)
+                marked[band[0]] = True
+                bands.append((4 * i + flow_col, 4 * i + rpm_col, sign, rpm, params, band))
+        rows = np.flatnonzero(marked)
+        position = np.empty(self.n_cells, dtype=np.intp)
+        position[rows] = np.arange(rows.size)
+
+        S = np.zeros((rows.size, 4 * self.horizon))
+        amount = self.applied.copy()
+        for flow_j, rpm_j, sign, rpm, params, (cells, dist, angle, scale) in bands:
+            value, unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
+                dist, angle, scale, params, self.model, self.support)
+            amount[cells] += value
+            at = position[cells]
+            S[at, flow_j] = unit
+            S[at, rpm_j] = (
+                d_dist * self.cal.distance_slope(rpm)
+                + d_sd * self.cal.sigma_distance_slope(rpm)
+                + d_angle * sign * self.cal.angle_slope(rpm)
+                + d_sa * self.cal.sigma_angle_slope(rpm))
         value, e = self._residual_cost(amount, controls)
-        return value, e, S
+        return value, e[rows], S, rows
 
     def _residual_cost(self, amount: np.ndarray, controls: np.ndarray):
         e = amount - self.target
@@ -245,24 +262,16 @@ def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return controls, masks
 
 
-def _fold_gradient(grad_u: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Chain a per-control gradient back through the unroll to deltas."""
-    out = np.empty_like(grad_u)
-    carry = np.zeros(4)
-    for i in reversed(range(grad_u.shape[0])):
-        carry = masks[i] * (grad_u[i] + carry)
-        out[i] = carry
-    return out
-
-
 def _fold_jacobian(S: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Chain the residual Jacobian back through the unroll to deltas.
+    """Chain a matrix's columns, one per control entry, back through the
+    unroll to deltas.
 
-    Overwrites ``S`` with the delta Jacobian and returns it.  From the last
-    step back, each step's four columns become their own sum with the next
-    step's folded columns, zeroed where that step's control was clipped.
-    Folding in place keeps a Gauss-Newton iteration from mapping fresh
-    field-sized arrays.
+    Overwrites ``S`` with ``S F``, where ``F`` is the Jacobian of the
+    unrolled controls with respect to the deltas, and returns it.  From the
+    last step back, each step's four columns become their own sum with the
+    next step's folded columns, zeroed where that step's control was
+    clipped.  Splitting the columns into steps is a view of any 2-D array,
+    a transposed one included, so the fold always lands in ``S``.
     """
     h = masks.shape[0]
     blocks = S.reshape(S.shape[0], h, 4)
@@ -272,6 +281,20 @@ def _fold_jacobian(S: np.ndarray, masks: np.ndarray) -> np.ndarray:
         if not masks[i].all():
             blocks[:, i] *= masks[i]
     return S
+
+
+def _normal_equations(S: np.ndarray, e: np.ndarray, masks: np.ndarray):
+    """Gauss-Newton matrix ``M = Sxᵀ Sx`` and gradient ``2 Sxᵀ e`` of the
+    delta Jacobian ``Sx = S F``.
+
+    The fold is linear, so ``M = Fᵀ (SᵀS) F`` and ``Sxᵀ e = Fᵀ (Sᵀe)``: one
+    fold of the Gram matrix stacked on the gradient row gives ``G F`` and
+    the gradient, and a second fold, of ``(G F)ᵀ`` in place, gives ``M``.
+    Both work on 4H columns and at most 4H + 1 rows, whatever the number of
+    cells.
+    """
+    folded = _fold_jacobian(np.vstack([S.T @ S, 2.0 * (S.T @ e)]), masks)
+    return _fold_jacobian(folded[:-1].T, masks), folded[-1]
 
 
 def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
@@ -297,16 +320,17 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
             candidate = np.clip(x + alpha * direction, -rbox, rbox)
             cand_controls, cand_masks = _unroll(candidate, prev, lo, hi)
             cand_cost = predictor.cost(cand_controls)
-            if cand_cost < cost - min_gain * max(1.0, cost):
+            if cand_cost < cost - threshold:
                 return candidate, cand_controls, cand_masks, cand_cost
             alpha *= 0.5
         return None
 
     iteration = 0
     for iteration in range(1, settings.max_iterations + 1):
-        cost, e, S = predictor.cost_residual_jacobian(controls)
-        grad_u = 2.0 * (S.T @ e)
-        grad_x = _fold_gradient(grad_u.reshape(h, 4), masks)
+        cost, e, S, _ = predictor.cost_residual_jacobian(controls)
+        M, grad = _normal_equations(S, e, masks)
+        grad_x = grad.reshape(h, 4)
+        rhs = -0.5 * grad
         projected = x - np.clip(x - grad_x, -rbox, rbox)
         pg_norm = float(np.max(np.abs(projected)))
         if _log.isEnabledFor(logging.DEBUG):
@@ -314,14 +338,29 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         if pg_norm <= settings.gradient_tolerance:
             break
 
+        # the model's largest reduction over the deltas that may move:
+        # below the line search's acceptance threshold, no step passes it
+        threshold = min_gain * max(1.0, cost)
+        free = ~(((x <= -rbox) & (grad_x > 0)) | ((x >= rbox) & (grad_x < 0))).ravel()
+        gain = 0.0
+        if free.any():
+            rhs_f, M_ff = rhs[free], M[np.ix_(free, free)]
+            M_ff.flat[::rhs_f.size + 1] += 1e-12 * (np.trace(M_ff) / rhs_f.size + 1e-12)
+            # r^T A^-1 r >= |r|^2 / trace(A) for positive definite A: solve
+            # only when that bound does not clear the threshold
+            gain = float(rhs_f @ rhs_f) / np.trace(M_ff)
+            if gain < threshold:
+                try:
+                    gain = float(rhs_f @ np.linalg.solve(M_ff, rhs_f))
+                except np.linalg.LinAlgError:
+                    gain = math.inf
+        if gain < threshold:
+            _log.debug("stop: model gain %.3e below the acceptance threshold", gain)
+            break
+
         accepted = None
         if settings.gauss_newton:
-            # the fold overwrites S: grad_u above must be taken first
-            Sx = _fold_jacobian(S, masks)
-            M = Sx.T @ Sx
-            rhs = -(Sx.T @ e)
-            ridge = lam * (np.trace(M) / M.shape[0] + 1e-12)
-            M[np.diag_indices_from(M)] += ridge
+            M.flat[::M.shape[0] + 1] += lam * (np.trace(M) / M.shape[0] + 1e-12)
             try:
                 direction = np.linalg.solve(M, rhs).reshape(h, 4)
             except np.linalg.LinAlgError:
@@ -360,14 +399,19 @@ def _optimize(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
 
     ``start`` may hold deltas beyond the ``rate/sqrt(2)`` box the solver
     searches in; its first solve then begins from the clipped deltas, a
-    different and possibly worse schedule.
+    different and possibly worse schedule.  When that solve begins at
+    ``start`` itself, bitwise, it cannot return anything worse, so
+    ``start`` is not evaluated on its own.
     """
-    best_controls, best_cost = start, predictor.cost(start)
+    rbox = constraints.rates() / math.sqrt(2.0)
     starts = [np.diff(np.vstack([prev, start]), axis=0)]
+    first, _ = _unroll(np.clip(starts[0], -rbox, rbox), prev, constraints.lower(),
+                       constraints.upper())
+    best_controls = start
+    best_cost = math.inf if first.tobytes() == start.tobytes() else predictor.cost(start)
     if settings.restarts:
         # the first default_rng() of a process adds about 1 MB of resident memory
         rng = np.random.default_rng(settings.seed)
-        rbox = constraints.rates() / math.sqrt(2.0)
         starts += [rng.uniform(-rbox, rbox, size=(predictor.horizon, 4))
                    for _ in range(settings.restarts)]
     for x0 in starts:

@@ -11,7 +11,7 @@ def analytic_gradient(predictor, controls):
     """Gradient of ``predictor.cost`` at the (H, 4) array ``controls`` from
     the residual Jacobian, flattened step-major as (flow_left, flow_right,
     rpm_left, rpm_right) per step."""
-    _, e, S = predictor.cost_residual_jacobian(controls)
+    _, e, S, _ = predictor.cost_residual_jacobian(controls)
     return 2.0 * (S.T @ e)
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -29,7 +30,7 @@ from spreadopt import (
     DrivePlan,
 )
 from spreadopt import controllers
-from spreadopt.spread import SQRT_TWO_PI
+from spreadopt.spread import SQRT_TWO_PI, TriangleSupport
 
 from checks import analytic_gradient, central_difference_gradient, chain_feasible
 from replay import ScheduleReplayController
@@ -210,6 +211,10 @@ def test_in_place_fold_matches_the_out_of_place_fold(masks, rows, seed, zero_row
     e[rng.random(rows) < 0.2] = 0.0
 
     reference = _fold_jacobian_out_of_place(S.copy(), masks)
+    # a column-major copy folds in place too: the Gram path folds (G F)^T
+    fortran = S.copy(order="F")
+    assert controllers._fold_jacobian(fortran, masks) is fortran
+    assert np.array_equal(fortran, reference)
     folded = controllers._fold_jacobian(S, masks)
     assert folded is S
     assert np.array_equal(folded, reference)
@@ -218,19 +223,82 @@ def test_in_place_fold_matches_the_out_of_place_fold(masks, rows, seed, zero_row
     assert (folded.T @ e).tobytes() == (reference.T @ e).tobytes()
 
 
+@st.composite
+def band_jacobians(draw):
+    """A predictor over 1-10 poses, in-box controls and clip masks with
+    zeros."""
+    n = draw(st.integers(4, 40))
+    side = draw(st.floats(10.0, 200.0))
+    horizon = draw(st.integers(1, 10))
+    start = TractorState(draw(st.floats(-0.2, 1.2)) * side, draw(st.floats(-0.2, 1.2)) * side,
+                         draw(st.floats(-math.pi, math.pi)))
+    command = DriveCommand(draw(st.floats(1.0, 8.0)), draw(st.floats(-0.4, 0.4)),
+                           float(horizon))
+    poses = trajectory(DrivePlan(start, (command,)), 1.0)[1:]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = FieldGrid(side, n)
+    predictor = controllers._Predictor(
+        grid, poses, rng.uniform(0.0, 30.0, (n, n)), rng.choice([0.0, 12.0, 30.0], (n, n)),
+        draw(st.sampled_from(DepositionModel)), CAL, draw(st.sampled_from(DepositScaling)),
+        draw(st.sampled_from(TriangleSupport)))
+    lo, hi = DEFAULT_CONSTRAINTS.lower(), DEFAULT_CONSTRAINTS.upper()
+    controls = rng.uniform(lo, hi, (horizon, 4))
+    masks = (rng.random((horizon, 4)) >= draw(st.floats(0.0, 0.5))).astype(float)
+    return predictor, controls, masks
+
+
+def _check_normal_equations(predictor, controls, masks):
+    _, e, S, rows = predictor.cost_residual_jacobian(controls)
+    M, grad_x = controllers._normal_equations(S, e, masks)
+
+    # the dense reference: every cell a row, the residual of every cell
+    dense = np.zeros((predictor.n_cells, S.shape[1]))
+    dense[rows] = S
+    residual = predictor.applied - predictor.target
+    residual[rows] = e
+    Sx = _fold_jacobian_out_of_place(dense, masks)
+    # the rounding of each sum is bounded by the sum of its terms' magnitudes
+    Ax = _fold_jacobian_out_of_place(np.abs(dense), masks)
+    tolerance = 1e-9
+    assert np.all(np.abs(M - Sx.T @ Sx) <= tolerance * (Ax.T @ Ax))
+    # the solver's right-hand side is -Sx^T e = -grad_x / 2
+    assert np.all(np.abs(0.5 * grad_x - Sx.T @ residual)
+                  <= tolerance * (Ax.T @ np.abs(residual)))
+    # clipped columns are exactly zero
+    clipped = masks.ravel() == 0
+    assert not M[clipped].any() and not M[:, clipped].any() and not grad_x[clipped].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=band_jacobians())
+def test_band_row_normal_equations_match_the_dense_fold(problem):
+    _check_normal_equations(*problem)
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(problem=band_jacobians())
+def test_band_row_normal_equations_match_the_dense_fold_over_many_problems(problem):
+    _check_normal_equations(*problem)
+
+
 def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
-    grid = FieldGrid(300.0, 180)
-    prescribed = as_amount_map(np.full((180, 180), 20.0), grid)
+    n = 180
+    grid = FieldGrid(300.0, n)
+    prescribed = as_amount_map(np.full((n, n), 20.0), grid)
     predictor = controllers._Predictor(grid, [TractorState(150.0, 150.0, 0.3)], grid.zeros(),
                                        prescribed, DepositionModel.FULL_NORMAL, CAL)
     prev = np.array([45.0, 45.0, 600.0, 600.0])
-    _, _, S = predictor.cost_residual_jacobian(prev[None, :])
+    _, e, S, rows = predictor.cost_residual_jacobian(prev[None, :])
+    # the two discs' bands cover 1,716 of the 32,400 cells
+    assert e.shape == rows.shape and S.shape == (rows.size, 4)
+    assert rows.size < n * n / 10
     fold = controllers._fold_jacobian
     folds = []
 
-    def counted_fold(S, masks):
-        folds.append(S.shape)
-        return fold(S, masks)
+    def counted_fold(A, masks):
+        folds.append(A.shape)
+        return fold(A, masks)
 
     monkeypatch.setattr(controllers, "_fold_jacobian", counted_fold)
     tracemalloc.start()
@@ -240,9 +308,12 @@ def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert folds and folds[0] == S.shape
-    # measured: 5.3x with a fold that allocates its result, 2.9x in place
-    assert peak < 4 * S.nbytes
+    # the fold sees the Gram matrix with the gradient row, then its transpose
+    assert folds and set(folds) == {(5, 4), (4, 4)}
+    # the bound is four dense n_cells x 4H Jacobians: 5.3x of one was
+    # measured with a fold that allocated its result, 2.9x with the dense
+    # Jacobian folded in place
+    assert peak < 4 * (n * n * 4 * 8)
 
 
 # --- optimizer ------------------------------------------------------------------
@@ -345,9 +416,9 @@ def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
 
     # the fourth direction, after three accepted steps cut lam 1e-8 -> 1e-11,
     # has a non-negative slope along its clipped path
-    _, e, S = jacobian(controls)
-    grad_x = controllers._fold_gradient((2.0 * (S.T @ e)).reshape(3, 4), np.ones((3, 4)))
+    _, e, S, _ = jacobian(controls)
     Sx = controllers._fold_jacobian(S, np.ones((3, 4)))
+    grad_x = (2.0 * (Sx.T @ e)).reshape(3, 4)
     M = Sx.T @ Sx
     M[np.diag_indices_from(M)] += 1e-11 * (np.trace(M) / M.shape[0] + 1e-12)
     direction = np.linalg.solve(M, -(Sx.T @ e)).reshape(3, 4)
@@ -364,6 +435,50 @@ def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
         step = np.clip(x - scale * 0.5 ** halvings * grad_x, -rbox, rbox)
         expected, _ = controllers._unroll(step, prev, lo, hi)
         assert np.allclose(candidate, expected, rtol=0.0, atol=1e-9)
+
+
+def interior_optimum_problem():
+    """A greedy pose over a light prescription: the best flows lie inside
+    the boxes, about 34 g/s per disc."""
+    grid = FieldGrid(40.0, 12)
+    prescribed = as_amount_map(np.full((12, 12), 4.0), grid)
+    return controllers._Predictor(grid, [TractorState(20.0, 20.0, 0.3)], grid.zeros(),
+                                  prescribed, DepositionModel.FULL_NORMAL, CAL)
+
+
+def test_a_converged_solve_spends_no_cost_evaluation_after_its_last_jacobian(caplog):
+    predictor = interior_optimum_problem()
+    events = []
+    cost, jacobian = predictor.cost, predictor.cost_residual_jacobian
+
+    def counted_cost(controls):
+        events.append("cost")
+        return cost(controls)
+
+    def counted_jacobian(controls):
+        events.append("jac")
+        return jacobian(controls)
+
+    predictor.cost = counted_cost
+    predictor.cost_residual_jacobian = counted_jacobian
+    prev = np.array([45.0, 45.0, 600.0, 600.0])
+    with caplog.at_level(logging.DEBUG, logger="spreadopt.optimizer"):
+        controls, _ = controllers._optimize(predictor, prev, prev[None, :],
+                                            DEFAULT_CONSTRAINTS, OptimizerSettings())
+    assert np.all(np.abs(controls[0, :2] - prev[:2]) < RATE_DIAG)  # an interior optimum
+    assert any(record.getMessage().startswith("stop: model gain")
+               for record in caplog.records)
+    # without the model's stop, 14 projected-gradient halvings failed here
+    assert events[-1] == "jac"
+
+
+def test_a_start_far_from_the_optimum_does_not_stop_at_once():
+    predictor = interior_optimum_problem()
+    prev = np.array([100.0, 100.0, 600.0, 600.0])
+    _, cost, iterations = controllers._solve_deltas(predictor, prev, np.zeros((1, 4)),
+                                                    DEFAULT_CONSTRAINTS, OptimizerSettings())
+    assert iterations > 1
+    assert cost < 0.9 * predictor.cost(prev[None, :])
 
 
 def test_optimizer_is_deterministic():
