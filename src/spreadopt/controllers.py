@@ -188,12 +188,34 @@ class _Predictor:
         return slice(int(dist.searchsorted(params.center_distance - reach)), stop)
 
     def _band(self, geometry, params: PatternParams):
-        """Cell indices, distance, bearing and area scale on one disc's window."""
+        """One disc's window, and the cell indices, distance, bearing and
+        area scale on it."""
         dist, angle, scale, order = geometry
         window = self._window(dist, params)
         if isinstance(scale, np.ndarray):
             scale = scale[window]
-        return order[window], dist[window], angle[window], scale
+        return window, order[window], dist[window], angle[window], scale
+
+    def _rows(self, bands):
+        """Cell index of each Jacobian row, one per cell of the union of the
+        ``(window, cells)`` bands, and each band's rows among them."""
+        if self.horizon == 1:
+            # both windows are slices of the one pose's distance order: their
+            # union is one slice of it, or two when they are apart
+            order = self.geometry[0][3]
+            (a1, b1), (a2, b2) = ((window.start, window.stop) for window, _ in bands)
+            if max(a1, a2) <= min(b1, b2):
+                lo = min(a1, a2)
+                return order[lo:max(b1, b2)], [slice(a1 - lo, b1 - lo), slice(a2 - lo, b2 - lo)]
+            return (np.concatenate([order[a1:b1], order[a2:b2]]),
+                    [slice(0, b1 - a1), slice(b1 - a1, b1 - a1 + b2 - a2)])
+        marked = np.zeros(self.n_cells, dtype=bool)
+        for _, cells in bands:
+            marked[cells] = True
+        rows = np.flatnonzero(marked)
+        position = np.empty(self.n_cells, dtype=np.intp)
+        position[rows] = np.arange(rows.size)
+        return rows, [position[cells] for _, cells in bands]
 
     def cost(self, controls: np.ndarray) -> float:
         """Objective for a (H, 4) control array."""
@@ -203,7 +225,7 @@ class _Predictor:
         for i, geometry in enumerate(self.geometry):
             for flow_col, rpm_col, side, _ in _DISC_COLUMNS:
                 params = self._disc_params(controls[i, flow_col], controls[i, rpm_col], side)
-                cells, dist, angle, scale = self._band(geometry, params)
+                _, cells, dist, angle, scale = self._band(geometry, params)
                 amount[cells] += disc_deposit(dist, angle, scale, params, self.model, self.support)
         return self._residual_cost(amount, controls)[0]
 
@@ -212,31 +234,27 @@ class _Predictor:
         every control entry (columns step-major in component order) on the
         union of the discs' bands, and the cell index of each of their rows.
         Every other row of the Jacobian is zero."""
-        bands = []
-        marked = np.zeros(self.n_cells, dtype=bool)
+        discs = []
         for i, geometry in enumerate(self.geometry):
             for flow_col, rpm_col, side, sign in _DISC_COLUMNS:
                 rpm = float(controls[i, rpm_col])
                 params = self._disc_params(float(controls[i, flow_col]), rpm, side)
-                band = self._band(geometry, params)
-                marked[band[0]] = True
-                bands.append((4 * i + flow_col, 4 * i + rpm_col, sign, rpm, params, band))
-        rows = np.flatnonzero(marked)
-        position = np.empty(self.n_cells, dtype=np.intp)
-        position[rows] = np.arange(rows.size)
+                discs.append((4 * i + flow_col, 4 * i + rpm_col, sign, rpm, params,
+                              self._band(geometry, params)))
+        rows, band_rows = self._rows([band[:2] for *_, band in discs])
 
         S = np.zeros((rows.size, 4 * self.horizon))
         amount = self.applied.copy()
-        for flow_j, rpm_j, sign, rpm, params, (cells, dist, angle, scale) in bands:
+        for (flow_j, rpm_j, sign, rpm, params, band), at in zip(discs, band_rows):
+            _, cells, dist, angle, scale = band
             value, unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
                 dist, angle, scale, params, self.model, self.support)
             amount[cells] += value
-            at = position[cells]
             S[at, flow_j] = unit
             S[at, rpm_j] = (
                 d_dist * self.cal.distance_slope(rpm)
                 + d_sd * self.cal.sigma_distance_slope(rpm)
-                + d_angle * sign * self.cal.angle_slope(rpm)
+                + d_angle * (sign * self.cal.angle_slope(rpm))
                 + d_sa * self.cal.sigma_angle_slope(rpm))
         value, e = self._residual_cost(amount, controls)
         return value, e[rows], S, rows
@@ -341,15 +359,18 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         # the model's largest reduction over the deltas that may move:
         # below the line search's acceptance threshold, no step passes it
         threshold = min_gain * max(1.0, cost)
-        free = ~(((x <= -rbox) & (grad_x > 0)) | ((x >= rbox) & (grad_x < 0))).ravel()
+        at_lo, at_hi = x <= -rbox, x >= rbox
+        free = ~((at_lo & (grad_x > 0)) | (at_hi & (grad_x < 0))).ravel()
         gain = 0.0
         if free.any():
-            rhs_f, M_ff = rhs[free], M[np.ix_(free, free)]
-            M_ff.flat[::rhs_f.size + 1] += 1e-12 * (np.trace(M_ff) / rhs_f.size + 1e-12)
+            rhs_f, diagonal = rhs[free], M.diagonal()[free]
+            floor = 1e-12 * (diagonal.mean() + 1e-12)
             # r^T A^-1 r >= |r|^2 / trace(A) for positive definite A: solve
             # only when that bound does not clear the threshold
-            gain = float(rhs_f @ rhs_f) / np.trace(M_ff)
+            gain = float(rhs_f @ rhs_f) / (diagonal.sum() + floor * rhs_f.size)
             if gain < threshold:
+                M_ff = M[np.ix_(free, free)]
+                M_ff.flat[::rhs_f.size + 1] += floor
                 try:
                     gain = float(rhs_f @ np.linalg.solve(M_ff, rhs_f))
                 except np.linalg.LinAlgError:
@@ -368,7 +389,7 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
             if direction is not None:
                 # slope of alpha -> clip(x + alpha d) at 0+: components pushing
                 # against an active rbox bound do not move
-                blocked = ((x <= -rbox) & (direction < 0)) | ((x >= rbox) & (direction > 0))
+                blocked = (at_lo & (direction < 0)) | (at_hi & (direction > 0))
                 slope = float(np.vdot(grad_x, np.where(blocked, 0.0, direction)))
                 if slope >= 0:
                     lam = min(lam * 100.0, 1e8)
