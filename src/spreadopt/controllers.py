@@ -215,7 +215,8 @@ class _Predictor:
         rows = np.flatnonzero(marked)
         position = np.empty(self.n_cells, dtype=np.intp)
         position[rows] = np.arange(rows.size)
-        return rows, [position[cells] for _, cells in bands]
+        # gathered one band at a time, as the caller scatters it
+        return rows, (position[cells] for _, cells in bands)
 
     def cost(self, controls: np.ndarray) -> float:
         """Objective for a (H, 4) control array."""
