@@ -37,10 +37,14 @@ distance plus or minus a reach (``spread._reach``): the triangle
 surrogate's exact support, or the offset at which the full model's
 density per gram falls to ``spread.WINDOW_TOLERANCE`` (1e-32, about 12
 sigma).  One crescent covers a few percent of a large field, so this
-skips most of the kernel work.  The predicted map and the cost stay
-dense, so both cost paths round alike, but the residual and the Jacobian
-keep only the rows of the union of the bands: every other row of the
-Jacobian is zero.  The solver then forms its 4H x 4H normal equations
+skips most of the kernel work.  Each pose's geometry covers only its reach
+box, the square of the largest band any speed in the actuator box
+produces, so no per-pose set-up touches the whole field either.  The
+predicted map and the cost stay dense, so both cost paths round alike,
+but they are summed in field-sized work arrays that each evaluation fills
+in place rather than allocates.  The residual and the Jacobian keep only
+the rows of the union of the bands: every other row of the Jacobian is
+zero.  The solver then forms its 4H x 4H normal equations
 from that Jacobian's Gram matrix, so no iteration fills, folds or
 multiplies a Jacobian with a row for every cell.  Sums over fewer rows
 round differently from the dense ones, so Gauss-Newton steps agree with
@@ -60,8 +64,9 @@ from .calibration import (CalibrationModel, ControlConstraints, SpreaderControls
                           pattern_from_controls)
 from .errors import ConfigurationError, NumericalFailureError, ShapeError
 from .field import FieldGrid, as_amount_map
-from .spread import (DepositScaling, DepositionModel, PatternParams, TriangleSupport, _reach,
-                     conservative_scale, disc_deposit_partials, pose_geometry)
+from .spread import (BandGeometry, DepositScaling, DepositionModel, PatternParams,
+                     TriangleSupport, _reach, band, band_bounds, by_distance,
+                     disc_deposit_partials, pose_geometry, reach_box)
 
 _log = logging.getLogger("spreadopt.optimizer")
 
@@ -120,23 +125,29 @@ class _Predictor:
 
     Geometry depends only on the poses, so it is computed once per
     instance, optionally through a per-run cache keyed by pose.  Each
-    pose's entry holds the cells' distance, bearing and area scale sorted
-    by distance, plus the sort permutation (``np.intp``, so fancy indexing
-    does not convert it).  A disc's radial band is then one contiguous
-    slice, found by two binary searches (:meth:`_window`); its deposit and
-    partials are computed on that slice only and scattered back to the
-    cells through the permutation.  Outside the band the normal model's
+    pose's entry is a :class:`spread.BandGeometry`: the distance, bearing,
+    area scale and flat index of the cells in the pose's reach box, the
+    square of half-side ``radius`` around it, sorted by distance.  The
+    controller passes the largest band radius of any speed in its actuator
+    box (:func:`_reach_radius`); the default, an infinite radius, covers the
+    whole grid.  A disc's radial band is one slice of that order, found by
+    two binary searches (:func:`spread.band`); a band reaching past the box
+    first grows the box to it (:meth:`_band`), so a band never depends on
+    the box.  Its deposit and partials are computed on that slice only and
+    scattered back to the cells.  Outside the band the normal model's
     deposit is at most ``spread.WINDOW_TOLERANCE`` per gram of flow (times
     the conservative area scale) and the triangle's is exactly zero.  The
-    cost is summed over all ``n_cells`` cells; the residual and the
-    Jacobian that the solver reads keep only the bands' rows.
+    cost is summed over all ``n_cells`` cells of work arrays, the predicted
+    map and its residual, that every evaluation fills in place; the
+    residual and the Jacobian that the solver reads keep only the bands'
+    rows.
     """
 
     def __init__(self, grid: FieldGrid, poses, applied, prescribed,
                  model: DepositionModel, cal: CalibrationModel,
                  scaling: DepositScaling = DepositScaling.LITERAL,
                  support: TriangleSupport = TriangleSupport.UNIT,
-                 geometry_cache: dict | None = None):
+                 geometry_cache: dict | None = None, radius: float = math.inf):
         if not poses:
             raise ShapeError("prediction needs at least one pose")
         applied = as_amount_map(applied, grid, name="applied map")
@@ -149,52 +160,46 @@ class _Predictor:
         self.applied = applied.ravel()
         self.target = prescribed.ravel()
         self.n_cells = self.applied.size
-
-        cx, cy = grid.center_mesh()
-        self.geometry = []
-        for pose in poses:
-            key = (pose.x, pose.y, pose.heading)
-            entry = None if geometry_cache is None else geometry_cache.get(key)
-            if entry is None:
-                dist, angle = pose_geometry(cx, cy, pose.x, pose.y, pose.heading)
-                order = np.argsort(dist, axis=None)
-                dist = dist.ravel()[order]
-                angle = angle.ravel()[order]
-                if self.scaling is DepositScaling.CONSERVATIVE:
-                    scale = conservative_scale(dist, grid)
-                else:
-                    scale = 1.0
-                entry = (dist, angle, scale, order)
-                if geometry_cache is not None:
-                    geometry_cache[key] = entry
-            self.geometry.append(entry)
+        # work arrays: a fresh field-sized array per evaluation would be
+        # returned to the kernel on free and fault its pages back in on every
+        # allocation
+        self._amount = np.empty(self.n_cells)
+        self._residual = np.empty(self.n_cells)
+        if len(poses) > 1:
+            # _rows's marks and row positions over several poses
+            self._marked = np.zeros(self.n_cells, dtype=bool)
+            self._position = np.empty(self.n_cells, dtype=np.intp)
+        self.poses = list(poses)
+        self._cache = geometry_cache
+        self.geometry = [self._pose_geometry(pose, radius) for pose in self.poses]
 
     @property
     def horizon(self) -> int:
         return len(self.geometry)
 
+    def _pose_geometry(self, pose, radius: float) -> BandGeometry:
+        """The cached geometry of a pose if it covers ``radius``, else a new
+        one over the pose's reach box."""
+        key = (pose.x, pose.y, pose.heading)
+        entry = None if self._cache is None else self._cache.get(key)
+        if entry is None or entry.radius < radius:
+            cells, cx, cy = reach_box(self.grid, pose.x, pose.y, radius)
+            dist, angle = pose_geometry(cx, cy, pose.x, pose.y, pose.heading)
+            entry = by_distance(self.grid, cells, dist, angle, radius, self.scaling)
+            if self._cache is not None:
+                self._cache[key] = entry
+        return entry
+
     def _disc_params(self, flow: float, rpm: float, side: str):
         return pattern_from_controls(rpm, flow, self.cal, side)
 
-    def _window(self, dist: np.ndarray, params: PatternParams) -> slice:
-        """Slice of the distance-sorted cells in one disc's radial band
-        ``|dist - center_distance| <= reach``, starting at the vehicle under
-        conservative scaling (its ``cell_area / r`` factor is unbounded
-        there)."""
-        reach = _reach(params.sigma_distance, params.sigma_angle, self.model, self.support)
-        stop = int(dist.searchsorted(params.center_distance + reach, "right"))
-        if self.scaling is DepositScaling.CONSERVATIVE:
-            return slice(0, stop)
-        return slice(int(dist.searchsorted(params.center_distance - reach)), stop)
-
-    def _band(self, geometry, params: PatternParams):
-        """One disc's window, and the cell indices, distance, bearing and
-        area scale on it."""
-        dist, angle, scale, order = geometry
-        window = self._window(dist, params)
-        if isinstance(scale, np.ndarray):
-            scale = scale[window]
-        return window, order[window], dist[window], angle[window], scale
+    def _band(self, i: int, params: PatternParams):
+        """One disc's window of pose ``i``'s geometry, and the cell indices,
+        distance, bearing and area scale on it."""
+        inner, outer = band_bounds(params, self.model, self.support, self.scaling)
+        if outer > self.geometry[i].radius:
+            self.geometry[i] = self._pose_geometry(self.poses[i], outer)
+        return band(self.geometry[i], inner, outer)
 
     def _rows(self, bands):
         """Cell index of each Jacobian row, one per cell of the union of the
@@ -202,18 +207,18 @@ class _Predictor:
         if self.horizon == 1:
             # both windows are slices of the one pose's distance order: their
             # union is one slice of it, or two when they are apart
-            order = self.geometry[0][3]
+            order = self.geometry[0].cells
             (a1, b1), (a2, b2) = ((window.start, window.stop) for window, _ in bands)
             if max(a1, a2) <= min(b1, b2):
                 lo = min(a1, a2)
                 return order[lo:max(b1, b2)], [slice(a1 - lo, b1 - lo), slice(a2 - lo, b2 - lo)]
             return (np.concatenate([order[a1:b1], order[a2:b2]]),
                     [slice(0, b1 - a1), slice(b1 - a1, b1 - a1 + b2 - a2)])
-        marked = np.zeros(self.n_cells, dtype=bool)
+        marked, position = self._marked, self._position
         for _, cells in bands:
             marked[cells] = True
         rows = np.flatnonzero(marked)
-        position = np.empty(self.n_cells, dtype=np.intp)
+        marked[rows] = False
         position[rows] = np.arange(rows.size)
         # gathered one band at a time, as the caller scatters it
         return rows, (position[cells] for _, cells in bands)
@@ -222,11 +227,12 @@ class _Predictor:
         """Objective for a (H, 4) control array."""
         from .spread import disc_deposit
 
-        amount = self.applied.copy()
-        for i, geometry in enumerate(self.geometry):
+        amount = self._amount
+        np.copyto(amount, self.applied)
+        for i in range(self.horizon):
             for flow_col, rpm_col, side, _ in _DISC_COLUMNS:
                 params = self._disc_params(controls[i, flow_col], controls[i, rpm_col], side)
-                _, cells, dist, angle, scale = self._band(geometry, params)
+                _, cells, dist, angle, scale = self._band(i, params)
                 amount[cells] += disc_deposit(dist, angle, scale, params, self.model, self.support)
         return self._residual_cost(amount, controls)[0]
 
@@ -236,36 +242,67 @@ class _Predictor:
         union of the discs' bands, and the cell index of each of their rows.
         Every other row of the Jacobian is zero."""
         discs = []
-        for i, geometry in enumerate(self.geometry):
+        for i in range(self.horizon):
             for flow_col, rpm_col, side, sign in _DISC_COLUMNS:
                 rpm = float(controls[i, rpm_col])
                 params = self._disc_params(float(controls[i, flow_col]), rpm, side)
                 discs.append((4 * i + flow_col, 4 * i + rpm_col, sign, rpm, params,
-                              self._band(geometry, params)))
+                              self._band(i, params)))
         rows, band_rows = self._rows([band[:2] for *_, band in discs])
 
         S = np.zeros((rows.size, 4 * self.horizon))
-        amount = self.applied.copy()
-        for (flow_j, rpm_j, sign, rpm, params, band), at in zip(discs, band_rows):
-            _, cells, dist, angle, scale = band
-            value, unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
-                dist, angle, scale, params, self.model, self.support)
-            amount[cells] += value
-            S[at, flow_j] = unit
-            S[at, rpm_j] = (
-                d_dist * self.cal.distance_slope(rpm)
-                + d_sd * self.cal.sigma_distance_slope(rpm)
-                + d_angle * (sign * self.cal.angle_slope(rpm))
-                + d_sa * self.cal.sigma_angle_slope(rpm))
+        amount = self._amount
+        np.copyto(amount, self.applied)
+        for disc, at in zip(discs, band_rows):
+            self._add_disc(amount, S, at, *disc)
         value, e = self._residual_cost(amount, controls)
         return value, e[rows], S, rows
 
+    def _add_disc(self, amount, S, at, flow_j, rpm_j, sign, rpm, params, band):
+        """Add one disc's deposit on its band to ``amount`` and write its
+        flow and rpm columns into rows ``at`` of ``S``.  A call of its own,
+        so that one disc's partials are freed before the next disc's."""
+        _, cells, dist, angle, scale = band
+        value, unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
+            dist, angle, scale, params, self.model, self.support)
+        amount[cells] += value
+        S[at, flow_j] = unit
+        # the chain rule through the calibration, summed in place in the
+        # order d_dist * a + d_sd * b + d_angle * c + d_sa * d rounds
+        d_dist *= self.cal.distance_slope(rpm)
+        d_sd *= self.cal.sigma_distance_slope(rpm)
+        d_dist += d_sd
+        d_angle *= sign * self.cal.angle_slope(rpm)
+        d_dist += d_angle
+        d_sa *= self.cal.sigma_angle_slope(rpm)
+        d_dist += d_sa
+        S[at, rpm_j] = d_dist
+
     def _residual_cost(self, amount: np.ndarray, controls: np.ndarray):
-        e = amount - self.target
+        e = np.subtract(amount, self.target, out=self._residual)
         value = float(e @ e)
         if not math.isfinite(value):
             raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
         return value, e
+
+
+# speeds at which _reach_radius samples the actuator box's rpm range
+_RADIUS_SAMPLES = 33
+
+
+def _reach_radius(cal: CalibrationModel, model: DepositionModel, support: TriangleSupport,
+                  constraints: ControlConstraints) -> float:
+    """Largest outer band distance of a disc (``spread.band_bounds``) over
+    the actuator box's rpm range, sampled at evenly spaced speeds from
+    ``rpm_min`` to ``rpm_max``; speeds outside the calibration's domain are
+    skipped.  It only sizes each pose's reach box: a band reaching further,
+    from a speed between the samples, grows the box (``_Predictor._band``)."""
+    radius = 0.0
+    for rpm in np.linspace(constraints.rpm_min, constraints.rpm_max, _RADIUS_SAMPLES).tolist():
+        sd, sa = cal.sigma_distance(rpm), cal.sigma_angle(rpm)
+        if sd > 0.0 and sa > 0.0:
+            radius = max(radius, cal.distance(rpm) + _reach(sd, sa, model, support))
+    return radius
 
 
 def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -348,6 +385,9 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
     for iteration in range(1, settings.max_iterations + 1):
         cost, e, S, _ = predictor.cost_residual_jacobian(controls)
         M, grad = _normal_equations(S, e, masks)
+        # not held through this iteration's cost evaluations and the next
+        # Jacobian's
+        del e, S
         grad_x = grad.reshape(h, 4)
         rhs = -0.5 * grad
         projected = x - np.clip(x - grad_x, -rbox, rbox)
@@ -467,6 +507,7 @@ class RecedingHorizonController:
         self.support = TriangleSupport(support)
         self._warm: np.ndarray | None = None
         self._geometry_cache: dict = {}
+        self._radius = _reach_radius(cal, self.model, self.support, constraints)
 
     def plan_controls(self, plan_tail, applied, prescribed, previous: SpreaderControls,
                       grid: FieldGrid) -> SpreaderControls:
@@ -489,7 +530,7 @@ class RecedingHorizonController:
         self._geometry_cache = {key: entry for key, entry in self._geometry_cache.items()
                                 if key in keys}
         predictor = _Predictor(grid, poses, applied, prescribed, self.model, self.cal,
-                               self.scaling, self.support, self._geometry_cache)
+                               self.scaling, self.support, self._geometry_cache, self._radius)
         controls, _ = _optimize(predictor, prev, warm, self.constraints, self.settings)
 
         self._warm = controls

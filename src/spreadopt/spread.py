@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +40,11 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 DEGENERATE_RADIUS = 1e-9
 
 # Largest deposit per gram of flow (before conservative area scaling) that
-# windowed evaluation drops; see _reach.  At 1e-14 a 36-step H=10 MPC run
-# already ended at a different cost (seventh significant digit); at 1e-32
-# the shipped comparison and the benchmark workloads end bitwise as with
-# dense evaluation.
+# windowed evaluation drops; see _reach.  It bounds both the controllers'
+# predictor and the plant (total_deposit), which evaluate each disc only on
+# its band.  At 1e-14 a 36-step H=10 MPC run already ended at a different
+# cost (seventh significant digit); at 1e-32 the shipped comparison and the
+# benchmark workloads end bitwise as with dense evaluation.
 WINDOW_TOLERANCE = 1e-32
 
 
@@ -232,6 +234,19 @@ def disc_deposit(dist: np.ndarray, angle: np.ndarray, scale, params: PatternPara
     return params.mass_flow * radial * angular * scale
 
 
+def _normal_partials(value, offset, sigma):
+    """``value * (offset / sigma**2)`` and ``value * (offset**2 / sigma**3 -
+    1 / sigma)``, the normal model's partials with respect to a center and
+    its spread, built in place with the expressions' rounding."""
+    d_center = offset / sigma ** 2
+    d_center *= value
+    d_sigma = offset * offset
+    d_sigma /= sigma ** 3
+    d_sigma -= 1.0 / sigma
+    d_sigma *= value
+    return d_center, d_sigma
+
+
 def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
                           params: PatternParams, model: DepositionModel,
                           support: TriangleSupport = TriangleSupport.UNIT):
@@ -251,16 +266,22 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     x = dist - params.center_distance
     y = angle - params.center_angle
     radial, angular = _density_factors(x, y, sd, sa, model, support)
-    unit = radial * angular * scale
+    # products built in place, operation by operation as the expressions
+    # radial * angular * scale and D * radial * angular * scale round, so
+    # that few band-sized temporaries are alive at once; the value is
     # multiplied in disc_deposit's order, so that a cost summed from these
     # values rounds exactly like one summed from disc_deposit's
-    value = D * radial * angular * scale
+    unit = radial * angular
+    unit *= scale
+    value = D * radial
+    value *= angular
+    value *= scale
 
     if DepositionModel(model) is DepositionModel.FULL_NORMAL:
-        d_dist = value * (x / sd ** 2)
-        d_sigma_d = value * (x * x / sd ** 3 - 1.0 / sd)
-        d_angle = value * (y / sa ** 2)
-        d_sigma_a = value * (y * y / sa ** 3 - 1.0 / sa)
+        del radial, angular
+        d_dist, d_sigma_d = _normal_partials(value, x, sd)
+        del x
+        d_angle, d_sigma_a = _normal_partials(value, y, sa)
         return value, unit, d_dist, d_sigma_d, d_angle, d_sigma_a
 
     half_x, half_y = _half_widths(sd, sa, support)
@@ -288,6 +309,90 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     return value, unit, d_dist, d_sigma_d, d_angle, d_sigma_a
 
 
+class BandGeometry(NamedTuple):
+    """The grid cells around one pose, sorted by distance from it.
+
+    ``cells`` holds each entry's flat cell index (``np.intp``, so fancy
+    indexing does not convert it) and ``scale`` the conservative area scale
+    per entry, or 1.0 under literal scaling.  Every cell within ``radius``
+    of the pose is present, in the same order as in a whole-grid geometry,
+    so any band whose outer distance is at most ``radius`` is one slice of
+    it (:func:`band`).
+    """
+
+    dist: np.ndarray
+    angle: np.ndarray
+    scale: np.ndarray | float
+    cells: np.ndarray
+    radius: float
+
+
+def reach_box(grid: FieldGrid, x: float, y: float, radius: float):
+    """Flat indices and center coordinates of the cells in the square of
+    half-side ``radius`` around ``(x, y)``, row-major.
+
+    The square holds every cell whose center lies within ``radius`` of the
+    point, plus up to one cell of slack on each side against rounding.
+    The centers come from the square's index ranges, bitwise as
+    :meth:`FieldGrid.center_mesh` computes them.  An infinite radius gives
+    the whole grid, a square off the field no cell.
+    """
+    n = grid.n_cells
+    c = grid.cell_size
+
+    def indices(center: float, origin: float) -> np.ndarray:
+        # cell k's center is origin + (k + 1/2) c; clamped before rounding,
+        # so an infinite radius gives 0 and n
+        lo = math.floor(min(max((center - radius - origin) / c - 0.5, 0.0), n))
+        hi = math.floor(min(max((center + radius - origin) / c + 0.5, -1.0), n - 1)) + 1
+        return np.arange(lo, max(lo, hi), dtype=np.intp)
+
+    cols = indices(x, grid.origin[0])
+    rows = indices(y, grid.origin[1])
+    cx, cy = np.meshgrid(grid.origin[0] + (cols + 0.5) * c, grid.origin[1] + (rows + 0.5) * c)
+    cells = (rows[:, None] * n + cols).ravel()
+    return cells, cx.ravel(), cy.ravel()
+
+
+def by_distance(grid: FieldGrid, cells: np.ndarray, dist: np.ndarray, angle: np.ndarray,
+                radius: float, scaling: DepositScaling) -> BandGeometry:
+    """Sort a pose's geometry by distance.  The sort is stable, so cells at
+    equal distance keep their row-major order, whichever square they came
+    from."""
+    order = np.argsort(dist, kind="stable")
+    dist = dist[order]
+    if DepositScaling(scaling) is DepositScaling.CONSERVATIVE:
+        scale = conservative_scale(dist, grid)
+    else:
+        scale = 1.0
+    return BandGeometry(dist, angle[order], scale, cells[order], radius)
+
+
+def band_bounds(params: PatternParams, model: DepositionModel, support: TriangleSupport,
+                scaling: DepositScaling) -> tuple[float, float]:
+    """Inner and outer distance of one disc's band: the cells whose
+    distance from the vehicle lies within the pattern center distance plus
+    or minus :func:`_reach`.  Under conservative scaling the band starts at
+    the vehicle, since the ``cell_area / r`` factor is unbounded there."""
+    reach = _reach(params.sigma_distance, params.sigma_angle, model, support)
+    outer = params.center_distance + reach
+    # equal to the member or to its value, without an enum lookup per band
+    if scaling == DepositScaling.CONSERVATIVE:
+        return 0.0, outer
+    return params.center_distance - reach, outer
+
+
+def band(geometry: BandGeometry, inner: float, outer: float):
+    """The slice of ``geometry`` with ``inner <= dist <= outer``, and the
+    cell indices, distance, bearing and area scale on it.  ``outer`` must
+    not exceed ``geometry.radius``."""
+    dist, angle, scale, cells, _ = geometry
+    window = slice(int(dist.searchsorted(inner)), int(dist.searchsorted(outer, "right")))
+    if isinstance(scale, np.ndarray):
+        scale = scale[window]
+    return window, cells[window], dist[window], angle[window], scale
+
+
 def total_deposit(state, left: PatternParams, right: PatternParams, grid: FieldGrid,
                   model: DepositionModel = DepositionModel.FULL_NORMAL,
                   scaling: DepositScaling = DepositScaling.LITERAL,
@@ -296,19 +401,26 @@ def total_deposit(state, left: PatternParams, right: PatternParams, grid: FieldG
 
     ``state`` provides ``x``, ``y`` and ``heading``.  The left disc's
     pattern must sit at a negative center angle and the right disc's at a
-    positive one.  Cells outside the grid receive nothing by construction
-    since only grid cells are evaluated.
+    positive one.  Each disc is evaluated only on its band
+    (:func:`band_bounds`), of the grid cells in the square that holds both
+    bands, and scattered into the dense map: outside its band a disc's
+    deposit is at most :data:`WINDOW_TOLERANCE` per gram of flow (times the
+    conservative area scale) under the normal model and zero under the
+    triangle.  Cells outside the grid receive nothing.
     """
     if not (left.center_angle < 0.0 < right.center_angle):
         raise ShapeError(
             "left pattern must have a negative center angle and right a positive one, "
             f"got {left.center_angle} and {right.center_angle}")
-    cx, cy = grid.center_mesh()
+    scaling = DepositScaling(scaling)
+    bounds = [band_bounds(params, model, support, scaling) for params in (left, right)]
+    radius = max(outer for _, outer in bounds)
+    cells, cx, cy = reach_box(grid, state.x, state.y, radius)
     dist, angle = pose_geometry(cx, cy, state.x, state.y, state.heading)
-    if DepositScaling(scaling) is DepositScaling.CONSERVATIVE:
-        scale = conservative_scale(dist, grid)
-    else:
-        scale = 1.0
-    out = disc_deposit(dist, angle, scale, left, model, support)
-    out += disc_deposit(dist, angle, scale, right, model, support)
+    geometry = by_distance(grid, cells, dist, angle, radius, scaling)
+    out = grid.zeros()
+    flat = out.reshape(-1)
+    for params, (inner, outer) in zip((left, right), bounds):
+        _, cells, dist, angle, scale = band(geometry, inner, outer)
+        flat[cells] += disc_deposit(dist, angle, scale, params, model, support)
     return out

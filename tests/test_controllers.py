@@ -310,10 +310,10 @@ def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
         tracemalloc.stop()
     # the fold sees the Gram matrix with the gradient row, then its transpose
     assert folds and set(folds) == {(5, 4), (4, 4)}
-    # the bound is four dense n_cells x 4H Jacobians; the peak measured 5.3
-    # of them with a fold that allocated its result, 2.9 with the dense
-    # Jacobian folded in place and 0.74 with the bands' rows
-    assert peak < 4 * (n * n * 4 * 8)
+    # every evaluation fills the predictor's work arrays, so the peak is the
+    # bands' Jacobian and partials alone: 0.76 of one n_cells map, against
+    # 2.96 when each evaluation allocated a predicted map and a residual
+    assert peak < n * n * 8
 
 
 # --- optimizer ------------------------------------------------------------------
