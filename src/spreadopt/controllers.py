@@ -49,6 +49,14 @@ from that Jacobian's Gram matrix, so no iteration fills, folds or
 multiplies a Jacobian with a row for every cell.  Sums over fewer rows
 round differently from the dense ones, so Gauss-Newton steps agree with
 dense evaluation to rounding, not bitwise.
+
+Every iteration after a solve's first takes its Jacobian at the candidate
+the line search has just accepted.  The predictor keeps its last
+evaluation (the objective, the residual, and each disc's pattern
+parameters, band and density factors), and a Jacobian at bitwise the same
+controls builds only the partials from it: no pattern parameters, bands,
+exponentials or deposits a second time, and the same results as
+evaluating afresh.
 """
 
 from __future__ import annotations
@@ -141,6 +149,16 @@ class _Predictor:
     map and its residual, that every evaluation fills in place; the
     residual and the Jacobian that the solver reads keep only the bands'
     rows.
+
+    The last evaluation is kept until the next one starts or a Jacobian
+    uses it: the bytes of its controls, its objective, and each disc's
+    ``PatternParams``, band and radial and angular density factors (its
+    residual stays in the work array).  :meth:`cost_residual_jacobian` at
+    bitwise those controls reuses them, computing only the partials and the
+    chain rule through the calibration, and frees each disc's factors as it
+    goes; at any other controls it evaluates first.  Only the two factors
+    are kept per disc, not the offsets or the deposit, so the record stays
+    within a few band-sized arrays.
     """
 
     def __init__(self, grid: FieldGrid, poses, applied, prescribed,
@@ -165,6 +183,7 @@ class _Predictor:
         # allocation
         self._amount = np.empty(self.n_cells)
         self._residual = np.empty(self.n_cells)
+        self._last = None
         if len(poses) > 1:
             # _rows's marks and row positions over several poses
             self._marked = np.zeros(self.n_cells, dtype=bool)
@@ -225,47 +244,65 @@ class _Predictor:
 
     def cost(self, controls: np.ndarray) -> float:
         """Objective for a (H, 4) control array."""
-        from .spread import disc_deposit
+        return self._evaluate(controls)
 
+    def _evaluate(self, controls: np.ndarray) -> float:
+        """Fill the predicted map and its residual at ``controls`` and return
+        the objective.  The evaluation is kept until the next one starts or
+        a Jacobian uses it: the bytes of the controls, the objective, and each
+        disc's parameters, band and density factors."""
+        from .spread import deposit_and_factors
+
+        # the last evaluation's factors are freed before this one's are built
+        self._last = None
         amount = self._amount
         np.copyto(amount, self.applied)
+        discs = []
         for i in range(self.horizon):
             for flow_col, rpm_col, side, _ in _DISC_COLUMNS:
-                params = self._disc_params(controls[i, flow_col], controls[i, rpm_col], side)
-                _, cells, dist, angle, scale = self._band(i, params)
-                amount[cells] += disc_deposit(dist, angle, scale, params, self.model, self.support)
-        return self._residual_cost(amount, controls)[0]
+                params = self._disc_params(float(controls[i, flow_col]),
+                                           float(controls[i, rpm_col]), side)
+                band = self._band(i, params)
+                _, cells, dist, angle, scale = band
+                deposit, factors = deposit_and_factors(dist, angle, scale, params, self.model,
+                                                       self.support)
+                amount[cells] += deposit
+                discs.append((params, band, factors))
+        value = self._residual_cost(amount, controls)[0]
+        self._last = (controls.tobytes(), value, discs)
+        return value
 
     def cost_residual_jacobian(self, controls: np.ndarray):
         """Objective, then the residual and its Jacobian with respect to
         every control entry (columns step-major in component order) on the
         union of the discs' bands, and the cell index of each of their rows.
-        Every other row of the Jacobian is zero."""
-        discs = []
-        for i in range(self.horizon):
-            for flow_col, rpm_col, side, sign in _DISC_COLUMNS:
-                rpm = float(controls[i, rpm_col])
-                params = self._disc_params(float(controls[i, flow_col]), rpm, side)
-                discs.append((4 * i + flow_col, 4 * i + rpm_col, sign, rpm, params,
-                              self._band(i, params)))
-        rows, band_rows = self._rows([band[:2] for *_, band in discs])
+        Every other row of the Jacobian is zero.
 
+        At the controls of the last evaluation, bitwise, that evaluation's
+        objective, residual, parameters, bands and density factors are used
+        as they are: in the solver, the line search's accepted candidate.
+        Any other controls are evaluated first."""
+        if self._last is None or self._last[0] != controls.tobytes():
+            self._evaluate(controls)
+        (_, value, discs), self._last = self._last, None
+        rows, band_rows = self._rows([band[:2] for _, band, _ in discs])
         S = np.zeros((rows.size, 4 * self.horizon))
-        amount = self._amount
-        np.copyto(amount, self.applied)
-        for disc, at in zip(discs, band_rows):
-            self._add_disc(amount, S, at, *disc)
-        value, e = self._residual_cost(amount, controls)
-        return value, e[rows], S, rows
+        for k, at in enumerate(band_rows):
+            i, disc = divmod(k, 2)
+            flow_col, rpm_col, _, sign = _DISC_COLUMNS[disc]
+            self._disc_columns(S, at, 4 * i + flow_col, 4 * i + rpm_col, sign,
+                               float(controls[i, rpm_col]), *discs[k])
+            # each disc's factors are freed once its columns are written
+            discs[k] = None
+        return value, self._residual[rows], S, rows
 
-    def _add_disc(self, amount, S, at, flow_j, rpm_j, sign, rpm, params, band):
-        """Add one disc's deposit on its band to ``amount`` and write its
-        flow and rpm columns into rows ``at`` of ``S``.  A call of its own,
-        so that one disc's partials are freed before the next disc's."""
-        _, cells, dist, angle, scale = band
-        value, unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
-            dist, angle, scale, params, self.model, self.support)
-        amount[cells] += value
+    def _disc_columns(self, S, at, flow_j, rpm_j, sign, rpm, params, band, factors):
+        """Write one disc's flow and rpm columns into rows ``at`` of ``S``.
+        A call of its own, so that one disc's partials are freed before the
+        next disc's."""
+        _, _, dist, angle, scale = band
+        _, unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
+            dist, angle, scale, params, self.model, self.support, factors)
         S[at, flow_j] = unit
         # the chain rule through the calibration, summed in place in the
         # order d_dist * a + d_sd * b + d_angle * c + d_sa * d rounds

@@ -137,8 +137,14 @@ def bearing(cell: tuple[float, float], position: tuple[float, float], heading: f
     return -angle if cross < 0 else angle
 
 
+# The kernels below compare their model and support arguments with ``==``,
+# which a member and its string value both pass, rather than converting
+# them on every call; the public entry points (disc_deposit, total_deposit,
+# deposition_density_triangle and the controllers' constructors) convert
+# them once, so an unknown value raises ValueError there.
+
 def _half_widths(sd: float, sa: float, support: TriangleSupport) -> tuple[float, float]:
-    if TriangleSupport(support) is TriangleSupport.UNIT:
+    if support == TriangleSupport.UNIT:
         return 1.0, 1.0
     return SQRT_TWO_PI * sd, SQRT_TWO_PI * sa
 
@@ -148,7 +154,7 @@ def _reach(sd: float, sa: float, model: DepositionModel, support: TriangleSuppor
     zero (triangle: the support half-width) or at most
     :data:`WINDOW_TOLERANCE` (normal: where the radial factor times the
     angular peak ``1 / (sqrt(2 pi) sa)`` falls to it, about 12 sigma)."""
-    if DepositionModel(model) is DepositionModel.TRIANGLE:
+    if model == DepositionModel.TRIANGLE:
         return _half_widths(sd, sa, support)[0]
     return sd * math.sqrt(2.0 * math.log(1.0 / (2.0 * math.pi * sd * sa * WINDOW_TOLERANCE)))
 
@@ -157,7 +163,7 @@ def _density_factors(x, y, sd: float, sa: float, model: DepositionModel,
                      support: TriangleSupport):
     """Radial and angular factors of one disc's density at offsets ``x``
     and ``y``; the density is the mass flow times their product."""
-    if DepositionModel(model) is DepositionModel.FULL_NORMAL:
+    if model == DepositionModel.FULL_NORMAL:
         return (np.exp(-0.5 * (x / sd) ** 2) / (SQRT_TWO_PI * sd),
                 np.exp(-0.5 * (y / sa) ** 2) / (SQRT_TWO_PI * sa))
     half_x, half_y = _half_widths(sd, sa, support)
@@ -187,7 +193,8 @@ def deposition_density_triangle(x_offset, y_offset, params: PatternParams,
     Shares the peak value of the full model at zero offset and is clamped
     to zero outside its support, so it never goes negative.
     """
-    return _density(x_offset, y_offset, params, DepositionModel.TRIANGLE, support)
+    return _density(x_offset, y_offset, params, DepositionModel.TRIANGLE,
+                    TriangleSupport(support))
 
 
 def pose_geometry(cx: np.ndarray, cy: np.ndarray, x: float, y: float,
@@ -228,28 +235,40 @@ def disc_deposit(dist: np.ndarray, angle: np.ndarray, scale, params: PatternPara
     ``scale`` is 1.0 for literal scaling or the array from
     :func:`conservative_scale`.
     """
-    radial, angular = _density_factors(dist - params.center_distance,
-                                       angle - params.center_angle, params.sigma_distance,
-                                       params.sigma_angle, model, support)
-    return params.mass_flow * radial * angular * scale
+    return deposit_and_factors(dist, angle, scale, params, DepositionModel(model),
+                               TriangleSupport(support))[0]
+
+
+def deposit_and_factors(dist: np.ndarray, angle: np.ndarray, scale, params: PatternParams,
+                        model: DepositionModel,
+                        support: TriangleSupport = TriangleSupport.UNIT):
+    """:func:`disc_deposit`'s deposit and the radial and angular density
+    factors it is the product of, ``(deposit, (radial, angular))``, so that
+    :func:`disc_deposit_partials` can take the factors instead of
+    evaluating them again.  ``model`` and ``support`` are not validated."""
+    factors = _density_factors(dist - params.center_distance, angle - params.center_angle,
+                               params.sigma_distance, params.sigma_angle, model, support)
+    radial, angular = factors
+    return params.mass_flow * radial * angular * scale, factors
 
 
 def _normal_partials(value, offset, sigma):
     """``value * (offset / sigma**2)`` and ``value * (offset**2 / sigma**3 -
     1 / sigma)``, the normal model's partials with respect to a center and
-    its spread, built in place with the expressions' rounding."""
-    d_center = offset / sigma ** 2
-    d_center *= value
+    its spread, built in place with the expressions' rounding.  The first
+    is built in ``offset``'s array, which it overwrites."""
     d_sigma = offset * offset
     d_sigma /= sigma ** 3
     d_sigma -= 1.0 / sigma
     d_sigma *= value
+    d_center = np.divide(offset, sigma ** 2, out=offset)
+    d_center *= value
     return d_center, d_sigma
 
 
 def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
                           params: PatternParams, model: DepositionModel,
-                          support: TriangleSupport = TriangleSupport.UNIT):
+                          support: TriangleSupport = TriangleSupport.UNIT, factors=None):
     """Deposit of one disc plus its partials with respect to the pattern
     parameters.
 
@@ -258,14 +277,19 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     to mass flow, center distance, radial spread, signed center angle,
     and angular spread.  The triangle surrogate is differentiated on the
     interior of its support; the kink at the apex and the support edge
-    use the zero element of the subdifferential.
+    use the zero element of the subdifferential.  ``factors`` are the
+    density factors that :func:`deposit_and_factors` returned for the same
+    arguments, or None to evaluate them here.
     """
     D = params.mass_flow
     sd = params.sigma_distance
     sa = params.sigma_angle
     x = dist - params.center_distance
     y = angle - params.center_angle
-    radial, angular = _density_factors(x, y, sd, sa, model, support)
+    if factors is None:
+        factors = _density_factors(x, y, sd, sa, model, support)
+    radial, angular = factors
+    del factors
     # products built in place, operation by operation as the expressions
     # radial * angular * scale and D * radial * angular * scale round, so
     # that few band-sized temporaries are alive at once; the value is
@@ -277,10 +301,10 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     value *= angular
     value *= scale
 
-    if DepositionModel(model) is DepositionModel.FULL_NORMAL:
+    if model == DepositionModel.FULL_NORMAL:
         del radial, angular
+        # the offsets' arrays become d_dist and d_angle
         d_dist, d_sigma_d = _normal_partials(value, x, sd)
-        del x
         d_angle, d_sigma_a = _normal_partials(value, y, sa)
         return value, unit, d_dist, d_sigma_d, d_angle, d_sigma_a
 
@@ -299,7 +323,7 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     # sigma enters the normalization always, and the half-width when scaled
     dradial_dsd = -radial / sd
     dangular_dsa = -angular / sa
-    if TriangleSupport(support) is TriangleSupport.SIGMA:
+    if support == TriangleSupport.SIGMA:
         dradial_dsd = dradial_dsd + np.where(in_x, np.abs(x) * SQRT_TWO_PI / half_x ** 2, 0.0) / (
             SQRT_TWO_PI * sd)
         dangular_dsa = dangular_dsa + np.where(in_y, np.abs(y) * SQRT_TWO_PI / half_y ** 2, 0.0) / (
@@ -412,7 +436,8 @@ def total_deposit(state, left: PatternParams, right: PatternParams, grid: FieldG
         raise ShapeError(
             "left pattern must have a negative center angle and right a positive one, "
             f"got {left.center_angle} and {right.center_angle}")
-    scaling = DepositScaling(scaling)
+    model, scaling = DepositionModel(model), DepositScaling(scaling)
+    support = TriangleSupport(support)
     bounds = [band_bounds(params, model, support, scaling) for params in (left, right)]
     radius = max(outer for _, outer in bounds)
     cells, cx, cy = reach_box(grid, state.x, state.y, radius)

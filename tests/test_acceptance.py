@@ -147,12 +147,23 @@ def test_criterion_3_mpc_full_recovers_top_rpm(comparison, default_config, capfd
 
 @pytest.mark.slow
 def test_criterion_4_greedy_is_an_order_of_magnitude_faster(comparison, capfd):
-    wall = {name: row[2] for name, row in comparison["rows"].items()}
+    # each controller is timed by the faster of the two identical compares,
+    # so that a slow phase of the machine during one run of one controller
+    # does not decide the ratio
+    runs = [{name: row[2] for name, row in rows.items()}
+            for rows in (comparison["rows"], comparison["repeat_rows"])]
+    wall = {name: min(run[name] for run in runs) for name in CONTROLLERS}
     ok = (wall["greedy"] < 0.1 * wall["mpc-triangle"]
           and wall["greedy"] < 0.1 * wall["mpc-full"])
+
+    def ratios(times):
+        return (f"{times['mpc-triangle'] / times['greedy']:.1f}x"
+                f" / {times['mpc-full'] / times['greedy']:.1f}x")
+
     _report(capfd, 4, ok,
             f"greedy {wall['greedy']:.2f}s vs triangle {wall['mpc-triangle']:.2f}s"
-            f" and full {wall['mpc-full']:.2f}s controller time")
+            f" and full {wall['mpc-full']:.2f}s controller time, fastest of two runs"
+            f" ({ratios(wall)}; single runs {ratios(runs[0])} and {ratios(runs[1])})")
 
 
 def test_criterion_5_gradient_matches_finite_differences(default_config, capfd):

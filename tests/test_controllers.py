@@ -29,7 +29,7 @@ from spreadopt import (
     DriveCommand,
     DrivePlan,
 )
-from spreadopt import controllers
+from spreadopt import controllers, spread
 from spreadopt.spread import SQRT_TWO_PI, TriangleSupport
 
 from checks import analytic_gradient, central_difference_gradient, chain_feasible
@@ -311,8 +311,10 @@ def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
     # the fold sees the Gram matrix with the gradient row, then its transpose
     assert folds and set(folds) == {(5, 4), (4, 4)}
     # every evaluation fills the predictor's work arrays, so the peak is the
-    # bands' Jacobian and partials alone: 0.76 of one n_cells map, against
-    # 2.96 when each evaluation allocated a predicted map and a residual
+    # bands' Jacobian and partials with the last evaluation's density
+    # factors: 0.96 of one n_cells map (0.76 before the predictor kept the
+    # factors for the next Jacobian), against 2.96 when each evaluation
+    # allocated a predicted map and a residual
     assert peak < n * n * 8
 
 
@@ -481,6 +483,43 @@ def test_a_start_far_from_the_optimum_does_not_stop_at_once():
     assert cost < 0.9 * predictor.cost(prev[None, :])
 
 
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_a_jacobian_at_the_accepted_candidate_rebuilds_no_pattern(horizon, monkeypatch):
+    grid, prescribed = small_field(n=16, side=60.0, dose=4.0)
+    tail = straight_tail(TractorState(15.0, 30.0, 0.0), 5.0, horizon)
+    predictor = predictor_for(grid, tail, grid.zeros(), prescribed)
+    counts = {"params": 0, "factors": 0}
+    disc_params, factors = predictor._disc_params, spread._density_factors
+    jacobian = predictor.cost_residual_jacobian
+    per_jacobian = []
+
+    def counted_params(*args):
+        counts["params"] += 1
+        return disc_params(*args)
+
+    def counted_factors(*args):
+        counts["factors"] += 1
+        return factors(*args)
+
+    def counted_jacobian(controls):
+        before = dict(counts)
+        out = jacobian(controls)
+        per_jacobian.append(tuple(counts[k] - before[k] for k in ("params", "factors")))
+        return out
+
+    predictor._disc_params = counted_params
+    predictor.cost_residual_jacobian = counted_jacobian
+    monkeypatch.setattr(spread, "_density_factors", counted_factors)
+    prev = np.array([100.0, 100.0, 600.0, 600.0])
+    _, _, iterations = controllers._solve_deltas(predictor, prev, np.zeros((horizon, 4)),
+                                                 DEFAULT_CONSTRAINTS, OptimizerSettings())
+    assert iterations > 2 and len(per_jacobian) == iterations
+    # the first Jacobian evaluates the start; each later one is taken at the
+    # candidate the line search has just evaluated and accepted
+    assert per_jacobian[0] == (2 * horizon, 2 * horizon)
+    assert set(per_jacobian[1:]) == {(0, 0)}
+
+
 def test_optimizer_is_deterministic():
     grid, prescribed = small_field(n=8, side=30.0)
     start = TractorState(5.0, 15.0, 0.0)
@@ -523,6 +562,20 @@ def test_settings_validation():
     with pytest.raises(ConfigurationError):
         OptimizerSettings(seed=1.5)
     assert type(OptimizerSettings(seed=3.0).seed) is int
+
+
+@pytest.mark.parametrize("field", ["model", "scaling", "support"])
+def test_constructors_reject_an_unknown_model_scaling_or_support(field):
+    grid, prescribed = small_field()
+    args = {"model": DepositionModel.FULL_NORMAL, "scaling": DepositScaling.LITERAL,
+            "support": TriangleSupport.UNIT, field: "bogus"}
+    with pytest.raises(ValueError, match="'bogus' is not a valid"):
+        controllers._Predictor(grid, [TractorState(20.0, 20.0, 0.0)], grid.zeros(), prescribed,
+                               args["model"], CAL, args["scaling"], args["support"])
+    with pytest.raises(ValueError, match="'bogus' is not a valid"):
+        controllers.RecedingHorizonController(args["model"], 2, CAL, DEFAULT_CONSTRAINTS,
+                                              OptimizerSettings(), args["scaling"],
+                                              args["support"])
 
 
 # --- controller steps -------------------------------------------------------

@@ -102,6 +102,43 @@ def test_cost_and_jacobian_paths_give_the_same_cost(problem):
     assert predictor.cost(controls) == predictor.cost_residual_jacobian(controls)[0]
 
 
+def _fresh(predictor):
+    """A predictor over the same problem that has evaluated nothing."""
+    n = predictor.grid.n_cells
+    return controllers._Predictor(predictor.grid, predictor.poses,
+                                  predictor.applied.reshape(n, n),
+                                  predictor.target.reshape(n, n), predictor.model,
+                                  predictor.cal, predictor.scaling, predictor.support)
+
+
+def _jacobian_bytes(predictor, controls):
+    return [(np.shape(part), np.asarray(part).tobytes())
+            for part in predictor.cost_residual_jacobian(controls)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=problems(), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_a_jacobian_after_cost_calls_equals_a_fresh_predictors(problem, count, seed):
+    # the predictor keeps its last evaluation for a Jacobian at the same
+    # controls; whatever it evaluated before, its Jacobian at any controls
+    # must be bitwise what a predictor that evaluated nothing returns
+    predictor, _, start = problem
+    rng = np.random.default_rng(seed)
+    lo, hi = CONSTRAINTS.lower(), CONSTRAINTS.upper()
+    step = np.array([10.0, 10.0, 50.0, 50.0])
+    schedules = [np.clip(start + rng.uniform(-1.0, 1.0, start.shape) * step, lo, hi)
+                 for _ in range(count + 1)]
+    evaluated, new = schedules[:-1], schedules[-1]
+    reference = _fresh(predictor)
+    for controls in (evaluated[-1], evaluated[0], new):
+        for earlier in evaluated:
+            predictor.cost(earlier)
+        expected = _jacobian_bytes(reference, controls)
+        assert _jacobian_bytes(predictor, controls) == expected
+        # and again, with nothing evaluated in between
+        assert _jacobian_bytes(predictor, controls) == expected
+
+
 @pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(problem=problems())

@@ -249,6 +249,31 @@ def test_tractor_on_a_cell_center_stays_finite():
         assert dep.min() >= 0.0
 
 
+def test_entry_points_reject_an_unknown_model_or_support():
+    # the kernels compare these arguments with ==, so an unknown value must
+    # be caught where it enters
+    dist, angle = np.array([14.0, 15.0]), np.array([0.7, 0.8])
+    left, right = make_pair()
+    grid = FieldGrid(60.0, 12)
+    state = TractorState(30.0, 30.0, 0.0)
+    calls = [
+        lambda: disc_deposit(dist, angle, 1.0, PARAMS, "bogus"),
+        lambda: disc_deposit(dist, angle, 1.0, PARAMS, DepositionModel.TRIANGLE, "bogus"),
+        lambda: total_deposit(state, left, right, grid, "bogus"),
+        lambda: total_deposit(state, left, right, grid, DepositionModel.TRIANGLE,
+                              DepositScaling.LITERAL, "bogus"),
+        lambda: total_deposit(state, left, right, grid, DepositionModel.FULL_NORMAL, "bogus"),
+        lambda: deposition_density_triangle(0.1, 0.1, PARAMS, "bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="'bogus' is not a valid"):
+            call()
+    # a member's value is accepted as the member
+    assert np.array_equal(disc_deposit(dist, angle, 1.0, PARAMS, "triangle", "sigma"),
+                          disc_deposit(dist, angle, 1.0, PARAMS, DepositionModel.TRIANGLE,
+                                       TriangleSupport.SIGMA))
+
+
 # --- analytic parameter partials -------------------------------------------
 
 def _fd_partial(make, base, name, eps):

@@ -95,18 +95,18 @@ def test_windowed_predictor_matches_the_dense_kernel(n, side, fx, fy, heading, f
     dense_scale = scale if scaling is DepositScaling.CONSERVATIVE else 1.0
 
     deposits = []
-    original = spread.disc_deposit
+    original = spread.deposit_and_factors
 
     def spy(*args, **kwargs):
         out = original(*args, **kwargs)
-        deposits.append(out)
+        deposits.append(out[0])
         return out
 
-    spread.disc_deposit = spy
+    spread.deposit_and_factors = spy
     try:
         predictor.cost(controls)
     finally:
-        spread.disc_deposit = original
+        spread.deposit_and_factors = original
     _, _, S, rows = predictor.cost_residual_jacobian(controls)
     assert len(deposits) == 2
     assert np.unique(rows).size == rows.size and S.shape == (rows.size, 4)
@@ -298,9 +298,9 @@ def _closed_loop(kind):
 
 def _spy_kernels(monkeypatch):
     """Record the cell count of every predictor kernel call and of the
-    plant's deposits."""
+    plant's deposits (spread.disc_deposit calls deposit_and_factors)."""
     sizes = {"deposit": [], "partials": []}
-    deposit = spread.disc_deposit
+    deposit = spread.deposit_and_factors
     partials = controllers.disc_deposit_partials
 
     def deposit_spy(dist, *args, **kwargs):
@@ -311,7 +311,7 @@ def _spy_kernels(monkeypatch):
         sizes["partials"].append(dist.size)
         return partials(dist, *args, **kwargs)
 
-    monkeypatch.setattr(spread, "disc_deposit", deposit_spy)
+    monkeypatch.setattr(spread, "deposit_and_factors", deposit_spy)
     monkeypatch.setattr(controllers, "disc_deposit_partials", partials_spy)
     return sizes
 
