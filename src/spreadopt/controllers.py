@@ -50,13 +50,23 @@ multiplies a Jacobian with a row for every cell.  Sums over fewer rows
 round differently from the dense ones, so Gauss-Newton steps agree with
 dense evaluation to rounding, not bitwise.
 
-Every iteration after a solve's first takes its Jacobian at the candidate
-the line search has just accepted.  The predictor keeps its last
-evaluation (the objective, the residual, and each disc's pattern
-parameters, band and density factors), and a Jacobian at bitwise the same
-controls builds only the partials from it: no pattern parameters, bands,
-exponentials or deposits a second time, and the same results as
-evaluating afresh.
+The predictor keeps one record of its last evaluation: the bits of its
+controls, its objective (the residual stays in a work array), and each
+disc's pattern parameters, band and density factors.  Every iteration
+after a solve's first takes its Jacobian at the candidate the line search
+has just accepted, bitwise the record's controls, and builds only the
+partials from the record: no pattern parameters, bands, exponentials or
+deposits a second time.  An evaluation at other controls reuses each disc
+whose rpm is bitwise the record's: the radial and angular factors depend
+only on the pose and the rpm, so such a disc skips the calibration, the
+band search and the exponentials, and only rebuilds its parameters for a
+new flow and multiplies its deposit again.  Rpm repeats mostly because the
+unroll clips it at the actuator box.  The Jacobian also skips what the
+fold zeroes: the rpm column of a step whose rpm was clipped is multiplied
+by zero in the fold, so its partials and chain rule are not built and the
+column stays zero.  Both skips give bitwise the results of evaluating
+afresh; the normal equations can differ only in the sign of a zero, which
+moves no step the solver takes.
 """
 
 from __future__ import annotations
@@ -64,7 +74,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,7 +84,8 @@ from .errors import ConfigurationError, NumericalFailureError, ShapeError
 from .field import FieldGrid, as_amount_map
 from .spread import (BandGeometry, DepositScaling, DepositionModel, PatternParams,
                      TriangleSupport, _reach, band, band_bounds, by_distance,
-                     disc_deposit_partials, pose_geometry, reach_box)
+                     deposit_from_factors, disc_deposit_partials, flow_partial,
+                     pose_geometry, reach_box)
 
 _log = logging.getLogger("spreadopt.optimizer")
 
@@ -150,15 +161,16 @@ class _Predictor:
     residual and the Jacobian that the solver reads keep only the bands'
     rows.
 
-    The last evaluation is kept until the next one starts or a Jacobian
-    uses it: the bytes of its controls, its objective, and each disc's
-    ``PatternParams``, band and radial and angular density factors (its
-    residual stays in the work array).  :meth:`cost_residual_jacobian` at
-    bitwise those controls reuses them, computing only the partials and the
-    chain rule through the calibration, and frees each disc's factors as it
-    goes; at any other controls it evaluates first.  Only the two factors
-    are kept per disc, not the offsets or the deposit, so the record stays
-    within a few band-sized arrays.
+    One record of the last evaluation is kept: the bits of its controls,
+    its objective (its residual stays in the work array), and per disc its
+    ``PatternParams``, band and radial and angular density factors.
+    :meth:`cost_residual_jacobian` at bitwise those controls reuses all of
+    it, computing only the partials and the chain rule through the
+    calibration; at any other controls it evaluates first.  An evaluation
+    reuses the band and factors of each disc whose rpm is bitwise the
+    record's, and its parameters too if its flow is also unchanged.  Only
+    the two factors are kept per disc, not the offsets or the deposit, so
+    the record stays within a few band-sized arrays per disc.
     """
 
     def __init__(self, grid: FieldGrid, poses, applied, prescribed,
@@ -183,7 +195,11 @@ class _Predictor:
         # allocation
         self._amount = np.empty(self.n_cells)
         self._residual = np.empty(self.n_cells)
-        self._last = None
+        # the record of the last evaluation: its controls' bits and objective,
+        # and each disc's parameters, band and density factors, step-major
+        self._bits = None
+        self._value = None
+        self._discs = [None] * (2 * len(poses))
         if len(poses) > 1:
             # _rows's marks and row positions over several poses
             self._marked = np.zeros(self.n_cells, dtype=bool)
@@ -248,60 +264,76 @@ class _Predictor:
 
     def _evaluate(self, controls: np.ndarray) -> float:
         """Fill the predicted map and its residual at ``controls`` and return
-        the objective.  The evaluation is kept until the next one starts or
-        a Jacobian uses it: the bytes of the controls, the objective, and each
-        disc's parameters, band and density factors."""
+        the objective.  A disc whose rpm is bitwise that of the last
+        evaluation keeps its band and density factors, and its parameters
+        unless its flow changed too; any other disc is evaluated afresh."""
         from .spread import deposit_and_factors
 
-        # the last evaluation's factors are freed before this one's are built
-        self._last = None
+        bits = _bits(controls)
+        same = bits == self._bits if self._bits is not None else np.zeros(bits.shape, bool)
+        # the record matches no controls until this evaluation completes
+        self._bits = None
         amount = self._amount
         np.copyto(amount, self.applied)
-        discs = []
-        for i in range(self.horizon):
-            for flow_col, rpm_col, side, _ in _DISC_COLUMNS:
-                params = self._disc_params(float(controls[i, flow_col]),
-                                           float(controls[i, rpm_col]), side)
+        for k in range(len(self._discs)):
+            i, disc = divmod(k, 2)
+            flow_col, rpm_col, side, _ = _DISC_COLUMNS[disc]
+            flow = float(controls[i, flow_col])
+            if same[i, rpm_col]:
+                params, band, factors = self._discs[k]
+                if not same[i, flow_col]:
+                    params = replace(params, mass_flow=flow)
+                deposit = deposit_from_factors(flow, factors, band[4])
+            else:
+                # the old factors are freed before the new ones are built
+                self._discs[k] = None
+                params = self._disc_params(flow, float(controls[i, rpm_col]), side)
                 band = self._band(i, params)
-                _, cells, dist, angle, scale = band
+                _, _, dist, angle, scale = band
                 deposit, factors = deposit_and_factors(dist, angle, scale, params, self.model,
                                                        self.support)
-                amount[cells] += deposit
-                discs.append((params, band, factors))
-        value = self._residual_cost(amount, controls)[0]
-        self._last = (controls.tobytes(), value, discs)
-        return value
+            amount[band[1]] += deposit
+            self._discs[k] = (params, band, factors)
+        self._value = self._residual_cost(amount, controls)[0]
+        self._bits = bits
+        return self._value
 
-    def cost_residual_jacobian(self, controls: np.ndarray):
+    def cost_residual_jacobian(self, controls: np.ndarray, masks: np.ndarray | None = None):
         """Objective, then the residual and its Jacobian with respect to
         every control entry (columns step-major in component order) on the
         union of the discs' bands, and the cell index of each of their rows.
         Every other row of the Jacobian is zero.
 
+        ``masks`` are the clip masks of the unroll that gave ``controls``
+        (:func:`_clip_masks`).  The fold multiplies an rpm column whose mask
+        is zero by zero, so that column is left zero: its partials and chain
+        rule are not built.  Without masks every column is built.
+
         At the controls of the last evaluation, bitwise, that evaluation's
         objective, residual, parameters, bands and density factors are used
         as they are: in the solver, the line search's accepted candidate.
         Any other controls are evaluated first."""
-        if self._last is None or self._last[0] != controls.tobytes():
+        if self._bits is None or _bits(controls).tobytes() != self._bits.tobytes():
             self._evaluate(controls)
-        (_, value, discs), self._last = self._last, None
-        rows, band_rows = self._rows([band[:2] for _, band, _ in discs])
+        rows, band_rows = self._rows([band[:2] for _, band, _ in self._discs])
         S = np.zeros((rows.size, 4 * self.horizon))
         for k, at in enumerate(band_rows):
             i, disc = divmod(k, 2)
             flow_col, rpm_col, _, sign = _DISC_COLUMNS[disc]
-            self._disc_columns(S, at, 4 * i + flow_col, 4 * i + rpm_col, sign,
-                               float(controls[i, rpm_col]), *discs[k])
-            # each disc's factors are freed once its columns are written
-            discs[k] = None
-        return value, self._residual[rows], S, rows
+            if masks is None or masks[i, rpm_col]:
+                self._disc_columns(S, at, 4 * i + flow_col, 4 * i + rpm_col, sign,
+                                   float(controls[i, rpm_col]), *self._discs[k])
+            else:
+                _, band, factors = self._discs[k]
+                S[at, 4 * i + flow_col] = flow_partial(factors, band[4])
+        return self._value, self._residual[rows], S, rows
 
     def _disc_columns(self, S, at, flow_j, rpm_j, sign, rpm, params, band, factors):
         """Write one disc's flow and rpm columns into rows ``at`` of ``S``.
         A call of its own, so that one disc's partials are freed before the
         next disc's."""
         _, _, dist, angle, scale = band
-        _, unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
+        unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
             dist, angle, scale, params, self.model, self.support, factors)
         S[at, flow_j] = unit
         # the chain rule through the calibration, summed in place in the
@@ -342,17 +374,27 @@ def _reach_radius(cal: CalibrationModel, model: DepositionModel, support: Triang
     return radius
 
 
+def _bits(controls: np.ndarray) -> np.ndarray:
+    """A copy of a control array's bit patterns, which are equal exactly
+    where the controls are bitwise equal."""
+    return np.array(controls, dtype=np.float64).view(np.int64)
+
+
 def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Running controls and clip masks for a (H, 4) delta array."""
+    """Running controls for a (H, 4) delta array, clipped to the actuator
+    boxes step by step."""
     controls = np.empty_like(deltas)
-    masks = np.empty_like(deltas)
     current = prev
     for i in range(deltas.shape[0]):
-        z = current + deltas[i]
-        masks[i] = (z >= lo) & (z <= hi)
-        current = np.clip(z, lo, hi)
+        current = np.clip(current + deltas[i], lo, hi)
         controls[i] = current
-    return controls, masks
+    return controls
+
+
+def _clip_masks(controls: np.ndarray, deltas: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Clip masks of an unroll: 1.0 where :func:`_unroll` kept a step's
+    control plus its delta, 0.0 where it clipped that sum to a box."""
+    return (controls == np.concatenate(([prev], controls[:-1])) + deltas).astype(float)
 
 
 def _fold_jacobian(S: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -386,7 +428,7 @@ def _normal_equations(S: np.ndarray, e: np.ndarray, masks: np.ndarray):
     Both work on 4H columns and at most 4H + 1 rows, whatever the number of
     cells.
     """
-    folded = _fold_jacobian(np.vstack([S.T @ S, 2.0 * (S.T @ e)]), masks)
+    folded = _fold_jacobian(np.concatenate((S.T @ S, [2.0 * (S.T @ e)])), masks)
     return _fold_jacobian(folded[:-1].T, masks), folded[-1]
 
 
@@ -403,7 +445,7 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
     h = predictor.horizon
 
     x = np.clip(x0, -rbox, rbox)
-    controls, masks = _unroll(x, prev, lo, hi)
+    controls = _unroll(x, prev, lo, hi)
     lam = 1e-8
     min_gain = 1e-12
 
@@ -411,16 +453,18 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         """First halving of ``alpha`` whose projected step decreases the cost."""
         for _ in range(tries):
             candidate = np.clip(x + alpha * direction, -rbox, rbox)
-            cand_controls, cand_masks = _unroll(candidate, prev, lo, hi)
+            cand_controls = _unroll(candidate, prev, lo, hi)
             cand_cost = predictor.cost(cand_controls)
             if cand_cost < cost - threshold:
-                return candidate, cand_controls, cand_masks, cand_cost
+                return candidate, cand_controls, cand_cost
             alpha *= 0.5
         return None
 
     iteration = 0
     for iteration in range(1, settings.max_iterations + 1):
-        cost, e, S, _ = predictor.cost_residual_jacobian(controls)
+        # only the accepted iterate's masks are read
+        masks = _clip_masks(controls, x, prev)
+        cost, e, S, _ = predictor.cost_residual_jacobian(controls, masks)
         M, grad = _normal_equations(S, e, masks)
         # not held through this iteration's cost evaluations and the next
         # Jacobian's
@@ -428,7 +472,7 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         grad_x = grad.reshape(h, 4)
         rhs = -0.5 * grad
         projected = x - np.clip(x - grad_x, -rbox, rbox)
-        pg_norm = float(np.max(np.abs(projected)))
+        pg_norm = float(np.abs(projected).max())
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("iter %d cost %.6e pg %.3e lam %.1e", iteration, cost, pg_norm, lam)
         if pg_norm <= settings.gradient_tolerance:
@@ -477,15 +521,15 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
                     lam = max(lam / 10.0, 1e-12) if accepted else min(lam * 100.0, 1e8)
 
         if accepted is None:
-            scale = float(np.max(rbox)) / (float(np.max(np.abs(grad_x))) + 1e-300)
+            scale = float(rbox.max()) / (float(np.abs(grad_x).max()) + 1e-300)
             accepted = line_search(-grad_x, scale, 14)
 
         if accepted is None:
             break
-        new_x, controls, masks, cost = accepted
-        moved = float(np.max(np.abs(new_x - x)))
+        new_x, controls, cost = accepted
+        moved = float(np.abs(new_x - x).max())
         x = new_x
-        if moved <= settings.step_tolerance * (1.0 + float(np.max(np.abs(x)))):
+        if moved <= settings.step_tolerance * (1.0 + float(np.abs(x).max())):
             break
     return controls, cost, iteration
 
@@ -504,8 +548,8 @@ def _optimize(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
     """
     rbox = constraints.rates() / math.sqrt(2.0)
     starts = [np.diff(np.vstack([prev, start]), axis=0)]
-    first, _ = _unroll(np.clip(starts[0], -rbox, rbox), prev, constraints.lower(),
-                       constraints.upper())
+    first = _unroll(np.clip(starts[0], -rbox, rbox), prev, constraints.lower(),
+                    constraints.upper())
     best_controls = start
     best_cost = math.inf if first.tobytes() == start.tobytes() else predictor.cost(start)
     if settings.restarts:

@@ -164,11 +164,29 @@ def _density_factors(x, y, sd: float, sa: float, model: DepositionModel,
     """Radial and angular factors of one disc's density at offsets ``x``
     and ``y``; the density is the mass flow times their product."""
     if model == DepositionModel.FULL_NORMAL:
-        return (np.exp(-0.5 * (x / sd) ** 2) / (SQRT_TWO_PI * sd),
-                np.exp(-0.5 * (y / sa) ** 2) / (SQRT_TWO_PI * sa))
+        return _normal_factor(x, sd), _normal_factor(y, sa)
     half_x, half_y = _half_widths(sd, sa, support)
     return (np.maximum(0.0, 1.0 - np.abs(x) / half_x) / (SQRT_TWO_PI * sd),
             np.maximum(0.0, 1.0 - np.abs(y) / half_y) / (SQRT_TWO_PI * sa))
+
+
+def _normal_factor(offset, sigma):
+    """``exp(-0.5 * (offset / sigma) ** 2) / (sqrt(2 pi) sigma)``, built
+    operation by operation in one array (0-d for a scalar offset)."""
+    out = np.divide(offset, sigma, out=np.empty(np.shape(offset)))
+    out *= out
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= SQRT_TWO_PI * sigma
+    return out
+
+
+def _times_scale(out, scale):
+    """``out * scale`` in place; the literal scaling's 1.0 changes no bit,
+    so it is not multiplied."""
+    if isinstance(scale, np.ndarray) or scale != 1.0:
+        out *= scale
+    return out
 
 
 def _density(x_offset, y_offset, params: PatternParams, model: DepositionModel,
@@ -248,8 +266,21 @@ def deposit_and_factors(dist: np.ndarray, angle: np.ndarray, scale, params: Patt
     evaluating them again.  ``model`` and ``support`` are not validated."""
     factors = _density_factors(dist - params.center_distance, angle - params.center_angle,
                                params.sigma_distance, params.sigma_angle, model, support)
+    return deposit_from_factors(params.mass_flow, factors, scale), factors
+
+
+def deposit_from_factors(mass_flow: float, factors, scale) -> np.ndarray:
+    """One disc's deposit from its density factors, ``mass_flow * radial *
+    angular * scale``, multiplied in the order every deposit rounds in."""
     radial, angular = factors
-    return params.mass_flow * radial * angular * scale, factors
+    return _times_scale(mass_flow * radial * angular, scale)
+
+
+def flow_partial(factors, scale) -> np.ndarray:
+    """One disc's deposit per gram of flow, its partial with respect to the
+    mass flow: ``radial * angular * scale``."""
+    radial, angular = factors
+    return _times_scale(radial * angular, scale)
 
 
 def _normal_partials(value, offset, sigma):
@@ -269,17 +300,17 @@ def _normal_partials(value, offset, sigma):
 def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
                           params: PatternParams, model: DepositionModel,
                           support: TriangleSupport = TriangleSupport.UNIT, factors=None):
-    """Deposit of one disc plus its partials with respect to the pattern
+    """Partials of one disc's deposit with respect to its pattern
     parameters.
 
-    Returns a tuple ``(value, d_flow, d_dist, d_sigma_d, d_angle,
-    d_sigma_a)`` of arrays: the deposit and its derivatives with respect
-    to mass flow, center distance, radial spread, signed center angle,
-    and angular spread.  The triangle surrogate is differentiated on the
-    interior of its support; the kink at the apex and the support edge
-    use the zero element of the subdifferential.  ``factors`` are the
-    density factors that :func:`deposit_and_factors` returned for the same
-    arguments, or None to evaluate them here.
+    Returns a tuple ``(d_flow, d_dist, d_sigma_d, d_angle, d_sigma_a)`` of
+    arrays: the deposit's derivatives with respect to mass flow, center
+    distance, radial spread, signed center angle, and angular spread.  The
+    triangle surrogate is differentiated on the interior of its support;
+    the kink at the apex and the support edge use the zero element of the
+    subdifferential.  ``factors`` are the density factors that
+    :func:`deposit_and_factors` returned for the same arguments, or None to
+    evaluate them here.
     """
     D = params.mass_flow
     sd = params.sigma_distance
@@ -288,25 +319,23 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     y = angle - params.center_angle
     if factors is None:
         factors = _density_factors(x, y, sd, sa, model, support)
+    unit = flow_partial(factors, scale)
     radial, angular = factors
     del factors
-    # products built in place, operation by operation as the expressions
-    # radial * angular * scale and D * radial * angular * scale round, so
-    # that few band-sized temporaries are alive at once; the value is
-    # multiplied in disc_deposit's order, so that a cost summed from these
-    # values rounds exactly like one summed from disc_deposit's
-    unit = radial * angular
-    unit *= scale
-    value = D * radial
-    value *= angular
-    value *= scale
 
     if model == DepositionModel.FULL_NORMAL:
+        # the normal partials are the deposit times a polynomial in the
+        # offset; the deposit is built in place, operation by operation as
+        # deposit_from_factors rounds, so that few band-sized temporaries
+        # are alive at once
+        value = D * radial
+        value *= angular
+        _times_scale(value, scale)
         del radial, angular
         # the offsets' arrays become d_dist and d_angle
         d_dist, d_sigma_d = _normal_partials(value, x, sd)
         d_angle, d_sigma_a = _normal_partials(value, y, sa)
-        return value, unit, d_dist, d_sigma_d, d_angle, d_sigma_a
+        return unit, d_dist, d_sigma_d, d_angle, d_sigma_a
 
     half_x, half_y = _half_widths(sd, sa, support)
     # a factor is positive exactly on the interior of its support
@@ -330,7 +359,7 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
             SQRT_TWO_PI * sa)
     d_sigma_d = D * scale * angular * dradial_dsd
     d_sigma_a = D * scale * radial * dangular_dsa
-    return value, unit, d_dist, d_sigma_d, d_angle, d_sigma_a
+    return unit, d_dist, d_sigma_d, d_angle, d_sigma_a
 
 
 class BandGeometry(NamedTuple):

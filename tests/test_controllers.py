@@ -282,6 +282,29 @@ def test_band_row_normal_equations_match_the_dense_fold_over_many_problems(probl
     _check_normal_equations(*problem)
 
 
+@settings(max_examples=40, deadline=None)
+@given(problem=band_jacobians())
+def test_skipping_clipped_rpm_columns_leaves_the_normal_equations_unchanged(problem):
+    # the fold multiplies a clipped step's rpm column by zero, so the
+    # Jacobian leaves it unbuilt; the fold must not see the difference
+    predictor, controls, masks = problem
+    value, e, S, rows = predictor.cost_residual_jacobian(controls)
+    skipped = predictor.cost_residual_jacobian(controls, masks)
+    assert skipped[0] == value
+    assert skipped[1].tobytes() == e.tobytes() and skipped[3].tobytes() == rows.tobytes()
+    dead = np.zeros(masks.shape, dtype=bool)
+    dead[:, 2:] = masks[:, 2:] == 0
+    dead = dead.ravel()
+    assert not skipped[2][:, dead].any()
+    assert skipped[2][:, ~dead].tobytes() == S[:, ~dead].tobytes()
+    M, grad = controllers._normal_equations(S, e, masks)
+    M_skipped, grad_skipped = controllers._normal_equations(skipped[2], e, masks)
+    # bitwise equal but for the sign of a zero, which adding 0.0 clears: a
+    # clipped column's entries are x * 0.0, with the sign of x
+    assert (M_skipped + 0.0).tobytes() == (M + 0.0).tobytes()
+    assert (grad_skipped + 0.0).tobytes() == (grad + 0.0).tobytes()
+
+
 def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
     n = 180
     grid = FieldGrid(300.0, n)
@@ -394,9 +417,9 @@ def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
         events.append(("cost", controls.copy()))
         return cost(controls)
 
-    def counted_jacobian(controls):
+    def counted_jacobian(controls, masks=None):
         events.append(("jac", controls.copy()))
-        return jacobian(controls)
+        return jacobian(controls, masks)
 
     predictor.cost = counted_cost
     predictor.cost_residual_jacobian = counted_jacobian
@@ -435,7 +458,7 @@ def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
     scale = float(np.max(rbox)) / float(np.max(np.abs(grad_x)))
     for halvings, candidate in enumerate(searched):
         step = np.clip(x - scale * 0.5 ** halvings * grad_x, -rbox, rbox)
-        expected, _ = controllers._unroll(step, prev, lo, hi)
+        expected = controllers._unroll(step, prev, lo, hi)
         assert np.allclose(candidate, expected, rtol=0.0, atol=1e-9)
 
 
@@ -457,9 +480,9 @@ def test_a_converged_solve_spends_no_cost_evaluation_after_its_last_jacobian(cap
         events.append("cost")
         return cost(controls)
 
-    def counted_jacobian(controls):
+    def counted_jacobian(controls, masks=None):
         events.append("jac")
-        return jacobian(controls)
+        return jacobian(controls, masks)
 
     predictor.cost = counted_cost
     predictor.cost_residual_jacobian = counted_jacobian
@@ -487,37 +510,57 @@ def test_a_start_far_from_the_optimum_does_not_stop_at_once():
 def test_a_jacobian_at_the_accepted_candidate_rebuilds_no_pattern(horizon, monkeypatch):
     grid, prescribed = small_field(n=16, side=60.0, dose=4.0)
     tail = straight_tail(TractorState(15.0, 30.0, 0.0), 5.0, horizon)
-    predictor = predictor_for(grid, tail, grid.zeros(), prescribed)
     counts = {"params": 0, "factors": 0}
-    disc_params, factors = predictor._disc_params, spread._density_factors
-    jacobian = predictor.cost_residual_jacobian
-    per_jacobian = []
-
-    def counted_params(*args):
-        counts["params"] += 1
-        return disc_params(*args)
+    factors = spread._density_factors
 
     def counted_factors(*args):
         counts["factors"] += 1
         return factors(*args)
 
-    def counted_jacobian(controls):
-        before = dict(counts)
-        out = jacobian(controls)
-        per_jacobian.append(tuple(counts[k] - before[k] for k in ("params", "factors")))
-        return out
-
-    predictor._disc_params = counted_params
-    predictor.cost_residual_jacobian = counted_jacobian
     monkeypatch.setattr(spread, "_density_factors", counted_factors)
-    prev = np.array([100.0, 100.0, 600.0, 600.0])
-    _, _, iterations = controllers._solve_deltas(predictor, prev, np.zeros((horizon, 4)),
-                                                 DEFAULT_CONSTRAINTS, OptimizerSettings())
-    assert iterations > 2 and len(per_jacobian) == iterations
-    # the first Jacobian evaluates the start; each later one is taken at the
-    # candidate the line search has just evaluated and accepted
-    assert per_jacobian[0] == (2 * horizon, 2 * horizon)
-    assert set(per_jacobian[1:]) == {(0, 0)}
+
+    def counted(call, log):
+        def wrapper(controls, *args):
+            before = dict(counts)
+            out = call(controls, *args)
+            log.append((controls.copy(),
+                        tuple(counts[k] - before[k] for k in ("params", "factors"))))
+            return out
+        return wrapper
+
+    reused = 0
+    # the second start holds the right disc at the rpm ceiling, where the
+    # unroll clips it
+    for prev in (np.array([100.0, 100.0, 600.0, 600.0]), np.array([100.0, 100.0, 600.0, 900.0])):
+        predictor = predictor_for(grid, tail, grid.zeros(), prescribed)
+        disc_params = predictor._disc_params
+
+        def counted_params(*args):
+            counts["params"] += 1
+            return disc_params(*args)
+
+        per_jacobian, per_cost = [], []
+        predictor._disc_params = counted_params
+        predictor.cost = counted(predictor.cost, per_cost)
+        predictor.cost_residual_jacobian = counted(predictor.cost_residual_jacobian,
+                                                   per_jacobian)
+        _, _, iterations = controllers._solve_deltas(predictor, prev, np.zeros((horizon, 4)),
+                                                     DEFAULT_CONSTRAINTS, OptimizerSettings())
+        assert iterations > 2 and len(per_jacobian) == iterations
+        # the first Jacobian evaluates the start; each later one is taken at
+        # the candidate the line search has just evaluated and accepted
+        assert per_jacobian[0][1] == (2 * horizon, 2 * horizon)
+        assert {built for _, built in per_jacobian[1:]} == {(0, 0)}
+        # a cost evaluation builds parameters and density factors only for
+        # the discs whose rpm changed, bitwise, since the evaluation before it
+        last = per_jacobian[0][0]
+        for controls, built in per_cost:
+            changed = int(np.count_nonzero(controls[:, 2:].view(np.int64)
+                                           != last[:, 2:].view(np.int64)))
+            assert built == (changed, changed)
+            reused += 2 * horizon - changed
+            last = controls
+    assert reused > 0
 
 
 def test_optimizer_is_deterministic():

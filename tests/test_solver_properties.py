@@ -139,6 +139,27 @@ def test_a_jacobian_after_cost_calls_equals_a_fresh_predictors(problem, count, s
         assert _jacobian_bytes(predictor, controls) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(problem=problems(), data=st.data())
+def test_reusing_unchanged_discs_equals_a_fresh_predictor(problem, data):
+    # each schedule keeps some entries of the one before it bitwise, so
+    # that some discs' rpm repeats; evaluating it with the kept record must
+    # give bitwise what a predictor that evaluated nothing gives
+    predictor, _, start = problem
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lo, hi = CONSTRAINTS.lower(), CONSTRAINTS.upper()
+    step = np.array([10.0, 10.0, 50.0, 50.0])
+    controls = start
+    for _ in range(data.draw(st.integers(1, 4))):
+        moved = np.clip(controls + rng.uniform(-1.0, 1.0, start.shape) * step, lo, hi)
+        keep = rng.random(start.shape) < data.draw(st.floats(0.0, 1.0))
+        controls = np.where(keep, controls, moved)
+        fresh = _fresh(predictor)
+        if data.draw(st.booleans()):
+            assert predictor.cost(controls) == fresh.cost(controls)
+        assert _jacobian_bytes(predictor, controls) == _jacobian_bytes(fresh, controls)
+
+
 @pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(problem=problems())

@@ -299,8 +299,7 @@ def test_disc_partials_match_finite_differences(model, support):
         return disc_deposit(dist, angle, scale, PatternParams(**kw), model, support)
 
     got = disc_deposit_partials(dist, angle, scale, PatternParams(**base), model, support)
-    value_now, unit, d_dist, d_sigma_d, d_angle, d_sigma_a = got
-    assert np.allclose(value_now, value(**base), rtol=1e-12)
+    unit, d_dist, d_sigma_d, d_angle, d_sigma_a = got
 
     eps = 1e-6
     for name, analytic in (("mass_flow", unit), ("center_distance", d_dist),

@@ -56,7 +56,7 @@ def _box_radius(cal, model, support):
 
 
 def _dense_rpm_column(partials, rpm, sign):
-    _, _, d_dist, d_sd, d_angle, d_sa = partials
+    _, d_dist, d_sd, d_angle, d_sa = partials
     return (d_dist * CAL.distance_slope(rpm)
             + d_sd * CAL.sigma_distance_slope(rpm)
             + d_angle * sign * CAL.angle_slope(rpm)
@@ -128,7 +128,7 @@ def test_windowed_predictor_matches_the_dense_kernel(n, side, fx, fy, heading, f
         dense = spread.disc_deposit(dist, angle, dense_scale, params, model, support)
         partials = spread.disc_deposit_partials(dist, angle, dense_scale, params, model,
                                                 support)
-        unit = partials[1]
+        unit = partials[0]
         rpm_column = _dense_rpm_column(partials, float(rpm), sign)
 
         assert np.array_equal(deposit, dense[cells])
