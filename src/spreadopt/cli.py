@@ -101,11 +101,7 @@ def _apply_overrides(args, config, controller_override=None):
     scenario = config.scenario
     settings = config.settings
     if controller_override is not None:
-        kind = ControllerKind(controller_override)
-        if kind is ControllerKind.GREEDY and args.horizon is not None:
-            print("warning: --horizon is ignored by the greedy controller "
-                  "(it is single-step by definition)", file=sys.stderr)
-        scenario = dataclasses.replace(scenario, controller=kind)
+        scenario = dataclasses.replace(scenario, controller=ControllerKind(controller_override))
     if args.horizon is not None:
         if args.horizon < 1:
             raise ConfigurationError(f"--horizon must be at least 1, got {args.horizon}")
@@ -215,6 +211,9 @@ def _setup_logging(args):
 def cmd_run(args) -> int:
     scenario_path, calibration_path, config, cal, constraints = _resolve_inputs(args)
     scenario, settings = _apply_overrides(args, config, getattr(args, "controller", None))
+    if scenario.controller is ControllerKind.GREEDY and args.horizon is not None:
+        print("warning: --horizon is ignored by the greedy controller "
+              "(it is single-step by definition)", file=sys.stderr)
     config_lines = _config_lines(scenario, settings, cal, constraints, scenario_path,
                                  calibration_path)
     digest = _settings_hash(config_lines)

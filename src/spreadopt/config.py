@@ -42,7 +42,10 @@ def parse_number(text: str) -> float:
     if match.group("lead"):
         value *= float(match.group("lead"))
     if match.group("div"):
-        value /= float(match.group("div"))
+        divisor = float(match.group("div"))
+        if divisor == 0.0:
+            raise ValueError(f"division by zero: {text!r}")
+        value /= divisor
     return -value if match.group("sign") == "-" else value
 
 
@@ -119,7 +122,7 @@ class _SectionReader:
 
     def integer(self, key: str, fallback: str | None = None) -> int:
         value = self.number(key, fallback)
-        if int(value) != value:
+        if not math.isfinite(value) or int(value) != value:
             raise ConfigurationError(
                 f"{self.section}.{key} in {self.path} must be an integer, got {value}")
         return int(value)

@@ -31,42 +31,12 @@ ahead with either the full model or the triangle surrogate.  The plant
 is always simulated with the full model regardless of what a controller
 believes.
 
-The predictor evaluates each disc only on its radial band of cells, the
-cells whose distance from the vehicle lies within the pattern center
-distance plus or minus a reach (``spread._reach``): the triangle
-surrogate's exact support, or the offset at which the full model's
-density per gram falls to ``spread.WINDOW_TOLERANCE`` (1e-32, about 12
-sigma).  One crescent covers a few percent of a large field, so this
-skips most of the kernel work.  Each pose's geometry covers only its reach
-box, the square of the largest band any speed in the actuator box
-produces, so no per-pose set-up touches the whole field either.  The
-predicted map and the cost stay dense, so both cost paths round alike,
-but they are summed in field-sized work arrays that each evaluation fills
-in place rather than allocates.  The residual and the Jacobian keep only
-the rows of the union of the bands: every other row of the Jacobian is
-zero.  The solver then forms its 4H x 4H normal equations
-from that Jacobian's Gram matrix, so no iteration fills, folds or
-multiplies a Jacobian with a row for every cell.  Sums over fewer rows
-round differently from the dense ones, so Gauss-Newton steps agree with
-dense evaluation to rounding, not bitwise.
-
-The predictor keeps one record of its last evaluation: the bits of its
-controls, its objective (the residual stays in a work array), and each
-disc's pattern parameters, band and density factors.  Every iteration
-after a solve's first takes its Jacobian at the candidate the line search
-has just accepted, bitwise the record's controls, and builds only the
-partials from the record: no pattern parameters, bands, exponentials or
-deposits a second time.  An evaluation at other controls reuses each disc
-whose rpm is bitwise the record's: the radial and angular factors depend
-only on the pose and the rpm, so such a disc skips the calibration, the
-band search and the exponentials, and only rebuilds its parameters for a
-new flow and multiplies its deposit again.  Rpm repeats mostly because the
-unroll clips it at the actuator box.  The Jacobian also skips what the
-fold zeroes: the rpm column of a step whose rpm was clipped is multiplied
-by zero in the fold, so its partials and chain rule are not built and the
-column stays zero.  Both skips give bitwise the results of evaluating
-afresh; the normal equations can differ only in the sign of a zero, which
-moves no step the solver takes.
+The residual and Jacobian the solver reads have rows only on the cells
+of the discs' bands (:class:`_Predictor`), and each iteration forms its
+4H x 4H normal equations from that Jacobian's Gram matrix, so no iteration
+fills, folds or multiplies a Jacobian with a row for every cell.  Sums over
+fewer rows round differently from the dense ones, so Gauss-Newton steps
+agree with dense evaluation to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -84,8 +54,8 @@ from .errors import ConfigurationError, NumericalFailureError, ShapeError
 from .field import FieldGrid, as_amount_map
 from .spread import (BandGeometry, DepositScaling, DepositionModel, PatternParams,
                      TriangleSupport, _reach, band, band_bounds, by_distance,
-                     deposit_from_factors, disc_deposit_partials, flow_partial,
-                     pose_geometry, reach_box)
+                     deposit_from_factors, disc_deposit_partials, disc_factors,
+                     flow_partial, pose_geometry, reach_box)
 
 _log = logging.getLogger("spreadopt.optimizer")
 
@@ -143,10 +113,11 @@ class _Predictor:
     accumulates onto a starting map.
 
     Geometry depends only on the poses, so it is computed once per
-    instance, optionally through a per-run cache keyed by pose.  Each
-    pose's entry is a :class:`spread.BandGeometry`: the distance, bearing,
-    area scale and flat index of the cells in the pose's reach box, the
-    square of half-side ``radius`` around it, sorted by distance.  The
+    instance, through a cache keyed by pose: the controller's, kept over a
+    run, or a private one.  Each pose's entry is a
+    :class:`spread.BandGeometry`: the distance, bearing, area scale and flat
+    index of the cells in the pose's reach box, the square of half-side
+    ``radius`` around it, sorted by distance.  The
     controller passes the largest band radius of any speed in its actuator
     box (:func:`_reach_radius`); the default, an infinite radius, covers the
     whole grid.  A disc's radial band is one slice of that order, found by
@@ -159,18 +130,26 @@ class _Predictor:
     cost is summed over all ``n_cells`` cells of work arrays, the predicted
     map and its residual, that every evaluation fills in place; the
     residual and the Jacobian that the solver reads keep only the bands'
-    rows.
+    rows.  One crescent covers a few percent of a large field, so the bands
+    skip most of the kernel work.
 
     One record of the last evaluation is kept: the bits of its controls,
-    its objective (its residual stays in the work array), and per disc its
-    ``PatternParams``, band and radial and angular density factors.
-    :meth:`cost_residual_jacobian` at bitwise those controls reuses all of
-    it, computing only the partials and the chain rule through the
-    calibration; at any other controls it evaluates first.  An evaluation
-    reuses the band and factors of each disc whose rpm is bitwise the
-    record's, and its parameters too if its flow is also unchanged.  Only
-    the two factors are kept per disc, not the offsets or the deposit, so
-    the record stays within a few band-sized arrays per disc.
+    its objective (its map and residual stay in the work arrays), and per
+    disc its ``PatternParams``, band and radial and angular density
+    factors.  :meth:`_evaluate` alone decides what to compute again.  At
+    bitwise the record's controls it returns the record's objective and
+    computes nothing.  In the solver that is every Jacobian: a solve's
+    first is taken at the start that :func:`_optimize` has just evaluated
+    (unless clipping its deltas moved it), every later one at the candidate
+    the line search has just accepted, so a Jacobian adds only the partials
+    and the chain rule through the calibration.  At other controls, each
+    disc whose rpm is bitwise the record's keeps its band and factors, which
+    depend only on the pose and the rpm, and its parameters too unless its
+    flow changed; it only multiplies its deposit again.  Rpm repeats mostly
+    because the unroll clips it at the actuator box.  Only the two factors
+    are kept per disc, not the offsets or the deposit, so the record stays
+    within a few band-sized arrays per disc.  Every reuse gives bitwise the
+    results of evaluating afresh.
     """
 
     def __init__(self, grid: FieldGrid, poses, applied, prescribed,
@@ -197,7 +176,7 @@ class _Predictor:
         self._residual = np.empty(self.n_cells)
         # the record of the last evaluation: its controls' bits and objective,
         # and each disc's parameters, band and density factors, step-major
-        self._bits = None
+        self._key = None
         self._value = None
         self._discs = [None] * (2 * len(poses))
         if len(poses) > 1:
@@ -205,7 +184,7 @@ class _Predictor:
             self._marked = np.zeros(self.n_cells, dtype=bool)
             self._position = np.empty(self.n_cells, dtype=np.intp)
         self.poses = list(poses)
-        self._cache = geometry_cache
+        self._cache = {} if geometry_cache is None else geometry_cache
         self.geometry = [self._pose_geometry(pose, radius) for pose in self.poses]
 
     @property
@@ -216,13 +195,12 @@ class _Predictor:
         """The cached geometry of a pose if it covers ``radius``, else a new
         one over the pose's reach box."""
         key = (pose.x, pose.y, pose.heading)
-        entry = None if self._cache is None else self._cache.get(key)
+        entry = self._cache.get(key)
         if entry is None or entry.radius < radius:
             cells, cx, cy = reach_box(self.grid, pose.x, pose.y, radius)
             dist, angle = pose_geometry(cx, cy, pose.x, pose.y, pose.heading)
-            entry = by_distance(self.grid, cells, dist, angle, radius, self.scaling)
-            if self._cache is not None:
-                self._cache[key] = entry
+            entry = self._cache[key] = by_distance(self.grid, cells, dist, angle, radius,
+                                                   self.scaling)
         return entry
 
     def _disc_params(self, flow: float, rpm: float, side: str):
@@ -264,15 +242,15 @@ class _Predictor:
 
     def _evaluate(self, controls: np.ndarray) -> float:
         """Fill the predicted map and its residual at ``controls`` and return
-        the objective.  A disc whose rpm is bitwise that of the last
-        evaluation keeps its band and density factors, and its parameters
-        unless its flow changed too; any other disc is evaluated afresh."""
-        from .spread import deposit_and_factors
-
-        bits = _bits(controls)
-        same = bits == self._bits if self._bits is not None else np.zeros(bits.shape, bool)
+        the objective, unless ``controls`` are bitwise the record's: then the
+        record's objective, with its map and residual left as they are."""
+        key = np.asarray(controls, dtype=np.float64).tobytes()
+        if key == self._key:
+            return self._value
+        same = (np.frombuffer(key, np.int64) == np.frombuffer(self._key, np.int64)
+                if self._key is not None else np.zeros(len(key) // 8, bool)).reshape(-1, 4)
         # the record matches no controls until this evaluation completes
-        self._bits = None
+        self._key = None
         amount = self._amount
         np.copyto(amount, self.applied)
         for k in range(len(self._discs)):
@@ -283,20 +261,20 @@ class _Predictor:
                 params, band, factors = self._discs[k]
                 if not same[i, flow_col]:
                     params = replace(params, mass_flow=flow)
-                deposit = deposit_from_factors(flow, factors, band[4])
             else:
                 # the old factors are freed before the new ones are built
                 self._discs[k] = None
                 params = self._disc_params(flow, float(controls[i, rpm_col]), side)
                 band = self._band(i, params)
-                _, _, dist, angle, scale = band
-                deposit, factors = deposit_and_factors(dist, angle, scale, params, self.model,
-                                                       self.support)
-            amount[band[1]] += deposit
+                factors = disc_factors(band[2], band[3], params, self.model, self.support)
+            amount[band[1]] += deposit_from_factors(flow, factors, band[4])
             self._discs[k] = (params, band, factors)
-        self._value = self._residual_cost(amount, controls)[0]
-        self._bits = bits
-        return self._value
+        e = np.subtract(amount, self.target, out=self._residual)
+        value = float(e @ e)
+        if not math.isfinite(value):
+            raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
+        self._value, self._key = value, key
+        return value
 
     def cost_residual_jacobian(self, controls: np.ndarray, masks: np.ndarray | None = None):
         """Objective, then the residual and its Jacobian with respect to
@@ -307,14 +285,10 @@ class _Predictor:
         ``masks`` are the clip masks of the unroll that gave ``controls``
         (:func:`_clip_masks`).  The fold multiplies an rpm column whose mask
         is zero by zero, so that column is left zero: its partials and chain
-        rule are not built.  Without masks every column is built.
-
-        At the controls of the last evaluation, bitwise, that evaluation's
-        objective, residual, parameters, bands and density factors are used
-        as they are: in the solver, the line search's accepted candidate.
-        Any other controls are evaluated first."""
-        if self._bits is None or _bits(controls).tobytes() != self._bits.tobytes():
-            self._evaluate(controls)
+        rule are not built, and the normal equations differ from those of a
+        full build only in the sign of a zero.  Without masks every column
+        is built."""
+        value = self._evaluate(controls)
         rows, band_rows = self._rows([band[:2] for _, band, _ in self._discs])
         S = np.zeros((rows.size, 4 * self.horizon))
         for k, at in enumerate(band_rows):
@@ -326,7 +300,7 @@ class _Predictor:
             else:
                 _, band, factors = self._discs[k]
                 S[at, 4 * i + flow_col] = flow_partial(factors, band[4])
-        return self._value, self._residual[rows], S, rows
+        return value, self._residual[rows], S, rows
 
     def _disc_columns(self, S, at, flow_j, rpm_j, sign, rpm, params, band, factors):
         """Write one disc's flow and rpm columns into rows ``at`` of ``S``.
@@ -347,13 +321,6 @@ class _Predictor:
         d_dist += d_sa
         S[at, rpm_j] = d_dist
 
-    def _residual_cost(self, amount: np.ndarray, controls: np.ndarray):
-        e = np.subtract(amount, self.target, out=self._residual)
-        value = float(e @ e)
-        if not math.isfinite(value):
-            raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
-        return value, e
-
 
 # speeds at which _reach_radius samples the actuator box's rpm range
 _RADIUS_SAMPLES = 33
@@ -372,12 +339,6 @@ def _reach_radius(cal: CalibrationModel, model: DepositionModel, support: Triang
         if sd > 0.0 and sa > 0.0:
             radius = max(radius, cal.distance(rpm) + _reach(sd, sa, model, support))
     return radius
-
-
-def _bits(controls: np.ndarray) -> np.ndarray:
-    """A copy of a control array's bit patterns, which are equal exactly
-    where the controls are bitwise equal."""
-    return np.array(controls, dtype=np.float64).view(np.int64)
 
 
 def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -542,16 +503,11 @@ def _optimize(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
 
     ``start`` may hold deltas beyond the ``rate/sqrt(2)`` box the solver
     searches in; its first solve then begins from the clipped deltas, a
-    different and possibly worse schedule.  When that solve begins at
-    ``start`` itself, bitwise, it cannot return anything worse, so
-    ``start`` is not evaluated on its own.
+    different and possibly worse schedule.
     """
     rbox = constraints.rates() / math.sqrt(2.0)
     starts = [np.diff(np.vstack([prev, start]), axis=0)]
-    first = _unroll(np.clip(starts[0], -rbox, rbox), prev, constraints.lower(),
-                    constraints.upper())
-    best_controls = start
-    best_cost = math.inf if first.tobytes() == start.tobytes() else predictor.cost(start)
+    best_controls, best_cost = start, predictor.cost(start)
     if settings.restarts:
         # the first default_rng() of a process adds about 1 MB of resident memory
         rng = np.random.default_rng(settings.seed)

@@ -191,11 +191,11 @@ def _times_scale(out, scale):
 
 def _density(x_offset, y_offset, params: PatternParams, model: DepositionModel,
              support: TriangleSupport = TriangleSupport.UNIT):
-    radial, angular = _density_factors(np.asarray(x_offset, dtype=float),
-                                       np.asarray(y_offset, dtype=float),
-                                       params.sigma_distance, params.sigma_angle,
-                                       model, support)
-    out = params.mass_flow * radial * angular
+    factors = _density_factors(np.asarray(x_offset, dtype=float),
+                               np.asarray(y_offset, dtype=float),
+                               params.sigma_distance, params.sigma_angle, model, support)
+    # offsets may broadcast, as a column against a row
+    out = deposit_from_factors(params.mass_flow, np.broadcast_arrays(*factors), 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -253,27 +253,28 @@ def disc_deposit(dist: np.ndarray, angle: np.ndarray, scale, params: PatternPara
     ``scale`` is 1.0 for literal scaling or the array from
     :func:`conservative_scale`.
     """
-    return deposit_and_factors(dist, angle, scale, params, DepositionModel(model),
-                               TriangleSupport(support))[0]
+    factors = disc_factors(dist, angle, params, DepositionModel(model), TriangleSupport(support))
+    return deposit_from_factors(params.mass_flow, factors, scale)
 
 
-def deposit_and_factors(dist: np.ndarray, angle: np.ndarray, scale, params: PatternParams,
-                        model: DepositionModel,
-                        support: TriangleSupport = TriangleSupport.UNIT):
-    """:func:`disc_deposit`'s deposit and the radial and angular density
-    factors it is the product of, ``(deposit, (radial, angular))``, so that
-    :func:`disc_deposit_partials` can take the factors instead of
-    evaluating them again.  ``model`` and ``support`` are not validated."""
-    factors = _density_factors(dist - params.center_distance, angle - params.center_angle,
-                               params.sigma_distance, params.sigma_angle, model, support)
-    return deposit_from_factors(params.mass_flow, factors, scale), factors
+def disc_factors(dist: np.ndarray, angle: np.ndarray, params: PatternParams,
+                 model: DepositionModel, support: TriangleSupport):
+    """The radial and angular density factors of one disc at the given
+    geometry, ``(radial, angular)``: its deposit per gram of flow is their
+    product times the area scale.  ``model`` and ``support`` are not
+    validated."""
+    return _density_factors(dist - params.center_distance, angle - params.center_angle,
+                            params.sigma_distance, params.sigma_angle, model, support)
 
 
 def deposit_from_factors(mass_flow: float, factors, scale) -> np.ndarray:
     """One disc's deposit from its density factors, ``mass_flow * radial *
-    angular * scale``, multiplied in the order every deposit rounds in."""
+    angular * scale``.  Every deposit is multiplied here, in this order, in
+    one new array."""
     radial, angular = factors
-    return _times_scale(mass_flow * radial * angular, scale)
+    out = mass_flow * radial
+    out *= angular
+    return _times_scale(out, scale)
 
 
 def flow_partial(factors, scale) -> np.ndarray:
@@ -309,7 +310,7 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     triangle surrogate is differentiated on the interior of its support;
     the kink at the apex and the support edge use the zero element of the
     subdifferential.  ``factors`` are the density factors that
-    :func:`deposit_and_factors` returned for the same arguments, or None to
+    :func:`disc_factors` returned for the same arguments, or None to
     evaluate them here.
     """
     D = params.mass_flow
@@ -320,23 +321,18 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     if factors is None:
         factors = _density_factors(x, y, sd, sa, model, support)
     unit = flow_partial(factors, scale)
-    radial, angular = factors
-    del factors
 
     if model == DepositionModel.FULL_NORMAL:
         # the normal partials are the deposit times a polynomial in the
-        # offset; the deposit is built in place, operation by operation as
-        # deposit_from_factors rounds, so that few band-sized temporaries
-        # are alive at once
-        value = D * radial
-        value *= angular
-        _times_scale(value, scale)
-        del radial, angular
+        # offset
+        value = deposit_from_factors(D, factors, scale)
+        del factors
         # the offsets' arrays become d_dist and d_angle
         d_dist, d_sigma_d = _normal_partials(value, x, sd)
         d_angle, d_sigma_a = _normal_partials(value, y, sa)
         return unit, d_dist, d_sigma_d, d_angle, d_sigma_a
 
+    radial, angular = factors
     half_x, half_y = _half_widths(sd, sa, support)
     # a factor is positive exactly on the interior of its support
     in_x = radial > 0.0

@@ -116,6 +116,17 @@ def test_run_controller_override_and_horizon_warning(scenario_file, tmp_path, ca
     assert "ignored by the greedy controller" in capsys.readouterr().err
 
 
+def test_horizon_warning_follows_the_scenario_files_controller(scenario_file, tmp_path,
+                                                                capsys):
+    # the tiny scenario's own controller is greedy
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "g"),
+                 "--horizon", "3"]) == 0
+    assert "--horizon is ignored by the greedy controller" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "m"),
+                 "--controller", "mpc-full", "--horizon", "3"]) == 0
+    assert "ignored" not in capsys.readouterr().err
+
+
 def test_missing_calibration_file_fails_cleanly(scenario_file, tmp_path, capsys):
     missing = tmp_path / "nope.ini"
     code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
@@ -176,6 +187,30 @@ def test_invalid_calibration_values_name_the_file(scenario_file, tmp_path, line,
     assert done.returncode == 1
     assert done.stderr.startswith("error:")
     assert str(bad) in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("file, line, broken, key", [
+    ("scenario", "dt = 1", "dt = pi/0", "run.dt"),
+    ("calibration", "flow_max = 200", "flow_max = pi/0", "constraints.flow_max"),
+    ("scenario", "n_cells = 8", "n_cells = nan", "field.n_cells"),
+    ("scenario", "horizon = 2", "horizon = inf", "run.horizon"),
+    ("scenario", "scaling = literal", "scaling = literal\n[optimizer]\nmax_iterations = nan",
+     "optimizer.max_iterations"),
+    ("scenario", "scaling = literal", "scaling = literal\n[optimizer]\nrestarts = inf",
+     "optimizer.restarts"),
+])
+def test_validate_rejects_a_bad_number_by_its_key(tmp_path, file, line, broken, key):
+    texts = {"scenario": TINY_SCENARIO, "calibration": default_calibration_path().read_text()}
+    assert line in texts[file]
+    texts[file] = texts[file].replace(line, broken)
+    for name, text in texts.items():
+        (tmp_path / f"{name}.ini").write_text(text)
+    done = run_cli(["validate", "--scenario", str(tmp_path / "scenario.ini"),
+                    "--calibration", str(tmp_path / "calibration.ini")], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert key in done.stderr
     assert "Traceback" not in done.stderr
 
 

@@ -563,6 +563,85 @@ def test_a_jacobian_at_the_accepted_candidate_rebuilds_no_pattern(horizon, monke
     assert reused > 0
 
 
+def _count_predictor_work(monkeypatch, counts):
+    """Count pattern parameters built, density kernel calls and deposits
+    the predictor multiplies, into ``counts``."""
+    post_init = spread.PatternParams.__post_init__
+    kernel = spread._density_factors
+    deposit = controllers.deposit_from_factors
+
+    def counted(key, call):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spread.PatternParams, "__post_init__", counted("params", post_init))
+    monkeypatch.setattr(spread, "_density_factors", counted("kernel", kernel))
+    monkeypatch.setattr(controllers, "deposit_from_factors", counted("deposits", deposit))
+
+
+@pytest.mark.parametrize("model", list(DepositionModel))
+def test_the_record_answers_a_repeated_evaluation_without_recomputing(model, monkeypatch):
+    grid, prescribed = small_field(n=16, side=60.0, dose=4.0)
+    tail = straight_tail(TractorState(15.0, 30.0, 0.0), 5.0, 3)
+    controls = schedule_of([(40.0, 50.0, 600.0, 650.0), (45.0, 45.0, 650.0, 700.0),
+                            (50.0, 40.0, 700.0, 750.0)])
+    masks = np.ones((3, 4))
+    fresh = predictor_for(grid, tail, grid.zeros(), prescribed, model)
+    expected = fresh.cost_residual_jacobian(controls, masks)
+    predictor = predictor_for(grid, tail, grid.zeros(), prescribed, model)
+    value = predictor.cost(controls)
+
+    counts = {"params": 0, "kernel": 0, "deposits": 0}
+    _count_predictor_work(monkeypatch, counts)
+    assert predictor.cost(controls.copy()) == value
+    got = predictor.cost_residual_jacobian(controls.copy(), masks)
+    assert counts == {"params": 0, "kernel": 0, "deposits": 0}
+    assert got[0] == value == expected[0]
+    for a, b in zip(got[1:], expected[1:]):
+        assert a.tobytes() == b.tobytes()
+    # one changed bit is another schedule
+    controls[1, 0] = np.nextafter(controls[1, 0], 0.0)
+    predictor.cost(controls)
+    assert counts == {"params": 1, "kernel": 0, "deposits": 6}
+
+
+@pytest.mark.parametrize("restarts", [0, 1])
+def test_optimize_evaluates_its_start_once_per_solve(restarts, monkeypatch):
+    grid, prescribed = small_field(n=16, side=60.0, dose=4.0)
+    tail = straight_tail(TractorState(15.0, 30.0, 0.0), 5.0, 2)
+    predictor = predictor_for(grid, tail, grid.zeros(), prescribed)
+    prev = np.array([45.0, 45.0, 600.0, 600.0])
+    start = np.tile(prev, (2, 1))
+    counts = {"params": 0, "kernel": 0, "deposits": 0}
+    _count_predictor_work(monkeypatch, counts)
+    events = []
+    cost, jacobian = predictor.cost, predictor.cost_residual_jacobian
+
+    def logged(kind, call):
+        def wrapper(controls, *args):
+            before = counts["deposits"]
+            out = call(controls, *args)
+            events.append((kind, controls.tobytes(), counts["deposits"] - before))
+            return out
+        return wrapper
+
+    predictor.cost = logged("cost", cost)
+    predictor.cost_residual_jacobian = logged("jac", jacobian)
+    controllers._optimize(predictor, prev, start, DEFAULT_CONSTRAINTS,
+                          OptimizerSettings(restarts=restarts, seed=3))
+    # the start's cost evaluation multiplies its four deposits, and the
+    # first solve's first Jacobian, at the start, finds them in the record
+    assert events[0] == ("cost", start.tobytes(), 4)
+    assert events[1] == ("jac", start.tobytes(), 0)
+    at_start = [deposits for _, controls, deposits in events
+                if controls == start.tobytes() and deposits]
+    assert at_start == [4]
+    # only a restart's first Jacobian, at its random start, evaluates
+    assert sum(1 for kind, _, deposits in events if kind == "jac" and deposits) == restarts
+
+
 def test_optimizer_is_deterministic():
     grid, prescribed = small_field(n=8, side=30.0)
     start = TractorState(5.0, 15.0, 0.0)

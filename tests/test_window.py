@@ -95,18 +95,18 @@ def test_windowed_predictor_matches_the_dense_kernel(n, side, fx, fy, heading, f
     dense_scale = scale if scaling is DepositScaling.CONSERVATIVE else 1.0
 
     deposits = []
-    original = spread.deposit_and_factors
+    original = controllers.deposit_from_factors
 
     def spy(*args, **kwargs):
         out = original(*args, **kwargs)
-        deposits.append(out[0])
+        deposits.append(out)
         return out
 
-    spread.deposit_and_factors = spy
+    controllers.deposit_from_factors = spy
     try:
         predictor.cost(controls)
     finally:
-        spread.deposit_and_factors = original
+        controllers.deposit_from_factors = original
     _, _, S, rows = predictor.cost_residual_jacobian(controls)
     assert len(deposits) == 2
     assert np.unique(rows).size == rows.size and S.shape == (rows.size, 4)
@@ -298,20 +298,21 @@ def _closed_loop(kind):
 
 def _spy_kernels(monkeypatch):
     """Record the cell count of every predictor kernel call and of the
-    plant's deposits (spread.disc_deposit calls deposit_and_factors)."""
+    plant's deposits (spread.disc_deposit calls spread.disc_factors)."""
     sizes = {"deposit": [], "partials": []}
-    deposit = spread.deposit_and_factors
+    factors = spread.disc_factors
     partials = controllers.disc_deposit_partials
 
     def deposit_spy(dist, *args, **kwargs):
         sizes["deposit"].append(dist.size)
-        return deposit(dist, *args, **kwargs)
+        return factors(dist, *args, **kwargs)
 
     def partials_spy(dist, *args, **kwargs):
         sizes["partials"].append(dist.size)
         return partials(dist, *args, **kwargs)
 
-    monkeypatch.setattr(spread, "deposit_and_factors", deposit_spy)
+    monkeypatch.setattr(spread, "disc_factors", deposit_spy)
+    monkeypatch.setattr(controllers, "disc_factors", deposit_spy)
     monkeypatch.setattr(controllers, "disc_deposit_partials", partials_spy)
     return sizes
 
