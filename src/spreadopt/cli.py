@@ -28,8 +28,7 @@ from .calibration import load_calibration
 from .config import default_calibration_path, default_scenario_path, load_scenario
 from .controllers import ControllerKind
 from .errors import ConfigurationError, NumericalFailureError, RunAbortedError, SpreadOptError
-from .simulation import (comparison_failed, compare, run, write_comparison,
-                         write_run_outputs, write_trace)
+from .simulation import comparison_failed, compare, run, write_comparison, write_run_outputs
 from .spread import DepositScaling
 
 _log = logging.getLogger("spreadopt.cli")
@@ -88,33 +87,46 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_inputs(args):
+def _prepare(args, kinds=None):
+    """Load the scenario and calibration files and apply the flags.
+
+    ``kinds`` are the controllers that will run, None for the scenario's
+    own; the warning about ``--horizon`` is printed once when greedy is
+    among them.  Returns the scenario, the optimizer settings, the
+    calibration, the constraints and the configuration echo.
+    """
     scenario_path = args.scenario if args.scenario is not None else default_scenario_path()
     calibration_path = (args.calibration if args.calibration is not None
                         else default_calibration_path())
     config = load_scenario(scenario_path)
     cal, constraints = load_calibration(calibration_path)
-    return scenario_path, calibration_path, config, cal, constraints
 
-
-def _apply_overrides(args, config, controller_override=None):
-    scenario = config.scenario
-    settings = config.settings
-    if controller_override is not None:
-        scenario = dataclasses.replace(scenario, controller=ControllerKind(controller_override))
-    if args.horizon is not None:
-        if args.horizon < 1:
-            raise ConfigurationError(f"--horizon must be at least 1, got {args.horizon}")
-        scenario = dataclasses.replace(scenario, horizon=args.horizon)
-    if args.scaling is not None:
-        scenario = dataclasses.replace(scenario, scaling=DepositScaling(args.scaling))
-
+    if args.horizon is not None and args.horizon < 1:
+        raise ConfigurationError(f"--horizon must be at least 1, got {args.horizon}")
+    flags = {"controller": getattr(args, "controller", None), "horizon": args.horizon,
+             "scaling": args.scaling}
+    scenario = dataclasses.replace(config.scenario,
+                                   **{k: v for k, v in flags.items() if v is not None})
     # a flag overrides the OptimizerSettings field its destination is named after
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(settings)
-                 if getattr(args, f.name, None) is not None}
-    if overrides:
-        settings = dataclasses.replace(settings, **overrides)
-    return scenario, settings
+    settings = dataclasses.replace(config.settings, **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(config.settings)
+        if getattr(args, f.name, None) is not None})
+
+    if args.horizon is not None and ControllerKind.GREEDY in (
+            kinds if kinds is not None else (scenario.controller,)):
+        print("warning: --horizon is ignored by the greedy controller "
+              "(it is single-step by definition)", file=sys.stderr)
+    return (scenario, settings, cal, constraints,
+            _config_lines(scenario, settings, cal, constraints, scenario_path, calibration_path))
+
+
+def _create_out(out: Path) -> None:
+    """Create the output directory before any work that writes into it."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {out}: {exc.strerror or exc}") from None
 
 
 def _value(v) -> str:
@@ -189,6 +201,15 @@ def _run_summary(command, controller, record, digest, config_lines):
             + [("wall_clock.controller_seconds", format(record.total_controller_seconds, ".6f"))])
 
 
+def _write_run(out_dir, command, controller, record, digest, config_lines, diagnostic=None):
+    """One controller's outputs; an aborted run's partial record comes
+    with a ``diagnostic.txt`` saying why it stopped."""
+    write_run_outputs(out_dir, record,
+                      _run_summary(command, controller, record, digest, config_lines))
+    if diagnostic is not None:
+        (out_dir / "diagnostic.txt").write_text(diagnostic + "\n")
+
+
 def _setup_logging(args):
     root = logging.getLogger("spreadopt")
     for handler in list(root.handlers):
@@ -198,7 +219,7 @@ def _setup_logging(args):
         # a verbose main() earlier in this process must not leave DEBUG on
         root.setLevel(logging.NOTSET)
         return
-    args.out.mkdir(parents=True, exist_ok=True)
+    _create_out(args.out)
     root.setLevel(logging.DEBUG)
     file_handler = logging.FileHandler(args.out / "run.log", mode="w")
     file_handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
@@ -209,38 +230,27 @@ def _setup_logging(args):
 
 
 def cmd_run(args) -> int:
-    scenario_path, calibration_path, config, cal, constraints = _resolve_inputs(args)
-    scenario, settings = _apply_overrides(args, config, getattr(args, "controller", None))
-    if scenario.controller is ControllerKind.GREEDY and args.horizon is not None:
-        print("warning: --horizon is ignored by the greedy controller "
-              "(it is single-step by definition)", file=sys.stderr)
-    config_lines = _config_lines(scenario, settings, cal, constraints, scenario_path,
-                                 calibration_path)
+    scenario, settings, cal, constraints, config_lines = _prepare(args)
     digest = _settings_hash(config_lines)
-    _log.info("run: controller=%s horizon=%d", scenario.controller.value, scenario.horizon)
+    controller = scenario.controller.value
+    _create_out(args.out)
+    _log.info("run: controller=%s horizon=%d", controller, scenario.horizon)
 
     try:
         record = run(scenario, cal, constraints, settings)
     except RunAbortedError as exc:
-        args.out.mkdir(parents=True, exist_ok=True)
-        if exc.record is not None:
-            write_trace(args.out / "trace.csv", exc.record)
-        (args.out / "diagnostic.txt").write_text(f"aborted at step {exc.step}: {exc}\n")
+        _write_run(args.out, "run", controller, exc.record, digest, config_lines,
+                   f"aborted at step {exc.step}: {exc}")
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    write_run_outputs(args.out, record,
-                      _run_summary("run", scenario.controller.value, record, digest,
-                                   config_lines))
+    _write_run(args.out, "run", controller, record, digest, config_lines)
     print(f"final cost {record.final_cost:.6g} after {record.n_steps} steps "
           f"-> {args.out}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    scenario_path, calibration_path, config, cal, constraints = _resolve_inputs(args)
-    scenario, settings = _apply_overrides(args, config)
-
     if args.only is not None:
         names = [token.strip() for token in args.only.split(",") if token.strip()]
         if not names:
@@ -251,26 +261,20 @@ def cmd_compare(args) -> int:
             raise ConfigurationError(f"--only: {exc}") from None
     else:
         kinds = list(ControllerKind)
-
-    variants = [dataclasses.replace(scenario, controller=kind) for kind in kinds]
-    result = compare(variants, cal, constraints, settings)
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    config_lines = _config_lines(scenario, settings, cal, constraints, scenario_path,
-                                 calibration_path)
+    scenario, settings, cal, constraints, config_lines = _prepare(args, kinds)
     digest = _settings_hash(config_lines)
+    _create_out(args.out)
+
+    result = compare(scenario, kinds, cal, constraints, settings)
     write_comparison(args.out / "comparison.csv", result)
     for row in result.rows:
         record = result.records.get(row.controller)
         if record is None:
             continue
-        sub_dir = args.out / row.controller
-        write_run_outputs(sub_dir, record,
-                          _run_summary("compare", row.controller, record, digest,
-                                       config_lines))
-        if not math.isfinite(row.final_cost):
-            (sub_dir / "diagnostic.txt").write_text(
-                f"variant {row.controller} aborted; partial trace written\n")
+        diagnostic = (None if math.isfinite(row.final_cost)
+                      else f"variant {row.controller} aborted; partial trace written")
+        _write_run(args.out / row.controller, "compare", row.controller, record, digest,
+                   config_lines, diagnostic)
 
     summary_lines = [("command", "compare"),
                      ("ranking", " ".join(result.ranking)),
@@ -289,11 +293,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scenario_path, calibration_path, config, cal, constraints = _resolve_inputs(args)
-    scenario, settings = _apply_overrides(args, config)
-
-    for key, value in _config_lines(scenario, settings, cal, constraints, scenario_path,
-                                    calibration_path):
+    scenario, _, _, constraints, config_lines = _prepare(args, kinds=())
+    for key, value in config_lines:
         print(f"{key} = {value}")
     # load_calibration has already rejected a calibration that fails validation
     u0 = scenario.initial_controls.as_array()
@@ -312,9 +313,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _setup_logging(args)
     handlers = {"run": cmd_run, "compare": cmd_compare, "validate": cmd_validate}
     try:
+        _setup_logging(args)
         return handlers[args.command](args)
     except (NumericalFailureError, RunAbortedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

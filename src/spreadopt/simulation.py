@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,36 +167,24 @@ class ComparisonResult:
     records: dict
 
 
-_COMPARABLE_FIELDS = ("plan", "dt", "initial_controls", "horizon", "scaling", "support")
+def compare(scenario: Scenario, controllers, cal: CalibrationModel,
+            constraints: ControlConstraints, settings: OptimizerSettings) -> ComparisonResult:
+    """Run ``scenario`` once under each controller kind and rank the runs.
 
-
-def compare(scenarios, cal: CalibrationModel, constraints: ControlConstraints,
-            settings: OptimizerSettings) -> ComparisonResult:
-    """Run several controller variants of one scenario and rank them.
-
-    All scenarios must share the field, prescription, plan, step size,
-    initial controls, horizon, and scaling; only the controller may
-    differ.  Repeating a controller is allowed (the runs are identical;
-    the records dict keeps one per name).  A variant that fails is
-    recorded with a NaN cost and does not stop the others.
+    Only the controller differs between the runs.  Repeating a kind is
+    allowed (the runs are identical; the records dict keeps one per
+    name).  A run that fails is recorded with a NaN cost and does not stop
+    the others.
     """
-    scenarios = list(scenarios)
-    if not scenarios:
-        raise ConfigurationError("comparison needs at least one scenario")
-    base = scenarios[0]
-    for other in scenarios[1:]:
-        if other.grid != base.grid or not np.array_equal(other.prescription, base.prescription):
-            raise ConfigurationError("comparison scenarios differ in field or prescription")
-        for name in _COMPARABLE_FIELDS:
-            if getattr(other, name) != getattr(base, name):
-                raise ConfigurationError(
-                    f"comparison scenarios must differ only in controller, found {name} mismatch")
+    kinds = [ControllerKind(kind) for kind in controllers]
+    if not kinds:
+        raise ConfigurationError("comparison needs at least one controller")
     rows = []
     records = {}
-    for scenario in scenarios:
-        name = scenario.controller.value
+    for kind in kinds:
+        name = kind.value
         try:
-            record = run(scenario, cal, constraints, settings)
+            record = run(replace(scenario, controller=kind), cal, constraints, settings)
         except RunAbortedError as exc:
             records[name] = exc.record
             rows.append(ComparisonRow(name, math.nan, math.nan))

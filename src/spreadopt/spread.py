@@ -298,6 +298,22 @@ def _normal_partials(value, offset, sigma):
     return d_center, d_sigma
 
 
+def _ramp_partials(factor, offset, sigma, half, sigma_scaled):
+    """One axis's triangle factor differentiated with respect to its
+    offset and to its spread; ``half`` is the support half-width, which
+    grows with the spread when ``sigma_scaled``."""
+    # a factor is positive exactly on the interior of its support
+    inside = factor > 0.0
+    # d(ramp)/d(offset) = -sign(offset)/half on the support interior, zero outside
+    d_offset = np.where(inside, -np.sign(offset) / half, 0.0) / (SQRT_TWO_PI * sigma)
+    # sigma enters the normalization always, and the half-width when scaled
+    d_sigma = -factor / sigma
+    if sigma_scaled:
+        d_sigma = d_sigma + np.where(inside, np.abs(offset) * SQRT_TWO_PI / half ** 2, 0.0) / (
+            SQRT_TWO_PI * sigma)
+    return d_offset, d_sigma
+
+
 def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
                           params: PatternParams, model: DepositionModel,
                           support: TriangleSupport = TriangleSupport.UNIT, factors=None):
@@ -334,25 +350,12 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
 
     radial, angular = factors
     half_x, half_y = _half_widths(sd, sa, support)
-    # a factor is positive exactly on the interior of its support
-    in_x = radial > 0.0
-    in_y = angular > 0.0
-
-    # d(ramp)/dx = -sign(x)/half on the support interior, zero outside
-    dradial_dx = np.where(in_x, -np.sign(x) / half_x, 0.0) / (SQRT_TWO_PI * sd)
-    dangular_dy = np.where(in_y, -np.sign(y) / half_y, 0.0) / (SQRT_TWO_PI * sa)
+    sigma_scaled = support == TriangleSupport.SIGMA
+    dradial_dx, dradial_dsd = _ramp_partials(radial, x, sd, half_x, sigma_scaled)
+    dangular_dy, dangular_dsa = _ramp_partials(angular, y, sa, half_y, sigma_scaled)
     # chain: d/d(center_distance) = d/dx * dx/d(center_distance) = dradial_dx * (-1)
     d_dist = D * scale * angular * dradial_dx * (-1.0)
     d_angle = D * scale * radial * dangular_dy * (-1.0)
-
-    # sigma enters the normalization always, and the half-width when scaled
-    dradial_dsd = -radial / sd
-    dangular_dsa = -angular / sa
-    if support == TriangleSupport.SIGMA:
-        dradial_dsd = dradial_dsd + np.where(in_x, np.abs(x) * SQRT_TWO_PI / half_x ** 2, 0.0) / (
-            SQRT_TWO_PI * sd)
-        dangular_dsa = dangular_dsa + np.where(in_y, np.abs(y) * SQRT_TWO_PI / half_y ** 2, 0.0) / (
-            SQRT_TWO_PI * sa)
     d_sigma_d = D * scale * angular * dradial_dsd
     d_sigma_a = D * scale * radial * dangular_dsa
     return unit, d_dist, d_sigma_d, d_angle, d_sigma_a

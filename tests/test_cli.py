@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import spreadopt
-from spreadopt import (ConfigurationError, ControllerKind, DepositScaling, OptimizerSettings,
-                       TriangleSupport)
+from spreadopt import (ConfigurationError, ControllerKind, DepositionModel, DepositScaling,
+                       NumericalFailureError, OptimizerSettings, TriangleSupport)
 from spreadopt.cli import main
 from spreadopt.config import default_calibration_path, load_scenario
+from spreadopt.controllers import RecedingHorizonController
+from spreadopt.simulation import read_trace
 
 TINY_SCENARIO = """\
 [field]
@@ -428,3 +430,80 @@ def test_a_plain_run_after_a_verbose_one_turns_debug_logging_off(scenario_file, 
     assert main(["validate", "--scenario", str(scenario_file), "--out", str(tmp_path / "p")]) == 0
     assert not logger.isEnabledFor(logging.DEBUG)
     assert not logger.handlers
+
+
+# --- failure paths ------------------------------------------------------------
+
+def failing_plan_controls(monkeypatch, fails):
+    """Make ``plan_controls`` raise a numerical failure wherever
+    ``fails(controller, step)`` holds; steps count from 1 per controller."""
+    real = RecedingHorizonController.plan_controls
+    steps = {}
+
+    def plan_controls(self, *args, **kwargs):
+        steps[id(self)] = step = steps.get(id(self), 0) + 1
+        if fails(self, step):
+            raise NumericalFailureError("injected failure")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RecedingHorizonController, "plan_controls", plan_controls)
+
+
+def test_an_aborted_run_writes_its_partial_record_and_a_diagnostic(scenario_file, tmp_path,
+                                                                   monkeypatch, capsys):
+    failing_plan_controls(monkeypatch, lambda controller, step: step == 2)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 2
+    assert "step 2" in capsys.readouterr().err
+    assert len(read_trace(out / "trace.csv")["k"]) == 1
+    assert np.loadtxt(out / "A.csv", delimiter=",").shape == (8, 8)
+    assert dict(summary_pairs(out / "summary.txt"))["n_steps"] == "1"
+    assert "step 2" in (out / "diagnostic.txt").read_text()
+
+
+def test_a_failed_compare_variant_leaves_the_others_complete(scenario_file, tmp_path,
+                                                              monkeypatch, capsys):
+    failing_plan_controls(
+        monkeypatch, lambda controller, step: controller.model is DepositionModel.TRIANGLE)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(scenario_file), "--out", str(out),
+                 "--only", "greedy,mpc-triangle,mpc-full"]) == 3
+    assert "at least one variant failed" in capsys.readouterr().err
+    rows = {line.split(",")[0]: line.split(",")[1]
+            for line in (out / "comparison.csv").read_text().splitlines()[1:]}
+    assert rows["mpc-triangle"] == "nan"
+    assert (out / "mpc-triangle" / "diagnostic.txt").exists()
+    for name in ("greedy", "mpc-full"):
+        assert float(rows[name]) > 0
+        assert len(read_trace(out / name / "trace.csv")["k"]) == 3
+        assert not (out / name / "diagnostic.txt").exists()
+    ranking = dict(summary_pairs(out / "summary.txt"))["ranking"].split()
+    assert sorted(ranking) == ["greedy", "mpc-full"]
+
+
+@pytest.mark.parametrize("only, warns", [("greedy", True), ("mpc-full", False)])
+def test_compare_warns_when_greedy_ignores_the_horizon(scenario_file, tmp_path, capsys, only,
+                                                       warns):
+    assert main(["compare", "--scenario", str(scenario_file), "--out", str(tmp_path / "cmp"),
+                 "--only", only, "--horizon", "3"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("--horizon is ignored by the greedy controller") == int(warns)
+
+
+@pytest.mark.parametrize("argv", [["run"], ["compare", "--only", "greedy"],
+                                  ["run", "--verbose"]])
+def test_an_unwritable_out_fails_before_any_decision(scenario_file, tmp_path, monkeypatch,
+                                                      capsys, argv):
+    def no_decision(self, *args, **kwargs):
+        raise AssertionError("plan_controls called before --out was checked")
+
+    monkeypatch.setattr(RecedingHorizonController, "plan_controls", no_decision)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    code = main([*argv, "--scenario", str(scenario_file), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert str(out) in err[0]

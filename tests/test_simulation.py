@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -203,14 +204,9 @@ def test_run_outputs_written_as_three_files(tmp_path):
 
 # --- comparisons ---------------------------------------------------------------
 
-def variant(base, kind):
-    return Scenario(base.grid, base.prescription, base.plan, base.dt,
-                    base.initial_controls, kind, base.horizon)
-
-
 def test_compare_ranks_variants_by_final_cost():
     base = tiny_scenario(ControllerKind.GREEDY, horizon=2)
-    result = compare([base, variant(base, ControllerKind.MPC_FULL)],
+    result = compare(base, [ControllerKind.GREEDY, ControllerKind.MPC_FULL],
                      CAL, DEFAULT_CONSTRAINTS, SETTINGS)
     assert [r.controller for r in result.rows] == ["greedy", "mpc-full"]
     costs = {r.controller: r.final_cost for r in result.rows}
@@ -223,32 +219,43 @@ def test_compare_ranks_variants_by_final_cost():
 
 def test_compare_allows_repeated_controllers():
     base = tiny_scenario(ControllerKind.GREEDY)
-    result = compare([base, variant(base, ControllerKind.GREEDY)],
+    result = compare(base, [ControllerKind.GREEDY, ControllerKind.GREEDY],
                      CAL, DEFAULT_CONSTRAINTS, SETTINGS)
     assert result.rows[0].final_cost == result.rows[1].final_cost
     assert result.ranking == ("greedy", "greedy")
 
 
-def test_compare_rejects_scenarios_that_differ_beyond_the_controller():
-    base = tiny_scenario(ControllerKind.GREEDY)
-    other = Scenario(base.grid, base.prescription, base.plan, 0.5,
-                     base.initial_controls, ControllerKind.MPC_FULL, base.horizon)
-    with pytest.raises(ConfigurationError, match="dt"):
-        compare([base, other], CAL, DEFAULT_CONSTRAINTS, SETTINGS)
-    different_dose = as_amount_map(np.full((10, 10), 25.0), base.grid)
-    shifted = Scenario(base.grid, different_dose, base.plan, base.dt,
-                       base.initial_controls, ControllerKind.MPC_FULL, base.horizon)
-    with pytest.raises(ConfigurationError, match="prescription"):
-        compare([base, shifted], CAL, DEFAULT_CONSTRAINTS, SETTINGS)
-    with pytest.raises(ConfigurationError):
-        compare([], CAL, DEFAULT_CONSTRAINTS, SETTINGS)
+def test_compare_needs_at_least_one_controller():
+    with pytest.raises(ConfigurationError, match="at least one controller"):
+        compare(tiny_scenario(), [], CAL, DEFAULT_CONSTRAINTS, SETTINGS)
+
+
+def test_compare_varies_only_the_controller(monkeypatch):
+    import spreadopt.simulation as sim
+
+    # the scenario's own controller is mpc-full; every run must see the
+    # kind it was asked for and otherwise the scenario unchanged
+    base = tiny_scenario(ControllerKind.MPC_FULL, horizon=2)
+    seen = []
+    real_run = sim.run
+
+    def spy(scenario, cal, constraints, settings, controller=None):
+        seen.append(scenario)
+        return real_run(scenario, cal, constraints, settings, controller)
+
+    monkeypatch.setattr(sim, "run", spy)
+    sim.compare(base, ["greedy", ControllerKind.MPC_TRIANGLE], CAL, DEFAULT_CONSTRAINTS,
+                SETTINGS)
+    assert [s.controller for s in seen] == [ControllerKind.GREEDY, ControllerKind.MPC_TRIANGLE]
+    for scenario in seen:
+        assert scenario.prescription is base.prescription
+        assert dataclasses.replace(scenario, controller=base.controller) == base
 
 
 def test_compare_records_a_failed_variant_as_nan(monkeypatch):
     import spreadopt.simulation as sim
 
     base = tiny_scenario(ControllerKind.GREEDY)
-    bad = variant(base, ControllerKind.MPC_TRIANGLE)
     real_run = sim.run
 
     def flaky(scenario, cal, constraints, settings, controller=None):
@@ -257,7 +264,8 @@ def test_compare_records_a_failed_variant_as_nan(monkeypatch):
         return real_run(scenario, cal, constraints, settings, controller)
 
     monkeypatch.setattr(sim, "run", flaky)
-    result = sim.compare([base, bad], CAL, DEFAULT_CONSTRAINTS, SETTINGS)
+    result = sim.compare(base, [ControllerKind.GREEDY, ControllerKind.MPC_TRIANGLE],
+                         CAL, DEFAULT_CONSTRAINTS, SETTINGS)
     assert math.isnan(result.rows[1].final_cost)
     assert result.ranking == ("greedy",)
     assert comparison_failed(result)
