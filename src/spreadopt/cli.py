@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import hashlib
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -28,7 +27,8 @@ from .calibration import load_calibration
 from .config import default_calibration_path, default_scenario_path, load_scenario
 from .controllers import ControllerKind
 from .errors import ConfigurationError, NumericalFailureError, RunAbortedError, SpreadOptError
-from .simulation import comparison_failed, compare, run, write_comparison, write_run_outputs
+from .simulation import (comparison_failed, compare, run, write_comparison, write_run_outputs,
+                         write_summary)
 from .spread import DepositScaling
 
 _log = logging.getLogger("spreadopt.cli")
@@ -93,7 +93,7 @@ def _prepare(args, kinds=None):
     ``kinds`` are the controllers that will run, None for the scenario's
     own; the warning about ``--horizon`` is printed once when greedy is
     among them.  Returns the scenario, the optimizer settings, the
-    calibration, the constraints and the configuration echo.
+    calibration, the constraints and ``echo(scenario)``, its echo lines.
     """
     scenario_path = args.scenario if args.scenario is not None else default_scenario_path()
     calibration_path = (args.calibration if args.calibration is not None
@@ -116,17 +116,26 @@ def _prepare(args, kinds=None):
             kinds if kinds is not None else (scenario.controller,)):
         print("warning: --horizon is ignored by the greedy controller "
               "(it is single-step by definition)", file=sys.stderr)
-    return (scenario, settings, cal, constraints,
-            _config_lines(scenario, settings, cal, constraints, scenario_path, calibration_path))
+
+    def echo(ran):
+        return _config_lines(ran, settings, cal, constraints, scenario_path, calibration_path)
+
+    return scenario, settings, cal, constraints, echo
+
+
+def _write(path: Path, writer, *args, **kwargs):
+    """``writer(path, *args, **kwargs)``, with an ``OSError`` reported as
+    a :class:`ConfigurationError` that names the path."""
+    try:
+        return writer(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
 
 
 def _create_out(out: Path) -> None:
     """Create the output directory before any work that writes into it."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot create output directory {out}: {exc.strerror or exc}") from None
+    _write(out, Path.mkdir, parents=True, exist_ok=True)
 
 
 def _value(v) -> str:
@@ -190,24 +199,26 @@ def _settings_hash(lines) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _run_summary(command, controller, record, digest, config_lines):
-    """The ``summary.txt`` lines of one controller's run."""
-    return ([("command", command),
-             ("controller", controller),
-             ("n_steps", str(record.n_steps)),
-             ("final_cost", format(record.final_cost, ".12g")),
-             ("settings_hash", digest)]
-            + config_lines
-            + [("wall_clock.controller_seconds", format(record.total_controller_seconds, ".6f"))])
-
-
-def _write_run(out_dir, command, controller, record, digest, config_lines, diagnostic=None):
-    """One controller's outputs; an aborted run's partial record comes
-    with a ``diagnostic.txt`` saying why it stopped."""
-    write_run_outputs(out_dir, record,
-                      _run_summary(command, controller, record, digest, config_lines))
-    if diagnostic is not None:
-        (out_dir / "diagnostic.txt").write_text(diagnostic + "\n")
+def _write_run(out_dir, command, scenario, echo, record, error=None):
+    """One controller's run of ``scenario`` into ``out_dir``: the final
+    map, the trace, and a summary echoing the configuration it ran with.
+    A run that aborted with ``error`` leaves its partial record and a
+    ``diagnostic.txt`` saying where and why it stopped; a completed run
+    removes the diagnostic of an earlier run."""
+    config_lines = echo(scenario)
+    summary = ([("command", command),
+                ("controller", scenario.controller.value),
+                ("n_steps", str(record.n_steps)),
+                ("final_cost", format(record.final_cost, ".12g")),
+                ("settings_hash", _settings_hash(config_lines))]
+               + config_lines
+               + [("wall_clock.controller_seconds", f"{record.total_controller_seconds:.6f}")])
+    _write(out_dir, write_run_outputs, record, summary)
+    diagnostic = out_dir / "diagnostic.txt"
+    if error is None:
+        _write(diagnostic, Path.unlink, missing_ok=True)
+    else:
+        _write(diagnostic, Path.write_text, f"aborted at step {error.step}: {error}\n")
 
 
 def _setup_logging(args):
@@ -220,8 +231,8 @@ def _setup_logging(args):
         root.setLevel(logging.NOTSET)
         return
     _create_out(args.out)
+    file_handler = _write(args.out / "run.log", logging.FileHandler, mode="w")
     root.setLevel(logging.DEBUG)
-    file_handler = logging.FileHandler(args.out / "run.log", mode="w")
     file_handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
     root.addHandler(file_handler)
     stream = logging.StreamHandler(sys.stderr)
@@ -230,21 +241,17 @@ def _setup_logging(args):
 
 
 def cmd_run(args) -> int:
-    scenario, settings, cal, constraints, config_lines = _prepare(args)
-    digest = _settings_hash(config_lines)
-    controller = scenario.controller.value
+    scenario, settings, cal, constraints, echo = _prepare(args)
     _create_out(args.out)
-    _log.info("run: controller=%s horizon=%d", controller, scenario.horizon)
+    _log.info("run: controller=%s horizon=%d", scenario.controller.value, scenario.horizon)
 
     try:
-        record = run(scenario, cal, constraints, settings)
+        record, error = run(scenario, cal, constraints, settings), None
     except RunAbortedError as exc:
-        _write_run(args.out, "run", controller, exc.record, digest, config_lines,
-                   f"aborted at step {exc.step}: {exc}")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    _write_run(args.out, "run", controller, record, digest, config_lines)
+        record, error = exc.record, exc
+    _write_run(args.out, "run", scenario, echo, record, error)
+    if error is not None:
+        raise error
     print(f"final cost {record.final_cost:.6g} after {record.n_steps} steps "
           f"-> {args.out}")
     return 0
@@ -261,27 +268,18 @@ def cmd_compare(args) -> int:
             raise ConfigurationError(f"--only: {exc}") from None
     else:
         kinds = list(ControllerKind)
-    scenario, settings, cal, constraints, config_lines = _prepare(args, kinds)
-    digest = _settings_hash(config_lines)
+    scenario, settings, cal, constraints, echo = _prepare(args, kinds)
     _create_out(args.out)
 
     result = compare(scenario, kinds, cal, constraints, settings)
-    write_comparison(args.out / "comparison.csv", result)
+    _write(args.out / "comparison.csv", write_comparison, result)
     for row in result.rows:
-        record = result.records.get(row.controller)
-        if record is None:
-            continue
-        diagnostic = (None if math.isfinite(row.final_cost)
-                      else f"variant {row.controller} aborted; partial trace written")
-        _write_run(args.out / row.controller, "compare", row.controller, record, digest,
-                   config_lines, diagnostic)
-
-    summary_lines = [("command", "compare"),
-                     ("ranking", " ".join(result.ranking)),
-                     ("settings_hash", digest)]
-    summary_lines += config_lines
-    (args.out / "summary.txt").write_text(
-        "".join(f"{k} = {v}\n" for k, v in summary_lines))
+        ran = dataclasses.replace(scenario, controller=row.controller)
+        _write_run(args.out / row.controller, "compare", ran, echo, row.record, row.error)
+    config_lines = echo(scenario)
+    _write(args.out / "summary.txt", write_summary,
+           [("command", "compare"), ("ranking", " ".join(result.ranking)),
+            ("settings_hash", _settings_hash(config_lines))] + config_lines)
 
     for row in result.rows:
         print(f"{row.controller}: final cost {row.final_cost:.6g}, "
@@ -293,8 +291,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scenario, _, _, constraints, config_lines = _prepare(args, kinds=())
-    for key, value in config_lines:
+    scenario, _, _, constraints, echo = _prepare(args, kinds=())
+    for key, value in echo(scenario):
         print(f"{key} = {value}")
     # load_calibration has already rejected a calibration that fails validation
     u0 = scenario.initial_controls.as_array()

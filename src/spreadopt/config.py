@@ -68,6 +68,8 @@ def read_ini(path, kind: str, sections: tuple[str, ...]) -> configparser.ConfigP
     try:
         with open(path) as handle:
             parser.read_file(handle)
+    except OSError as exc:
+        raise ConfigurationError(f"could not read {kind} {path}: {exc.strerror or exc}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"could not parse {path}: {exc}") from exc
     for section in sections:

@@ -55,7 +55,7 @@ from .field import FieldGrid, as_amount_map
 from .spread import (BandGeometry, DepositScaling, DepositionModel, PatternParams,
                      TriangleSupport, _reach, band, band_bounds, by_distance,
                      deposit_from_factors, disc_deposit_partials, disc_factors,
-                     flow_partial, pose_geometry, reach_box)
+                     pose_geometry, reach_box)
 
 _log = logging.getLogger("spreadopt.optimizer")
 
@@ -299,7 +299,7 @@ class _Predictor:
                                    float(controls[i, rpm_col]), *self._discs[k])
             else:
                 _, band, factors = self._discs[k]
-                S[at, 4 * i + flow_col] = flow_partial(factors, band[4])
+                S[at, 4 * i + flow_col] = deposit_from_factors(1.0, factors, band[4])
         return value, self._residual[rows], S, rows
 
     def _disc_columns(self, S, at, flow_j, rpm_j, sign, rpm, params, band, factors):

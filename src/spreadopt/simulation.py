@@ -155,46 +155,46 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One controller's run; an aborted run keeps its partial record and
+    its ``error``, with NaN cost and wall clock."""
+
     controller: str
     final_cost: float
     wall_clock: float
+    record: RunRecord
+    error: RunAbortedError | None = None
 
 
 @dataclass(frozen=True)
 class ComparisonResult:
     rows: tuple[ComparisonRow, ...]
     ranking: tuple[str, ...]
-    records: dict
 
 
 def compare(scenario: Scenario, controllers, cal: CalibrationModel,
             constraints: ControlConstraints, settings: OptimizerSettings) -> ComparisonResult:
     """Run ``scenario`` once under each controller kind and rank the runs.
 
-    Only the controller differs between the runs.  Repeating a kind is
-    allowed (the runs are identical; the records dict keeps one per
-    name).  A run that fails is recorded with a NaN cost and does not stop
-    the others.
+    Only the controller differs between the runs, and repeating a kind is
+    allowed.  A run that fails is kept on its row and does not stop the
+    others.
     """
     kinds = [ControllerKind(kind) for kind in controllers]
     if not kinds:
         raise ConfigurationError("comparison needs at least one controller")
     rows = []
-    records = {}
     for kind in kinds:
-        name = kind.value
         try:
             record = run(replace(scenario, controller=kind), cal, constraints, settings)
         except RunAbortedError as exc:
-            records[name] = exc.record
-            rows.append(ComparisonRow(name, math.nan, math.nan))
+            rows.append(ComparisonRow(kind.value, math.nan, math.nan, exc.record, exc))
             continue
-        records[name] = record
-        rows.append(ComparisonRow(name, record.final_cost, record.total_controller_seconds))
+        rows.append(ComparisonRow(kind.value, record.final_cost,
+                                  record.total_controller_seconds, record))
 
     ranked = sorted((r for r in rows if math.isfinite(r.final_cost)),
                     key=lambda r: r.final_cost)
-    return ComparisonResult(tuple(rows), tuple(r.controller for r in ranked), records)
+    return ComparisonResult(tuple(rows), tuple(r.controller for r in ranked))
 
 
 def comparison_failed(result: ComparisonResult) -> bool:
@@ -232,12 +232,17 @@ def write_comparison(path, result: ComparisonResult) -> None:
                          f"{_format(row.wall_clock)}\n")
 
 
+def write_summary(path, lines) -> None:
+    """``key = value`` lines, one per ``(key, value)`` pair."""
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines))
+
+
 def write_run_outputs(out_dir, record: RunRecord, summary_lines) -> None:
     """Final map, trace, and summary for one run under ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     save_map(out_dir / "A.csv", record.final_map)
     write_trace(out_dir / "trace.csv", record)
-    (out_dir / "summary.txt").write_text("".join(f"{k} = {v}\n" for k, v in summary_lines))
+    write_summary(out_dir / "summary.txt", summary_lines)
 
 
 def _format(value) -> str:

@@ -270,18 +270,12 @@ def disc_factors(dist: np.ndarray, angle: np.ndarray, params: PatternParams,
 def deposit_from_factors(mass_flow: float, factors, scale) -> np.ndarray:
     """One disc's deposit from its density factors, ``mass_flow * radial *
     angular * scale``.  Every deposit is multiplied here, in this order, in
-    one new array."""
+    one new array; at a mass flow of 1.0 it is the deposit's partial with
+    respect to the flow."""
     radial, angular = factors
     out = mass_flow * radial
     out *= angular
     return _times_scale(out, scale)
-
-
-def flow_partial(factors, scale) -> np.ndarray:
-    """One disc's deposit per gram of flow, its partial with respect to the
-    mass flow: ``radial * angular * scale``."""
-    radial, angular = factors
-    return _times_scale(radial * angular, scale)
 
 
 def _normal_partials(value, offset, sigma):
@@ -336,7 +330,7 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     y = angle - params.center_angle
     if factors is None:
         factors = _density_factors(x, y, sd, sa, model, support)
-    unit = flow_partial(factors, scale)
+    unit = deposit_from_factors(1.0, factors, scale)
 
     if model == DepositionModel.FULL_NORMAL:
         # the normal partials are the deposit times a polynomial in the

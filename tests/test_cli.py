@@ -507,3 +507,104 @@ def test_an_unwritable_out_fails_before_any_decision(scenario_file, tmp_path, mo
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert str(out) in err[0]
+
+
+# --- one writer for run and compare --------------------------------------------
+
+def other_kind(kind):
+    kinds = list(ControllerKind)
+    return kinds[(kinds.index(kind) + 1) % len(kinds)]
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_a_compare_variant_writes_what_run_writes(tmp_path, kind):
+    # the scenario file names another controller, which neither echo may show
+    scenario = scenario_with_run_key(tmp_path, "controller", other_kind(kind).value)
+    ran, compared = tmp_path / "run", tmp_path / "cmp"
+    assert main(["run", "--scenario", str(scenario), "--out", str(ran),
+                 "--controller", kind.value]) == 0
+    assert main(["compare", "--scenario", str(scenario), "--out", str(compared),
+                 "--only", kind.value]) == 0
+    variant = compared / kind.value
+    for name in ("A.csv", "trace.csv"):
+        assert (variant / name).read_bytes() == (ran / name).read_bytes()
+
+    def echoed(out):
+        return [(key, value) for key, value in summary_pairs(out / "summary.txt")
+                if key != "command" and not key.startswith("wall_clock.")]
+
+    assert echoed(variant) == echoed(ran)
+    assert dict(echoed(ran))["run.controller"] == kind.value
+
+
+def test_a_failed_compare_variant_diagnostic_names_the_step_and_the_error(
+        scenario_file, tmp_path, monkeypatch):
+    failing_plan_controls(
+        monkeypatch, lambda controller, step: controller.model is DepositionModel.TRIANGLE
+        and step == 2)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(scenario_file), "--out", str(out),
+                 "--only", "greedy,mpc-triangle"]) == 3
+    variant = out / "mpc-triangle"
+    assert (variant / "diagnostic.txt").read_text() == (
+        "aborted at step 2: controller failed at step 2: injected failure\n")
+    assert len(read_trace(variant / "trace.csv")["k"]) == 1
+    # run's diagnostic of the same failure says the same
+    ran = tmp_path / "run"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(ran),
+                 "--controller", "mpc-triangle"]) == 2
+    assert (ran / "diagnostic.txt").read_text() == (variant / "diagnostic.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, out_dir", [(["run"], "."),
+                                           (["compare", "--only", "greedy"], "greedy")])
+def test_a_completed_run_removes_an_earlier_diagnostic(scenario_file, tmp_path, argv, out_dir):
+    out = tmp_path / "out"
+    stale = out / out_dir / "diagnostic.txt"
+    stale.parent.mkdir(parents=True)
+    stale.write_text("aborted at step 2: an earlier run\n")
+    assert main([*argv, "--scenario", str(scenario_file), "--out", str(out)]) == 0
+    assert not stale.exists()
+    assert (out / out_dir / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["run"], "A.csv"),
+    (["run", "--verbose"], "run.log"),
+    (["compare", "--only", "greedy"], "greedy/A.csv"),
+    (["compare", "--only", "greedy"], "comparison.csv"),
+    (["compare", "--only", "greedy"], "summary.txt"),
+])
+def test_an_output_that_cannot_be_written_fails_cleanly(scenario_file, tmp_path, capsys, argv,
+                                                        blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = main([*argv, "--scenario", str(scenario_file), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert str(out / blocked) in err[0]
+
+
+@pytest.mark.parametrize("denied", ["scenario", "calibration"])
+def test_an_unreadable_input_file_fails_cleanly(scenario_file, tmp_path, monkeypatch, capsys,
+                                                denied):
+    import spreadopt.config
+
+    paths = {"scenario": scenario_file, "calibration": default_calibration_path()}
+
+    def open_denied(path, *args, **kwargs):
+        # file modes cannot deny a superuser, so the denial is made here
+        if Path(path) == paths[denied]:
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(spreadopt.config, "open", open_denied, raising=False)
+    code = main(["validate", "--scenario", str(scenario_file),
+                 "--calibration", str(paths["calibration"])])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert str(paths[denied]) in err[0] and "Permission denied" in err[0]

@@ -211,10 +211,11 @@ def test_compare_ranks_variants_by_final_cost():
     assert [r.controller for r in result.rows] == ["greedy", "mpc-full"]
     costs = {r.controller: r.final_cost for r in result.rows}
     assert result.ranking == tuple(sorted(costs, key=costs.get))
-    assert set(result.records) == {"greedy", "mpc-full"}
     assert not comparison_failed(result)
     for row in result.rows:
-        assert row.final_cost == result.records[row.controller].final_cost
+        assert row.error is None
+        assert row.final_cost == row.record.final_cost
+        assert row.wall_clock == row.record.total_controller_seconds
 
 
 def test_compare_allows_repeated_controllers():
@@ -223,6 +224,8 @@ def test_compare_allows_repeated_controllers():
                      CAL, DEFAULT_CONSTRAINTS, SETTINGS)
     assert result.rows[0].final_cost == result.rows[1].final_cost
     assert result.ranking == ("greedy", "greedy")
+    # each row keeps its own run's record
+    assert result.rows[0].record is not result.rows[1].record
 
 
 def test_compare_needs_at_least_one_controller():
@@ -257,15 +260,20 @@ def test_compare_records_a_failed_variant_as_nan(monkeypatch):
 
     base = tiny_scenario(ControllerKind.GREEDY)
     real_run = sim.run
+    partial = real_run(base, CAL, DEFAULT_CONSTRAINTS, SETTINGS)
+    raised = RunAbortedError("boom", record=partial, step=1)
 
     def flaky(scenario, cal, constraints, settings, controller=None):
         if scenario.controller is ControllerKind.MPC_TRIANGLE:
-            raise RunAbortedError("boom", record=None, step=1)
+            raise raised
         return real_run(scenario, cal, constraints, settings, controller)
 
     monkeypatch.setattr(sim, "run", flaky)
     result = sim.compare(base, [ControllerKind.GREEDY, ControllerKind.MPC_TRIANGLE],
                          CAL, DEFAULT_CONSTRAINTS, SETTINGS)
-    assert math.isnan(result.rows[1].final_cost)
+    failed = result.rows[1]
+    assert math.isnan(failed.final_cost) and math.isnan(failed.wall_clock)
+    assert failed.error is raised and failed.record is partial
+    assert result.rows[0].error is None
     assert result.ranking == ("greedy",)
     assert comparison_failed(result)
