@@ -22,7 +22,7 @@ from __future__ import annotations
 import configparser
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.exceptions import RankWarning
@@ -45,6 +45,16 @@ def _polyder(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(c * (n - k) for k, c in enumerate(coeffs[:-1]))
 
 
+#: Each ``[pattern]`` key of a calibration file: the :class:`CalibrationModel`
+#: field it sets and that polynomial's coefficient count.
+_PATTERN_KEYS = {
+    "distance": ("distance_coeffs", 2),
+    "sigma_distance": ("sigma_distance_coeffs", 3),
+    "angle": ("angle_coeffs", 3),
+    "sigma_angle": ("sigma_angle_coeffs", 3),
+}
+
+
 @dataclass(frozen=True)
 class CalibrationModel:
     """Polynomial maps from disc RPM to single-disc pattern parameters."""
@@ -55,8 +65,7 @@ class CalibrationModel:
     sigma_angle_coeffs: tuple[float, float, float]
 
     def __post_init__(self):
-        for name, expected in (("distance_coeffs", 2), ("sigma_distance_coeffs", 3),
-                               ("angle_coeffs", 3), ("sigma_angle_coeffs", 3)):
+        for key, (name, expected) in _PATTERN_KEYS.items():
             coeffs = tuple(float(c) for c in getattr(self, name))
             if len(coeffs) != expected:
                 raise ConfigurationError(
@@ -65,10 +74,8 @@ class CalibrationModel:
             if not all(math.isfinite(c) for c in coeffs):
                 raise ConfigurationError(f"{name} contains non-finite coefficients")
             object.__setattr__(self, name, coeffs)
-        # derivative coefficients of each polynomial, for the *_slope methods
-        for name in ("distance", "sigma_distance", "angle", "sigma_angle"):
-            object.__setattr__(self, f"_{name}_slope_coeffs",
-                               _polyder(getattr(self, f"{name}_coeffs")))
+            # derivative coefficients, for the *_slope methods
+            object.__setattr__(self, f"_{key}_slope_coeffs", _polyder(coeffs))
 
     def distance(self, rpm: float) -> float:
         return _polyval(self.distance_coeffs, rpm)
@@ -328,17 +335,6 @@ def validate_calibration(cal: CalibrationModel, constraints: ControlConstraints)
     return problems
 
 
-_PATTERN_KEYS = {
-    "distance": ("distance_coeffs", 2),
-    "sigma_distance": ("sigma_distance_coeffs", 3),
-    "angle": ("angle_coeffs", 3),
-    "sigma_angle": ("sigma_angle_coeffs", 3),
-}
-
-_CONSTRAINT_KEYS = ("flow_min", "flow_max", "rpm_min", "rpm_max",
-                    "flow_rate_max", "rpm_rate_max")
-
-
 def save_calibration(path, cal: CalibrationModel,
                      constraints: ControlConstraints) -> None:
     """Write calibration and constraints to a key-value text file."""
@@ -347,7 +343,8 @@ def save_calibration(path, cal: CalibrationModel,
         key: " ".join(repr(c) for c in getattr(cal, attr))
         for key, (attr, _) in _PATTERN_KEYS.items()
     }
-    parser["constraints"] = {key: repr(getattr(constraints, key)) for key in _CONSTRAINT_KEYS}
+    parser["constraints"] = {f.name: repr(getattr(constraints, f.name))
+                             for f in fields(constraints)}
     with open(path, "w") as handle:
         parser.write(handle)
 
@@ -360,26 +357,17 @@ def load_calibration(path) -> tuple[CalibrationModel, ControlConstraints]:
     section with the actuator envelope.  Domain violations over the
     admissible RPM range are rejected at load time.
     """
-    from .config import _SectionReader, read_ini
+    from .config import _SectionReader, field_names, read_ini
 
-    parser = read_ini(path, "calibration file", ("pattern", "constraints"))
-
+    parser = read_ini(path, "calibration file", {"pattern": tuple(_PATTERN_KEYS),
+                                                 "constraints": field_names(ControlConstraints)})
     pattern = _SectionReader(parser, path, "pattern")
-    kwargs = {}
-    for key, (attr, count) in _PATTERN_KEYS.items():
-        coeffs = pattern.numbers(key)
-        if len(coeffs) != count:
-            raise ConfigurationError(
-                f"pattern.{key} in {path} needs {count} coefficients, got {len(coeffs)}")
-        kwargs[attr] = coeffs
-
-    limits = _SectionReader(parser, path, "constraints")
-    bounds = {key: limits.number(key) for key in _CONSTRAINT_KEYS}
     try:
-        cal = CalibrationModel(**kwargs)
-        constraints = ControlConstraints(**bounds)
+        cal = CalibrationModel(**{attr: pattern.numbers(key)
+                                  for key, (attr, _) in _PATTERN_KEYS.items()})
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+        raise ConfigurationError(f"{path}: [pattern] {exc}") from None
+    constraints = _SectionReader(parser, path, "constraints").instance(ControlConstraints)
     problems = validate_calibration(cal, constraints)
     if problems:
         raise ConfigurationError(

@@ -23,13 +23,12 @@ import logging
 import sys
 from pathlib import Path
 
-from .calibration import load_calibration
+from .calibration import _PATTERN_KEYS, load_calibration
 from .config import default_calibration_path, default_scenario_path, load_scenario
 from .controllers import ControllerKind
 from .errors import ConfigurationError, NumericalFailureError, RunAbortedError, SpreadOptError
 from .simulation import (comparison_failed, compare, run, write_comparison, write_run_outputs,
                          write_summary)
-from .spread import DepositScaling
 
 _log = logging.getLogger("spreadopt.cli")
 
@@ -58,18 +57,6 @@ def _build_parser() -> _Parser:
                         help="output directory (default: ./out)")
     common.add_argument("--horizon", type=int, default=None,
                         help="prediction horizon in steps (ignored by the greedy controller)")
-    common.add_argument("--scaling", choices=[s.value for s in DepositScaling], default=None,
-                        help="density-to-mass conversion override")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for optional multi-start optimizer draws")
-    common.add_argument("--restarts", type=int, default=None,
-                        help="number of random optimizer restarts (default 0: deterministic)")
-    common.add_argument("--max-iterations", type=int, default=None,
-                        help="optimizer iteration cap override")
-    common.add_argument("--gradient-tolerance", type=float, default=None,
-                        help="optimizer projected-gradient tolerance override")
-    common.add_argument("--step-tolerance", type=float, default=None,
-                        help="optimizer step tolerance override")
     common.add_argument("--verbose", action="store_true",
                         help="log per-iteration optimizer diagnostics to out/run.log")
 
@@ -88,7 +75,8 @@ def _build_parser() -> _Parser:
 
 
 def _prepare(args, kinds=None):
-    """Load the scenario and calibration files and apply the flags.
+    """Load the scenario and calibration files and apply ``--controller``
+    and ``--horizon``.
 
     ``kinds`` are the controllers that will run, None for the scenario's
     own; the warning about ``--horizon`` is printed once when greedy is
@@ -103,14 +91,9 @@ def _prepare(args, kinds=None):
 
     if args.horizon is not None and args.horizon < 1:
         raise ConfigurationError(f"--horizon must be at least 1, got {args.horizon}")
-    flags = {"controller": getattr(args, "controller", None), "horizon": args.horizon,
-             "scaling": args.scaling}
+    flags = {"controller": getattr(args, "controller", None), "horizon": args.horizon}
     scenario = dataclasses.replace(config.scenario,
                                    **{k: v for k, v in flags.items() if v is not None})
-    # a flag overrides the OptimizerSettings field its destination is named after
-    settings = dataclasses.replace(config.settings, **{
-        f.name: getattr(args, f.name) for f in dataclasses.fields(config.settings)
-        if getattr(args, f.name, None) is not None})
 
     if args.horizon is not None and ControllerKind.GREEDY in (
             kinds if kinds is not None else (scenario.controller,)):
@@ -118,9 +101,10 @@ def _prepare(args, kinds=None):
               "(it is single-step by definition)", file=sys.stderr)
 
     def echo(ran):
-        return _config_lines(ran, settings, cal, constraints, scenario_path, calibration_path)
+        return _config_lines(ran, config.settings, cal, constraints, scenario_path,
+                             calibration_path)
 
-    return scenario, settings, cal, constraints, echo
+    return scenario, config.settings, cal, constraints, echo
 
 
 def _write(path: Path, writer, *args, **kwargs):
@@ -146,15 +130,22 @@ def _value(v) -> str:
     return str(v)
 
 
+def _fields(prefix, obj):
+    """One echo line per field of dataclass ``obj``, in field order."""
+    return [(f"{prefix}.{f.name}", _value(getattr(obj, f.name))) for f in dataclasses.fields(obj)]
+
+
 def _config_lines(scenario, settings, cal, constraints, scenario_path, calibration_path):
     grid = scenario.grid
-    lines = [
+    return [
         ("scenario_file", str(scenario_path)),
         ("calibration_file", str(calibration_path)),
         ("field.side_length", _value(grid.side_length)),
         ("field.n_cells", _value(grid.n_cells)),
         ("field.origin_x", _value(grid.origin[0])),
         ("field.origin_y", _value(grid.origin[1])),
+        # Scenario holds the map as float64
+        ("prescription.sha256", hashlib.sha256(scenario.prescription.tobytes()).hexdigest()),
         ("plan.start_x", _value(scenario.plan.start.x)),
         ("plan.start_y", _value(scenario.plan.start.y)),
         ("plan.start_heading", _value(scenario.plan.start.heading)),
@@ -167,25 +158,12 @@ def _config_lines(scenario, settings, cal, constraints, scenario_path, calibrati
         ("run.horizon", _value(scenario.horizon)),
         ("run.scaling", scenario.scaling.value),
         ("run.triangle_support", scenario.support.value),
-        ("controls.flow_left", _value(scenario.initial_controls.flow_left)),
-        ("controls.flow_right", _value(scenario.initial_controls.flow_right)),
-        ("controls.rpm_left", _value(scenario.initial_controls.rpm_left)),
-        ("controls.rpm_right", _value(scenario.initial_controls.rpm_right)),
-        ("calibration.distance", " ".join(map(_value, cal.distance_coeffs))),
-        ("calibration.sigma_distance", " ".join(map(_value, cal.sigma_distance_coeffs))),
-        ("calibration.angle", " ".join(map(_value, cal.angle_coeffs))),
-        ("calibration.sigma_angle", " ".join(map(_value, cal.sigma_angle_coeffs))),
-        ("constraints.flow_min", _value(constraints.flow_min)),
-        ("constraints.flow_max", _value(constraints.flow_max)),
-        ("constraints.rpm_min", _value(constraints.rpm_min)),
-        ("constraints.rpm_max", _value(constraints.rpm_max)),
-        ("constraints.flow_rate_max", _value(constraints.flow_rate_max)),
-        ("constraints.rpm_rate_max", _value(constraints.rpm_rate_max)),
+        *_fields("controls", scenario.initial_controls),
+        *[(f"calibration.{key}", " ".join(map(_value, getattr(cal, attr))))
+          for key, (attr, _) in _PATTERN_KEYS.items()],
+        *_fields("constraints", constraints),
+        *_fields("optimizer", settings),
     ]
-    for field_def in dataclasses.fields(settings):
-        lines.append((f"optimizer.{field_def.name}",
-                      _value(getattr(settings, field_def.name))))
-    return lines
 
 
 # where the settings were read from, not what they are

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .calibration import SpreaderControls
 from .controllers import ControllerKind, OptimizerSettings
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SpreadOptError
 from .field import FieldGrid, load_map
 from .kinematics import DriveCommand, DrivePlan, TractorState
 from .simulation import Scenario
@@ -58,9 +58,14 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def read_ini(path, kind: str, sections: tuple[str, ...]) -> configparser.ConfigParser:
-    """Parse the ``kind`` file (such as ``"scenario file"``) at ``path``,
-    which must have every section in ``sections``."""
+def read_ini(path, kind: str, sections: dict[str, tuple[str, ...]],
+             optional: tuple[str, ...] = ()) -> configparser.ConfigParser:
+    """Parse the ``kind`` file (such as ``"scenario file"``) at ``path``.
+
+    ``sections`` maps each section the file may have to its allowed keys;
+    every section not in ``optional`` must be present.  An unknown section
+    or key is an error, so a misspelt one cannot fall back to a default.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     path = Path(path)
     if not path.is_file():
@@ -72,10 +77,24 @@ def read_ini(path, kind: str, sections: tuple[str, ...]) -> configparser.ConfigP
         raise ConfigurationError(f"could not read {kind} {path}: {exc.strerror or exc}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"could not parse {path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigurationError(
+                f"{path}: unknown section [{section}], expected one of {list(sections)}")
+        unknown = [key for key in parser.options(section) if key not in sections[section]]
+        if unknown:
+            raise ConfigurationError(
+                f"{path}: unknown [{section}] key {unknown[0]!r}, expected one of "
+                f"{list(sections[section])}")
     for section in sections:
-        if not parser.has_section(section):
+        if section not in optional and not parser.has_section(section):
             raise ConfigurationError(f"{kind} {path} is missing [{section}]")
     return parser
+
+
+def field_names(cls) -> tuple[str, ...]:
+    """The keys of the INI section that dataclass ``cls`` is read from."""
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def default_scenario_path() -> Path:
@@ -142,6 +161,28 @@ class _SectionReader:
                 f"{self.path}: unknown {key} {name!r}, expected one of "
                 f"{[member.value for member in kind]}") from None
 
+    def instance(self, cls, defaults: bool = False):
+        """Dataclass ``cls`` from this section, one key per field parsed as
+        the field's type; with ``defaults``, an absent key keeps the
+        field's default."""
+        readers = {"bool": self.boolean, "int": self.integer, "float": self.number}
+        values = {f.name: readers[f.type](f.name) for f in dataclasses.fields(cls)
+                  if not defaults or self.parser.has_option(self.section, f.name)}
+        try:
+            return cls(**values)
+        except SpreadOptError as exc:
+            raise ConfigurationError(f"{self.path}: [{self.section}] {exc}") from None
+
+
+_SCENARIO_SECTIONS = {
+    "field": ("side_length", "n_cells", "origin_x", "origin_y"),
+    "prescription": ("uniform", "file"),
+    "plan": ("start_x", "start_y", "start_heading", "segments"),
+    "run": ("dt", "controller", "horizon", "scaling", "triangle_support"),
+    "controls": field_names(SpreaderControls),
+    "optimizer": field_names(OptimizerSettings),
+}
+
 
 def load_scenario(path) -> RunConfig:
     """Read a scenario file into a :class:`Scenario` and optimizer settings.
@@ -149,11 +190,12 @@ def load_scenario(path) -> RunConfig:
     Sections: ``[field]`` (geometry), ``[prescription]`` (``uniform`` grams
     or a CSV ``file`` relative to the scenario), ``[plan]`` (start pose and
     ``segments``, one ``speed turn_rate duration`` triple per line),
-    ``[run]`` (dt, controller, horizon, scaling), ``[controls]`` (initial
-    per-disc flow and RPM), and optional ``[optimizer]`` overrides.
+    ``[run]`` (dt, controller, horizon, scaling, triangle_support),
+    ``[controls]`` (initial per-disc flow and RPM), and optional
+    ``[optimizer]`` overrides.  Any other section or key is an error.
     """
     path = Path(path)
-    parser = read_ini(path, "scenario file", ("field", "prescription", "plan", "run", "controls"))
+    parser = read_ini(path, "scenario file", _SCENARIO_SECTIONS, optional=("optimizer",))
 
     field_sec = _SectionReader(parser, path, "field")
     grid = FieldGrid(
@@ -202,41 +244,18 @@ def load_scenario(path) -> RunConfig:
     scaling = run_sec.choice("scaling", DepositScaling, DepositScaling.LITERAL)
     support = run_sec.choice("triangle_support", TriangleSupport, TriangleSupport.UNIT)
 
-    controls_sec = _SectionReader(parser, path, "controls")
-    initial = SpreaderControls(
-        flow_left=controls_sec.number("flow_left"),
-        flow_right=controls_sec.number("flow_right"),
-        rpm_left=controls_sec.number("rpm_left"),
-        rpm_right=controls_sec.number("rpm_right"),
-    )
-
     scenario = Scenario(
         grid=grid,
         prescription=prescription,
         plan=plan,
         dt=run_sec.number("dt"),
-        initial_controls=initial,
+        initial_controls=_SectionReader(parser, path, "controls").instance(SpreaderControls),
         controller=controller,
         horizon=run_sec.integer("horizon", "5"),
         scaling=scaling,
         support=support,
     )
 
-    settings = OptimizerSettings()
-    if parser.has_section("optimizer"):
-        settings = _read_optimizer(_SectionReader(parser, path, "optimizer"))
+    settings = _SectionReader(parser, path, "optimizer").instance(OptimizerSettings,
+                                                                   defaults=True)
     return RunConfig(scenario=scenario, settings=settings)
-
-
-def _read_optimizer(opt: _SectionReader) -> OptimizerSettings:
-    """Optimizer settings from the keys present, each parsed as the type of
-    its :class:`OptimizerSettings` default; an unknown key is an error."""
-    defaults = {f.name: f.default for f in dataclasses.fields(OptimizerSettings)}
-    keys = opt.parser.options(opt.section)
-    unknown = [key for key in keys if key not in defaults]
-    if unknown:
-        raise ConfigurationError(
-            f"{opt.path}: unknown [optimizer] key {unknown[0]!r}, expected one of "
-            f"{list(defaults)}")
-    readers = {bool: opt.boolean, int: opt.integer, float: opt.number}
-    return OptimizerSettings(**{key: readers[type(defaults[key])](key) for key in keys})

@@ -11,7 +11,8 @@ import spreadopt
 from spreadopt import (ConfigurationError, ControllerKind, DepositionModel, DepositScaling,
                        NumericalFailureError, OptimizerSettings, TriangleSupport)
 from spreadopt.cli import main
-from spreadopt.config import default_calibration_path, load_scenario
+from spreadopt.config import (default_calibration_path, default_scenario_path,
+                              load_scenario)
 from spreadopt.controllers import RecedingHorizonController
 from spreadopt.simulation import read_trace
 
@@ -154,13 +155,13 @@ def test_missing_prescription_map_fails_cleanly(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-def test_negative_seed_fails_cleanly(scenario_file, tmp_path):
+def test_a_removed_flag_is_a_usage_error(scenario_file, tmp_path):
+    # the optimizer is set in the scenario file only; argparse alone would exit 2
     done = run_cli(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
-                    "--seed", "-1", "--restarts", "1"], tmp_path)
+                    "--restarts", "1"], tmp_path)
     assert done.returncode == 1
     assert done.stderr.startswith("error:")
-    assert "seed" in done.stderr
-    assert "Traceback" not in done.stderr
+    assert "--restarts" in done.stderr
 
 
 def test_malformed_scenario_fails_cleanly(tmp_path, capsys):
@@ -201,6 +202,8 @@ def test_invalid_calibration_values_name_the_file(scenario_file, tmp_path, line,
      "optimizer.max_iterations"),
     ("scenario", "scaling = literal", "scaling = literal\n[optimizer]\nrestarts = inf",
      "optimizer.restarts"),
+    pytest.param("scenario", "scaling = literal", "scaling = literal\n[optimizer]\nseed = -1",
+                 "[optimizer] seed", id="optimizer-seed"),
 ])
 def test_validate_rejects_a_bad_number_by_its_key(tmp_path, file, line, broken, key):
     texts = {"scenario": TINY_SCENARIO, "calibration": default_calibration_path().read_text()}
@@ -353,6 +356,70 @@ def test_unknown_optimizer_key_names_the_key_and_the_allowed_keys(tmp_path):
         assert repr(name) in message
 
 
+def with_line_after(text, header, line):
+    assert header in text
+    return text.replace(header, f"{header}\n{line}", 1)
+
+
+INPUT_FILES = {"scenario": default_scenario_path, "calibration": default_calibration_path}
+
+
+def validate_with(tmp_path, capsys, **texts):
+    """``spreadopt validate`` on the default inputs, with the file of each
+    keyword replaced by its text; returns the exit code and stderr lines."""
+    argv = ["validate"]
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        argv += [f"--{name}", str(path)]
+    code = main(argv)
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("file, section", [
+    ("scenario", "field"), ("scenario", "prescription"), ("scenario", "plan"),
+    ("scenario", "run"), ("scenario", "controls"), ("scenario", "optimizer"),
+    ("calibration", "pattern"), ("calibration", "constraints"),
+])
+def test_an_unknown_key_is_rejected_in_every_section(tmp_path, capsys, file, section):
+    text = with_line_after(INPUT_FILES[file]().read_text(), f"[{section}]", "bogus = 1")
+    code, err = validate_with(tmp_path, capsys, **{file: text})
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert f"[{section}]" in err[0] and "'bogus'" in err[0]
+
+
+@pytest.mark.parametrize("file, section", [("scenario", "optimiser"), ("calibration", "limits")])
+def test_an_unknown_section_is_rejected(tmp_path, capsys, file, section):
+    text = INPUT_FILES[file]().read_text() + f"\n[{section}]\nseed = 1\n"
+    code, err = validate_with(tmp_path, capsys, **{file: text})
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert f"unknown section [{section}]" in err[0]
+
+
+def test_a_misspelt_run_key_is_rejected(tmp_path, capsys):
+    # the shipped scenario sets sigma; a misspelt key must not fall back to unit
+    text = default_scenario_path().read_text()
+    assert "triangle_support = sigma" in text
+    code, err = validate_with(tmp_path, capsys,
+                              scenario=text.replace("triangle_support", "triangle_suport"))
+    assert code == 1
+    assert len(err) == 1
+    assert "[run] key 'triangle_suport'" in err[0]
+
+
+def test_the_first_of_several_misspellings_is_named(tmp_path, capsys):
+    text = (default_scenario_path().read_text().replace("triangle_support", "triangle_suport")
+            .replace("horizon =", "horizn =").replace("[optimizer]", "[optimiser]"))
+    code, err = validate_with(tmp_path, capsys, scenario=text)
+    assert code == 1
+    assert err == [f"error: {tmp_path / 'scenario.ini'}: unknown [run] key 'horizn', expected "
+                   "one of ['dt', 'controller', 'horizon', 'scaling', 'triangle_support']"]
+
+
 def test_horizon_must_be_positive(scenario_file, tmp_path, capsys):
     code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
                  "--horizon", "0"])
@@ -378,19 +445,29 @@ def test_repeated_runs_are_byte_identical(scenario_file, tmp_path):
     assert hash_of(first) == hash_of(second)
 
 
-def test_settings_hash_ignores_where_the_input_files_live(tmp_path):
+@pytest.fixture
+def summary_of(tmp_path):
+    """Run the scenario ``text`` from its own input directory ``name``,
+    next to a copy of the default calibration and the extra ``files``,
+    and return the summary's table."""
     calibration = default_calibration_path().read_text()
 
-    def summary_of(name, scenario_text):
+    def summary(name, text, files=None):
         inputs = tmp_path / name
         inputs.mkdir()
-        (inputs / "tiny.ini").write_text(scenario_text)
+        (inputs / "tiny.ini").write_text(text)
         (inputs / "calibration.ini").write_text(calibration)
+        for file_name, content in (files or {}).items():
+            (inputs / file_name).write_text(content)
         out = tmp_path / f"{name}-out"
         assert main(["run", "--scenario", str(inputs / "tiny.ini"),
                      "--calibration", str(inputs / "calibration.ini"), "--out", str(out)]) == 0
         return dict(summary_pairs(out / "summary.txt"))
 
+    return summary
+
+
+def test_settings_hash_ignores_where_the_input_files_live(summary_of):
     first = summary_of("a", TINY_SCENARIO)
     second = summary_of("b", TINY_SCENARIO)
     assert first["scenario_file"] != second["scenario_file"]
@@ -398,6 +475,23 @@ def test_settings_hash_ignores_where_the_input_files_live(tmp_path):
     assert first["settings_hash"] == second["settings_hash"]
     changed = summary_of("c", TINY_SCENARIO.replace("horizon = 2", "horizon = 3"))
     assert changed["settings_hash"] != first["settings_hash"]
+
+
+def test_settings_hash_covers_the_prescription(summary_of):
+    first = summary_of("a", TINY_SCENARIO)
+    second = summary_of("b", TINY_SCENARIO.replace("uniform = 20", "uniform = 25"))
+    assert first["settings_hash"] != second["settings_hash"]
+    assert first["prescription.sha256"] != second["prescription.sha256"]
+
+
+def test_settings_hash_of_a_map_ignores_where_it_lives(summary_of):
+    mapped = TINY_SCENARIO.replace("uniform = 20", "file = map.csv")
+    rows = "\n".join(",".join(str(10 + i + j) for j in range(8)) for i in range(8)) + "\n"
+    first = summary_of("a", mapped, {"map.csv": rows})
+    second = summary_of("b", mapped, {"map.csv": rows})
+    assert first["scenario_file"] != second["scenario_file"]
+    assert first["prescription.sha256"] == second["prescription.sha256"]
+    assert first["settings_hash"] == second["settings_hash"]
 
 
 def test_repeated_comparisons_are_byte_identical(scenario_file, tmp_path):

@@ -1,0 +1,40 @@
+"""The README's configuration examples and flags match the program."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from spreadopt.calibration import load_calibration
+from spreadopt.cli import _build_parser
+from spreadopt.config import load_scenario
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def ini_blocks():
+    return re.findall(r"^```ini\n(.*?)^```", README, flags=re.MULTILINE | re.DOTALL)
+
+
+def test_the_readme_has_a_scenario_and_a_calibration_example():
+    blocks = ini_blocks()
+    assert len(blocks) == 2
+    assert "[field]" in blocks[0] and "[pattern]" in blocks[1]
+
+
+@pytest.mark.parametrize("index, load", [(0, load_scenario), (1, load_calibration)])
+def test_the_readme_ini_examples_load(tmp_path, index, load):
+    path = tmp_path / "example.ini"
+    path.write_text(ini_blocks()[index])
+    load(path)
+
+
+def test_every_flag_the_readme_names_is_an_option():
+    # pip's own flags are not the program's
+    prose = re.sub(r"pip install[^`\n]*", "", README)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", prose))
+    parser = _build_parser()
+    subcommands = parser._subparsers._group_actions[0].choices.values()
+    options = {flag for sub in subcommands for flag in sub._option_string_actions}
+    assert named
+    assert named <= options, sorted(named - options)
