@@ -201,13 +201,9 @@ def pattern_from_controls(rpm: float, mass_flow: float, cal: CalibrationModel,
     angle = cal.angle(rpm)
     if side == "left":
         angle = -angle
-    return PatternParams(
-        mass_flow=mass_flow,
-        center_distance=cal.distance(rpm),
-        sigma_distance=cal.sigma_distance(rpm),
-        center_angle=angle,
-        sigma_angle=cal.sigma_angle(rpm),
-    )
+    # positional, in field order: keywords cost more per call
+    return PatternParams(mass_flow, cal.distance(rpm), cal.sigma_distance(rpm), angle,
+                         cal.sigma_angle(rpm))
 
 
 def patterns_from_controls(controls: SpreaderControls,

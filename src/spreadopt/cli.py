@@ -122,6 +122,18 @@ def _create_out(out: Path) -> None:
     _write(out, Path.mkdir, parents=True, exist_ok=True)
 
 
+# what _write_run writes into a run's directory
+_RUN_FILES = ("A.csv", "trace.csv", "summary.txt", "diagnostic.txt")
+
+
+def _check_outputs(paths) -> None:
+    """Reject an output path that exists but is not a regular file before
+    the first decision, instead of when it is written after the last."""
+    for path in paths:
+        if path.exists() and not path.is_file():
+            raise ConfigurationError(f"cannot write {path}: it exists and is not a regular file")
+
+
 def _value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -221,6 +233,7 @@ def _setup_logging(args):
 def cmd_run(args) -> int:
     scenario, settings, cal, constraints, echo = _prepare(args)
     _create_out(args.out)
+    _check_outputs(args.out / name for name in _RUN_FILES)
     _log.info("run: controller=%s horizon=%d", scenario.controller.value, scenario.horizon)
 
     try:
@@ -248,6 +261,8 @@ def cmd_compare(args) -> int:
         kinds = list(ControllerKind)
     scenario, settings, cal, constraints, echo = _prepare(args, kinds)
     _create_out(args.out)
+    _check_outputs([args.out / "comparison.csv", args.out / "summary.txt",
+                    *(args.out / kind.value / name for kind in kinds for name in _RUN_FILES)])
 
     result = compare(scenario, kinds, cal, constraints, settings)
     _write(args.out / "comparison.csv", write_comparison, result)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,8 +177,14 @@ class _Predictor:
         # the record of the last evaluation: its controls' bits and objective,
         # and each disc's parameters, band and density factors, step-major
         self._key = None
+        self._bits = None
         self._value = None
         self._discs = [None] * (2 * len(poses))
+        # per disc, step-major as the record: its step, the flat indices of
+        # its flow and rpm entries, its side and the sign of its center angle
+        self._layout = [(i, 4 * i + flow_col, 4 * i + rpm_col, side, sign)
+                        for i in range(len(poses))
+                        for flow_col, rpm_col, side, sign in _DISC_COLUMNS]
         if len(poses) > 1:
             # _rows's marks and row positions over several poses
             self._marked = np.zeros(self.n_cells, dtype=bool)
@@ -244,27 +250,29 @@ class _Predictor:
         """Fill the predicted map and its residual at ``controls`` and return
         the objective, unless ``controls`` are bitwise the record's: then the
         record's objective, with its map and residual left as they are."""
-        key = np.asarray(controls, dtype=np.float64).tobytes()
+        controls = np.asarray(controls, dtype=np.float64)
+        key = controls.tobytes()
         if key == self._key:
             return self._value
-        same = (np.frombuffer(key, np.int64) == np.frombuffer(self._key, np.int64)
-                if self._key is not None else np.zeros(len(key) // 8, bool)).reshape(-1, 4)
+        bits = np.frombuffer(key, np.int64)
+        same = ((bits == self._bits).tolist() if self._key is not None
+                else [False] * bits.size)
+        values = controls.ravel().tolist()
         # the record matches no controls until this evaluation completes
         self._key = None
         amount = self._amount
         np.copyto(amount, self.applied)
-        for k in range(len(self._discs)):
-            i, disc = divmod(k, 2)
-            flow_col, rpm_col, side, _ = _DISC_COLUMNS[disc]
-            flow = float(controls[i, flow_col])
-            if same[i, rpm_col]:
+        for k, (i, flow_j, rpm_j, side, _) in enumerate(self._layout):
+            flow = values[flow_j]
+            if same[rpm_j]:
                 params, band, factors = self._discs[k]
-                if not same[i, flow_col]:
-                    params = replace(params, mass_flow=flow)
+                if not same[flow_j]:
+                    params = PatternParams(flow, params.center_distance, params.sigma_distance,
+                                           params.center_angle, params.sigma_angle)
             else:
                 # the old factors are freed before the new ones are built
                 self._discs[k] = None
-                params = self._disc_params(flow, float(controls[i, rpm_col]), side)
+                params = self._disc_params(flow, values[rpm_j], side)
                 band = self._band(i, params)
                 factors = disc_factors(band[2], band[3], params, self.model, self.support)
             amount[band[1]] += deposit_from_factors(flow, factors, band[4])
@@ -273,7 +281,7 @@ class _Predictor:
         value = float(e @ e)
         if not math.isfinite(value):
             raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
-        self._value, self._key = value, key
+        self._value, self._key, self._bits = value, key, bits
         return value
 
     def cost_residual_jacobian(self, controls: np.ndarray, masks: np.ndarray | None = None):
@@ -288,18 +296,17 @@ class _Predictor:
         rule are not built, and the normal equations differ from those of a
         full build only in the sign of a zero.  Without masks every column
         is built."""
+        controls = np.asarray(controls, dtype=np.float64)
         value = self._evaluate(controls)
         rows, band_rows = self._rows([band[:2] for _, band, _ in self._discs])
         S = np.zeros((rows.size, 4 * self.horizon))
-        for k, at in enumerate(band_rows):
-            i, disc = divmod(k, 2)
-            flow_col, rpm_col, _, sign = _DISC_COLUMNS[disc]
-            if masks is None or masks[i, rpm_col]:
-                self._disc_columns(S, at, 4 * i + flow_col, 4 * i + rpm_col, sign,
-                                   float(controls[i, rpm_col]), *self._discs[k])
+        kept = None if masks is None else masks.ravel().tolist()
+        for (_, flow_j, rpm_j, _, sign), at, disc in zip(self._layout, band_rows, self._discs):
+            if kept is None or kept[rpm_j]:
+                self._disc_columns(S, at, flow_j, rpm_j, sign, controls.item(rpm_j), *disc)
             else:
-                _, band, factors = self._discs[k]
-                S[at, 4 * i + flow_col] = deposit_from_factors(1.0, factors, band[4])
+                _, band, factors = disc
+                S[at, flow_j] = deposit_from_factors(1.0, factors, band[4])
         return value, self._residual[rows], S, rows
 
     def _disc_columns(self, S, at, flow_j, rpm_j, sign, rpm, params, band, factors):
@@ -344,18 +351,20 @@ def _reach_radius(cal: CalibrationModel, model: DepositionModel, support: Triang
 def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Running controls for a (H, 4) delta array, clipped to the actuator
     boxes step by step."""
+    if len(deltas) == 1:
+        return (prev + deltas).clip(lo, hi)
     controls = np.empty_like(deltas)
     current = prev
-    for i in range(deltas.shape[0]):
-        current = np.clip(current + deltas[i], lo, hi)
-        controls[i] = current
+    for delta, row in zip(deltas, controls):
+        current = np.add(current, delta, out=row).clip(lo, hi, out=row)
     return controls
 
 
 def _clip_masks(controls: np.ndarray, deltas: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Clip masks of an unroll: 1.0 where :func:`_unroll` kept a step's
     control plus its delta, 0.0 where it clipped that sum to a box."""
-    return (controls == np.concatenate(([prev], controls[:-1])) + deltas).astype(float)
+    before = prev if len(controls) == 1 else np.concatenate(([prev], controls[:-1]))
+    return (controls == before + deltas).astype(float)
 
 
 def _fold_jacobian(S: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -368,14 +377,24 @@ def _fold_jacobian(S: np.ndarray, masks: np.ndarray) -> np.ndarray:
     next step's folded columns, zeroed where that step's control was
     clipped.  Splitting the columns into steps is a view of any 2-D array,
     a transposed one included, so the fold always lands in ``S``.
+
+    Down to the next clipped step, those sums are one running sum over the
+    steps in reverse, started from the last folded step; addition is
+    commutative, so it rounds as the sums one step at a time.
     """
     h = masks.shape[0]
     blocks = S.reshape(S.shape[0], h, 4)
+    kept = masks.tolist()
+    end = h
     for i in reversed(range(h)):
-        if i + 1 < h:
-            blocks[:, i] += blocks[:, i + 1]
-        if not masks[i].all():
-            blocks[:, i] *= masks[i]
+        clipped = not all(kept[i])
+        if clipped or i == 0:
+            run = blocks[:, i:end + 1][:, ::-1]
+            if run.shape[1] > 1:
+                np.add.accumulate(run, axis=1, out=run)
+            if clipped:
+                blocks[:, i] *= masks[i]
+            end = i
     return S
 
 
@@ -389,7 +408,12 @@ def _normal_equations(S: np.ndarray, e: np.ndarray, masks: np.ndarray):
     Both work on 4H columns and at most 4H + 1 rows, whatever the number of
     cells.
     """
-    folded = _fold_jacobian(np.concatenate((S.T @ S, [2.0 * (S.T @ e)])), masks)
+    n = S.shape[1]
+    stacked = np.empty((n + 1, n))
+    np.matmul(S.T, S, out=stacked[:n])
+    gradient = np.matmul(S.T, e, out=stacked[n])
+    gradient *= 2.0
+    folded = _fold_jacobian(stacked, masks)
     return _fold_jacobian(folded[:-1].T, masks), folded[-1]
 
 
@@ -403,9 +427,21 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
     lo = constraints.lower()
     hi = constraints.upper()
     rbox = constraints.rates() / math.sqrt(2.0)
+    low = -rbox
     h = predictor.horizon
+    # each delta's bound, flat and step-major as the iterate
+    bounds = rbox.tolist() * h
 
-    x = np.clip(x0, -rbox, rbox)
+    def at_bounds(flat):
+        """Flat index of each delta on its bound, and whether it is the
+        upper one: the box holds every iterate, so there ``x >= rbox`` is
+        ``x > 0``."""
+        return [(j, v > 0.0) for j, (v, r) in enumerate(zip(flat, bounds))
+                if v <= -r or v >= r]
+
+    x = np.clip(x0, low, rbox)
+    flat = x.ravel().tolist()
+    on_bound = at_bounds(flat)
     controls = _unroll(x, prev, lo, hi)
     lam = 1e-8
     min_gain = 1e-12
@@ -413,7 +449,7 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
     def line_search(direction, alpha, tries):
         """First halving of ``alpha`` whose projected step decreases the cost."""
         for _ in range(tries):
-            candidate = np.clip(x + alpha * direction, -rbox, rbox)
+            candidate = (x + alpha * direction).clip(low, rbox)
             cand_controls = _unroll(candidate, prev, lo, hi)
             cand_cost = predictor.cost(cand_controls)
             if cand_cost < cost - threshold:
@@ -432,27 +468,33 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         del e, S
         grad_x = grad.reshape(h, 4)
         rhs = -0.5 * grad
-        projected = x - np.clip(x - grad_x, -rbox, rbox)
-        pg_norm = float(np.abs(projected).max())
+        pg_norm = float(abs(x - (x - grad_x).clip(low, rbox)).max())
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("iter %d cost %.6e pg %.3e lam %.1e", iteration, cost, pg_norm, lam)
         if pg_norm <= settings.gradient_tolerance:
             break
 
         # the model's largest reduction over the deltas that may move:
-        # below the line search's acceptance threshold, no step passes it
+        # below the line search's acceptance threshold, no step passes it.
+        # A delta on its bound is pinned if the gradient pushes it outward.
         threshold = min_gain * max(1.0, cost)
-        at_lo, at_hi = x <= -rbox, x >= rbox
-        free = ~((at_lo & (grad_x > 0)) | (at_hi & (grad_x < 0))).ravel()
+        pinned = [j for j, upper in on_bound if (grad.item(j) < 0.0 if upper
+                                                 else grad.item(j) > 0.0)]
         gain = 0.0
-        if free.any():
-            rhs_f, diagonal = rhs[free], M.diagonal()[free]
-            floor = 1e-12 * (diagonal.mean() + 1e-12)
+        if len(pinned) < rhs.size:
+            if pinned:
+                free = np.ones(rhs.size, dtype=bool)
+                free[pinned] = False
+                rhs_f, diagonal = rhs[free], M.diagonal()[free]
+            else:
+                rhs_f, diagonal = rhs, M.diagonal()
+            diagonal_sum = float(diagonal.sum())
+            floor = 1e-12 * (diagonal_sum / rhs_f.size + 1e-12)
             # r^T A^-1 r >= |r|^2 / trace(A) for positive definite A: solve
             # only when that bound does not clear the threshold
-            gain = float(rhs_f @ rhs_f) / (diagonal.sum() + floor * rhs_f.size)
+            gain = float(rhs_f @ rhs_f) / (diagonal_sum + floor * rhs_f.size)
             if gain < threshold:
-                M_ff = M[np.ix_(free, free)]
+                M_ff = M[np.ix_(free, free)] if pinned else M.copy()
                 M_ff.flat[::rhs_f.size + 1] += floor
                 try:
                     gain = float(rhs_f @ np.linalg.solve(M_ff, rhs_f))
@@ -464,7 +506,9 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
 
         accepted = None
         if settings.gauss_newton:
-            M.flat[::M.shape[0] + 1] += lam * (np.trace(M) / M.shape[0] + 1e-12)
+            # with no delta pinned, the diagonal summed above is the trace
+            trace = float(M.trace()) if pinned else diagonal_sum
+            M.flat[::M.shape[0] + 1] += lam * (trace / M.shape[0] + 1e-12)
             try:
                 direction = np.linalg.solve(M, rhs).reshape(h, 4)
             except np.linalg.LinAlgError:
@@ -472,8 +516,13 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
             if direction is not None:
                 # slope of alpha -> clip(x + alpha d) at 0+: components pushing
                 # against an active rbox bound do not move
-                blocked = (at_lo & (direction < 0)) | (at_hi & (direction > 0))
-                slope = float(np.vdot(grad_x, np.where(blocked, 0.0, direction)))
+                blocked = [j for j, upper in on_bound
+                           if (direction.item(j) > 0.0 if upper else direction.item(j) < 0.0)]
+                moving = direction
+                if blocked:
+                    moving = direction.copy()
+                    moving.ravel()[blocked] = 0.0
+                slope = float(np.vdot(grad_x, moving))
                 if slope >= 0:
                     lam = min(lam * 100.0, 1e8)
                     _log.debug("skip non-descent direction: slope %.3e lam %.1e", slope, lam)
@@ -488,9 +537,12 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         if accepted is None:
             break
         new_x, controls, cost = accepted
-        moved = float(np.abs(new_x - x).max())
-        x = new_x
-        if moved <= settings.step_tolerance * (1.0 + float(np.abs(x).max())):
+        new = new_x.ravel().tolist()
+        # the accepted deltas are finite: their controls were evaluated
+        moved = max(abs(a - b) for a, b in zip(new, flat))
+        x, flat = new_x, new
+        on_bound = at_bounds(flat)
+        if moved <= settings.step_tolerance * (1.0 + max(map(abs, flat))):
             break
     return controls, cost, iteration
 

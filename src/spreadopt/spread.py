@@ -90,9 +90,9 @@ class PatternParams:
     sigma_angle: float
 
     def __post_init__(self):
-        values = (self.mass_flow, self.center_distance, self.sigma_distance,
-                  self.center_angle, self.sigma_angle)
-        if not all(math.isfinite(v) for v in values):
+        if not (math.isfinite(self.mass_flow) and math.isfinite(self.center_distance)
+                and math.isfinite(self.sigma_distance) and math.isfinite(self.center_angle)
+                and math.isfinite(self.sigma_angle)):
             raise CalibrationDomainError(f"pattern parameters must be finite: {self}")
         if self.mass_flow < 0:
             raise CalibrationDomainError(f"mass flow must be non-negative, got {self.mass_flow}")
@@ -159,43 +159,44 @@ def _reach(sd: float, sa: float, model: DepositionModel, support: TriangleSuppor
     return sd * math.sqrt(2.0 * math.log(1.0 / (2.0 * math.pi * sd * sa * WINDOW_TOLERANCE)))
 
 
-def _density_factors(x, y, sd: float, sa: float, model: DepositionModel,
+def _density_factors(offsets, sd: float, sa: float, model: DepositionModel,
                      support: TriangleSupport):
-    """Radial and angular factors of one disc's density at offsets ``x``
-    and ``y``; the density is the mass flow times their product."""
+    """Radial and angular factors of one disc's density at the radial and
+    angular offsets in the two rows of ``offsets``; the density is the mass
+    flow times their product.  The normal model builds them in the rows
+    of ``offsets``, which it overwrites."""
     if model == DepositionModel.FULL_NORMAL:
-        return _normal_factor(x, sd), _normal_factor(y, sa)
+        return _normal_factors(offsets, sd, sa)
+    x, y = offsets
     half_x, half_y = _half_widths(sd, sa, support)
     return (np.maximum(0.0, 1.0 - np.abs(x) / half_x) / (SQRT_TWO_PI * sd),
             np.maximum(0.0, 1.0 - np.abs(y) / half_y) / (SQRT_TWO_PI * sa))
 
 
-def _normal_factor(offset, sigma):
-    """``exp(-0.5 * (offset / sigma) ** 2) / (sqrt(2 pi) sigma)``, built
-    operation by operation in one array (0-d for a scalar offset)."""
-    out = np.divide(offset, sigma, out=np.empty(np.shape(offset)))
-    out *= out
-    out *= -0.5
-    np.exp(out, out=out)
-    out /= SQRT_TWO_PI * sigma
-    return out
-
-
-def _times_scale(out, scale):
-    """``out * scale`` in place; the literal scaling's 1.0 changes no bit,
-    so it is not multiplied."""
-    if isinstance(scale, np.ndarray) or scale != 1.0:
-        out *= scale
-    return out
+def _normal_factors(offsets: np.ndarray, sd: float, sa: float):
+    """``exp(-0.5 * (x / sd) ** 2) / (sqrt(2 pi) sd)`` and the same of
+    ``y`` and ``sa``, built operation by operation in the rows ``x`` and
+    ``y`` of ``offsets`` and returned as those rows; the steps that do not
+    depend on the axis are one operation on both rows."""
+    # views, 0-d ones for a single cell, not the scalars iteration would give
+    x, y = offsets[0, ...], offsets[1, ...]
+    x /= sd
+    y /= sa
+    offsets *= offsets
+    offsets *= -0.5
+    np.exp(offsets, out=offsets)
+    x /= SQRT_TWO_PI * sd
+    y /= SQRT_TWO_PI * sa
+    return x, y
 
 
 def _density(x_offset, y_offset, params: PatternParams, model: DepositionModel,
              support: TriangleSupport = TriangleSupport.UNIT):
-    factors = _density_factors(np.asarray(x_offset, dtype=float),
-                               np.asarray(y_offset, dtype=float),
-                               params.sigma_distance, params.sigma_angle, model, support)
     # offsets may broadcast, as a column against a row
-    out = deposit_from_factors(params.mass_flow, np.broadcast_arrays(*factors), 1.0)
+    offsets = np.array(np.broadcast_arrays(x_offset, y_offset), dtype=float)
+    factors = _density_factors(offsets, params.sigma_distance, params.sigma_angle, model,
+                               support)
+    out = deposit_from_factors(params.mass_flow, factors, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -261,10 +262,20 @@ def disc_factors(dist: np.ndarray, angle: np.ndarray, params: PatternParams,
                  model: DepositionModel, support: TriangleSupport):
     """The radial and angular density factors of one disc at the given
     geometry, ``(radial, angular)``: its deposit per gram of flow is their
-    product times the area scale.  ``model`` and ``support`` are not
+    product times the area scale.  ``dist`` and ``angle`` are arrays of one
+    shape, an entry per cell.  ``model`` and ``support`` are not
     validated."""
-    return _density_factors(dist - params.center_distance, angle - params.center_angle,
-                            params.sigma_distance, params.sigma_angle, model, support)
+    return _density_factors(_offsets(dist, angle, params), params.sigma_distance,
+                            params.sigma_angle, model, support)
+
+
+def _offsets(dist: np.ndarray, angle: np.ndarray, params: PatternParams) -> np.ndarray:
+    """The radial and angular offsets of cells from one disc's pattern
+    center, as the two rows of one new array."""
+    offsets = np.empty((2, *dist.shape))
+    np.subtract(dist, params.center_distance, out=offsets[0, ...])
+    np.subtract(angle, params.center_angle, out=offsets[1, ...])
+    return offsets
 
 
 def deposit_from_factors(mass_flow: float, factors, scale) -> np.ndarray:
@@ -275,7 +286,10 @@ def deposit_from_factors(mass_flow: float, factors, scale) -> np.ndarray:
     radial, angular = factors
     out = mass_flow * radial
     out *= angular
-    return _times_scale(out, scale)
+    # the literal scaling's 1.0 changes no bit, so it is not multiplied
+    if isinstance(scale, np.ndarray) or scale != 1.0:
+        out *= scale
+    return out
 
 
 def _normal_partials(value, offset, sigma):
@@ -329,7 +343,7 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     x = dist - params.center_distance
     y = angle - params.center_angle
     if factors is None:
-        factors = _density_factors(x, y, sd, sa, model, support)
+        factors = disc_factors(dist, angle, params, model, support)
     unit = deposit_from_factors(1.0, factors, scale)
 
     if model == DepositionModel.FULL_NORMAL:

@@ -1,5 +1,8 @@
-"""Reference computations the tests hold the predictor and solver to, and
-the strategy that draws their starting controls."""
+"""Reference computations the tests hold the predictor and solver to, the
+strategy that draws their starting controls, and the step-by-step forms of
+the per-call helpers."""
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -48,3 +51,75 @@ def chain_feasible(rows, previous, constraints):
             return False
         anchor = controls
     return True
+
+
+# -- loop-by-loop references of the solver's and kernel's per-call helpers ----
+# The package computes these with fewer calls; each must give the same bits.
+
+def unroll_reference(deltas, prev, lo, hi):
+    """Running controls of a (H, 4) delta array, one ``np.clip`` per step."""
+    controls = np.empty_like(deltas)
+    current = prev
+    for i in range(deltas.shape[0]):
+        current = np.clip(current + deltas[i], lo, hi)
+        controls[i] = current
+    return controls
+
+
+def clip_masks_reference(controls, deltas, prev):
+    """1.0 where the unroll kept a step's control plus its delta."""
+    return (controls == np.concatenate(([prev], controls[:-1])) + deltas).astype(float)
+
+
+def fold_jacobian_reference(S, masks):
+    """The fold of a matrix's columns through the unroll, one step at a
+    time from the last, in place in ``S``."""
+    h = masks.shape[0]
+    blocks = S.reshape(S.shape[0], h, 4)
+    for i in reversed(range(h)):
+        if i + 1 < h:
+            blocks[:, i] += blocks[:, i + 1]
+        if not masks[i].all():
+            blocks[:, i] *= masks[i]
+    return S
+
+
+def normal_equations_reference(S, e, masks):
+    """Gauss-Newton matrix and gradient from one stacked fold and one fold
+    of its transpose."""
+    folded = fold_jacobian_reference(np.concatenate((S.T @ S, [2.0 * (S.T @ e)])), masks)
+    return fold_jacobian_reference(folded[:-1].T, masks), folded[-1]
+
+
+def normal_factor_reference(offset, sigma):
+    """``exp(-0.5 * (offset / sigma) ** 2) / (sqrt(2 pi) sigma)`` for one
+    axis, in a new array."""
+    out = np.divide(offset, sigma, out=np.empty(np.shape(offset)))
+    out *= out
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= math.sqrt(2.0 * math.pi) * sigma
+    return out
+
+
+def pattern_domain_error_reference(mass_flow, center_distance, sigma_distance, center_angle,
+                                   sigma_angle):
+    """The message of the ``CalibrationDomainError`` that a pattern with
+    these parameters raises, or None if it is valid."""
+    values = (mass_flow, center_distance, sigma_distance, center_angle, sigma_angle)
+    if not all(math.isfinite(v) for v in values):
+        text = ", ".join(f"{name}={value!r}" for name, value in zip(
+            ("mass_flow", "center_distance", "sigma_distance", "center_angle", "sigma_angle"),
+            values))
+        return f"pattern parameters must be finite: PatternParams({text})"
+    if mass_flow < 0:
+        return f"mass flow must be non-negative, got {mass_flow}"
+    if center_distance <= 0:
+        return f"pattern center distance must be positive, got {center_distance}"
+    if sigma_distance <= 0:
+        return f"radial spread must be positive, got {sigma_distance}"
+    if sigma_angle <= 0:
+        return f"angular spread must be positive, got {sigma_angle}"
+    if not -math.pi < center_angle < math.pi:
+        return f"pattern center angle must lie in (-pi, pi), got {center_angle}"
+    return None

@@ -668,9 +668,21 @@ def test_a_completed_run_removes_an_earlier_diagnostic(scenario_file, tmp_path, 
     (["compare", "--only", "greedy"], "greedy/A.csv"),
     (["compare", "--only", "greedy"], "comparison.csv"),
     (["compare", "--only", "greedy"], "summary.txt"),
+    (["run"], "diagnostic.txt"),
+    (["compare", "--only", "greedy,mpc-full"], "mpc-full/trace.csv"),
 ])
-def test_an_output_that_cannot_be_written_fails_cleanly(scenario_file, tmp_path, capsys, argv,
-                                                        blocked):
+def test_an_output_that_cannot_be_written_fails_cleanly(scenario_file, tmp_path, capsys,
+                                                        monkeypatch, argv, blocked):
+    from spreadopt.controllers import RecedingHorizonController
+
+    plan_controls = RecedingHorizonController.plan_controls
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return plan_controls(self, *args)
+
+    monkeypatch.setattr(RecedingHorizonController, "plan_controls", counted)
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     code = main([*argv, "--scenario", str(scenario_file), "--out", str(out)])
@@ -679,6 +691,9 @@ def test_an_output_that_cannot_be_written_fails_cleanly(scenario_file, tmp_path,
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert str(out / blocked) in err[0]
+    # found before the first decision, so nothing was run or written
+    assert not calls
+    assert not (out / "comparison.csv").is_file()
 
 
 @pytest.mark.parametrize("denied", ["scenario", "calibration"])

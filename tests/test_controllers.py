@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spreadopt import (
+    CalibrationDomainError,
+    CalibrationModel,
     ControlConstraints,
     ControllerKind,
     DEFAULT_CALIBRATION,
@@ -605,6 +607,44 @@ def test_the_record_answers_a_repeated_evaluation_without_recomputing(model, mon
     controls[1, 0] = np.nextafter(controls[1, 0], 0.0)
     predictor.cost(controls)
     assert counts == {"params": 1, "kernel": 0, "deposits": 6}
+
+
+def test_the_record_survives_an_evaluation_that_fails_mid_schedule():
+    # the radial spread (rpm - 400) / 300 leaves the pattern's domain below
+    # 400 rpm, inside the actuator box; this calibration is never validated
+    cal = CalibrationModel((0.02, 3.0), (0.0, 1.0 / 300.0, -4.0 / 3.0),
+                           CAL.angle_coeffs, CAL.sigma_angle_coeffs)
+    grid, prescribed = small_field(n=16, side=60.0, dose=4.0)
+    tail = straight_tail(TractorState(15.0, 30.0, 0.0), 5.0, 3)
+
+    def predictor():
+        return controllers._Predictor(grid, tail, grid.zeros(), prescribed,
+                                      DepositionModel.FULL_NORMAL, cal)
+
+    good = schedule_of([(40.0, 50.0, 600.0, 650.0), (45.0, 45.0, 650.0, 700.0),
+                        (50.0, 40.0, 700.0, 750.0)])
+    # the first step's discs are rebuilt, the second step's left disc keeps
+    # its record with a new flow, and its right disc fails
+    bad = good.copy()
+    bad[0, 2:] = 610.0, 660.0
+    bad[1, 0] = 30.0
+    bad[1, 3] = 350.0
+    masks = np.ones((3, 4))
+    other = good + np.array([1.0, -1.0, 5.0, -5.0])
+    used = predictor()
+    used.cost(good)
+    with pytest.raises(CalibrationDomainError):
+        used.cost(bad)
+    for controls in (good, bad[:1].repeat(3, axis=0), other):
+        fresh = predictor()
+        assert used.cost(controls) == fresh.cost(controls)
+        got = used.cost_residual_jacobian(controls, masks)
+        expected = fresh.cost_residual_jacobian(controls, masks)
+        assert got[0] == expected[0]
+        for a, b in zip(got[1:], expected[1:]):
+            assert a.tobytes() == b.tobytes()
+        with pytest.raises(CalibrationDomainError):
+            used.cost_residual_jacobian(bad, masks)
 
 
 @pytest.mark.parametrize("restarts", [0, 1])
