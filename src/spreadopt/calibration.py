@@ -358,9 +358,9 @@ def load_calibration(path) -> tuple[CalibrationModel, ControlConstraints]:
     parser = read_ini(path, "calibration file", {"pattern": tuple(_PATTERN_KEYS),
                                                  "constraints": field_names(ControlConstraints)})
     pattern = _SectionReader(parser, path, "pattern")
+    coeffs = {attr: pattern.numbers(key) for key, (attr, _) in _PATTERN_KEYS.items()}
     try:
-        cal = CalibrationModel(**{attr: pattern.numbers(key)
-                                  for key, (attr, _) in _PATTERN_KEYS.items()})
+        cal = CalibrationModel(**coeffs)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: [pattern] {exc}") from None
     constraints = _SectionReader(parser, path, "constraints").instance(ControlConstraints)

@@ -27,8 +27,8 @@ from .calibration import _PATTERN_KEYS, load_calibration
 from .config import default_calibration_path, default_scenario_path, load_scenario
 from .controllers import ControllerKind
 from .errors import ConfigurationError, NumericalFailureError, RunAbortedError, SpreadOptError
-from .simulation import (comparison_failed, compare, run, write_comparison, write_run_outputs,
-                         write_summary)
+from .simulation import (check_setup, comparison_failed, compare, run, write_comparison,
+                         write_run_outputs, write_summary)
 
 _log = logging.getLogger("spreadopt.cli")
 
@@ -288,10 +288,10 @@ def cmd_validate(args) -> int:
     for key, value in echo(scenario):
         print(f"{key} = {value}")
     # load_calibration has already rejected a calibration that fails validation
-    u0 = scenario.initial_controls.as_array()
-    if (u0 < constraints.lower()).any() or (u0 > constraints.upper()).any():
-        print(f"problem: initial controls {scenario.initial_controls} violate the actuator boxes",
-              file=sys.stderr)
+    try:
+        check_setup(scenario, constraints)
+    except ConfigurationError as exc:
+        print(f"problem: {exc}", file=sys.stderr)
         return 1
     print("ok")
     return 0

@@ -58,15 +58,16 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def read_ini(path, kind: str, sections: dict[str, tuple[str, ...]],
-             optional: tuple[str, ...] = ()) -> configparser.ConfigParser:
+def read_ini(path, kind: str, sections: dict[str, tuple[str, ...]]) -> configparser.ConfigParser:
     """Parse the ``kind`` file (such as ``"scenario file"``) at ``path``.
 
-    ``sections`` maps each section the file may have to its allowed keys;
-    every section not in ``optional`` must be present.  An unknown section
-    or key is an error, so a misspelt one cannot fall back to a default.
+    ``sections`` maps each section the file must have to its keys.  An
+    unknown section or key is an error, ``[DEFAULT]`` included, and
+    values are read as written, with no ``%`` interpolation.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header names the empty section, so [DEFAULT] is not merged into the others
+    parser = configparser.ConfigParser(interpolation=None, default_section="",
+                                       inline_comment_prefixes=("#", ";"))
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"{kind} not found: {path}")
@@ -87,7 +88,7 @@ def read_ini(path, kind: str, sections: dict[str, tuple[str, ...]],
                 f"{path}: unknown [{section}] key {unknown[0]!r}, expected one of "
                 f"{list(sections[section])}")
     for section in sections:
-        if section not in optional and not parser.has_section(section):
+        if not parser.has_section(section):
             raise ConfigurationError(f"{kind} {path} is missing [{section}]")
     return parser
 
@@ -121,39 +122,39 @@ class _SectionReader:
         self.path = path
         self.section = section
 
-    def raw(self, key: str, fallback: str | None = None) -> str:
-        value = self.parser.get(self.section, key, fallback=fallback)
+    def raw(self, key: str) -> str:
+        value = self.parser.get(self.section, key, fallback=None)
         if value is None:
-            raise ConfigurationError(f"{self.path} is missing {self.section}.{key}")
+            raise ConfigurationError(f"{self.path}: missing [{self.section}] key {key!r}")
         return value
 
-    def _parse(self, key: str, parse, fallback: str | None = None):
-        raw = self.raw(key, fallback)
+    def _parse(self, key: str, parse):
+        raw = self.raw(key)
         try:
             return parse(raw)
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {self.section}.{key} in {self.path}: {exc}") from exc
 
-    def number(self, key: str, fallback: str | None = None) -> float:
-        return self._parse(key, parse_number, fallback)
+    def number(self, key: str) -> float:
+        return self._parse(key, parse_number)
 
     def numbers(self, key: str) -> tuple[float, ...]:
         """Whitespace-separated numbers, such as polynomial coefficients."""
         return self._parse(key, lambda raw: tuple(map(parse_number, raw.split())))
 
-    def integer(self, key: str, fallback: str | None = None) -> int:
-        value = self.number(key, fallback)
+    def integer(self, key: str) -> int:
+        value = self.number(key)
         if not math.isfinite(value) or int(value) != value:
             raise ConfigurationError(
                 f"{self.section}.{key} in {self.path} must be an integer, got {value}")
         return int(value)
 
-    def boolean(self, key: str, fallback: str | None = None) -> bool:
-        return self._parse(key, parse_bool, fallback)
+    def boolean(self, key: str) -> bool:
+        return self._parse(key, parse_bool)
 
-    def choice(self, key: str, kind: type[enum.Enum], default: enum.Enum) -> enum.Enum:
-        """The member of ``kind`` named by ``key``, or ``default`` when absent."""
-        name = self.raw(key, default.value).strip()
+    def choice(self, key: str, kind: type[enum.Enum]) -> enum.Enum:
+        """The member of ``kind`` named by ``key``."""
+        name = self.raw(key).strip()
         try:
             return kind(name)
         except ValueError:
@@ -161,13 +162,11 @@ class _SectionReader:
                 f"{self.path}: unknown {key} {name!r}, expected one of "
                 f"{[member.value for member in kind]}") from None
 
-    def instance(self, cls, defaults: bool = False):
+    def instance(self, cls):
         """Dataclass ``cls`` from this section, one key per field parsed as
-        the field's type; with ``defaults``, an absent key keeps the
-        field's default."""
+        the field's type."""
         readers = {"bool": self.boolean, "int": self.integer, "float": self.number}
-        values = {f.name: readers[f.type](f.name) for f in dataclasses.fields(cls)
-                  if not defaults or self.parser.has_option(self.section, f.name)}
+        values = {f.name: readers[f.type](f.name) for f in dataclasses.fields(cls)}
         try:
             return cls(**values)
         except SpreadOptError as exc:
@@ -191,17 +190,17 @@ def load_scenario(path) -> RunConfig:
     or a CSV ``file`` relative to the scenario), ``[plan]`` (start pose and
     ``segments``, one ``speed turn_rate duration`` triple per line),
     ``[run]`` (dt, controller, horizon, scaling, triangle_support),
-    ``[controls]`` (initial per-disc flow and RPM), and optional
-    ``[optimizer]`` overrides.  Any other section or key is an error.
+    ``[controls]`` (initial per-disc flow and RPM) and ``[optimizer]``.
+    Every key is required, except that ``[prescription]`` takes just one.
     """
     path = Path(path)
-    parser = read_ini(path, "scenario file", _SCENARIO_SECTIONS, optional=("optimizer",))
+    parser = read_ini(path, "scenario file", _SCENARIO_SECTIONS)
 
     field_sec = _SectionReader(parser, path, "field")
     grid = FieldGrid(
         side_length=field_sec.number("side_length"),
         n_cells=field_sec.integer("n_cells"),
-        origin=(field_sec.number("origin_x", "0"), field_sec.number("origin_y", "0")),
+        origin=(field_sec.number("origin_x"), field_sec.number("origin_y")),
     )
 
     prescription_sec = _SectionReader(parser, path, "prescription")
@@ -220,7 +219,7 @@ def load_scenario(path) -> RunConfig:
 
     plan_sec = _SectionReader(parser, path, "plan")
     start = TractorState(plan_sec.number("start_x"), plan_sec.number("start_y"),
-                         plan_sec.number("start_heading", "0"))
+                         plan_sec.number("start_heading"))
     segments = []
     for line_no, line in enumerate(plan_sec.raw("segments").strip().splitlines(), start=1):
         tokens = line.split()
@@ -240,22 +239,17 @@ def load_scenario(path) -> RunConfig:
     plan = DrivePlan(start=start, segments=tuple(segments))
 
     run_sec = _SectionReader(parser, path, "run")
-    controller = run_sec.choice("controller", ControllerKind, ControllerKind.MPC_FULL)
-    scaling = run_sec.choice("scaling", DepositScaling, DepositScaling.LITERAL)
-    support = run_sec.choice("triangle_support", TriangleSupport, TriangleSupport.UNIT)
-
     scenario = Scenario(
         grid=grid,
         prescription=prescription,
         plan=plan,
         dt=run_sec.number("dt"),
         initial_controls=_SectionReader(parser, path, "controls").instance(SpreaderControls),
-        controller=controller,
-        horizon=run_sec.integer("horizon", "5"),
-        scaling=scaling,
-        support=support,
+        controller=run_sec.choice("controller", ControllerKind),
+        horizon=run_sec.integer("horizon"),
+        scaling=run_sec.choice("scaling", DepositScaling),
+        support=run_sec.choice("triangle_support", TriangleSupport),
     )
 
-    settings = _SectionReader(parser, path, "optimizer").instance(OptimizerSettings,
-                                                                   defaults=True)
+    settings = _SectionReader(parser, path, "optimizer").instance(OptimizerSettings)
     return RunConfig(scenario=scenario, settings=settings)

@@ -284,7 +284,7 @@ class _Predictor:
         self._value, self._key, self._bits = value, key, bits
         return value
 
-    def cost_residual_jacobian(self, controls: np.ndarray, masks: np.ndarray | None = None):
+    def cost_residual_jacobian(self, controls: np.ndarray, masks: np.ndarray):
         """Objective, then the residual and its Jacobian with respect to
         every control entry (columns step-major in component order) on the
         union of the discs' bands, and the cell index of each of their rows.
@@ -294,15 +294,15 @@ class _Predictor:
         (:func:`_clip_masks`).  The fold multiplies an rpm column whose mask
         is zero by zero, so that column is left zero: its partials and chain
         rule are not built, and the normal equations differ from those of a
-        full build only in the sign of a zero.  Without masks every column
-        is built."""
+        full build only in the sign of a zero.  A mask of ones builds every
+        column."""
         controls = np.asarray(controls, dtype=np.float64)
         value = self._evaluate(controls)
         rows, band_rows = self._rows([band[:2] for _, band, _ in self._discs])
         S = np.zeros((rows.size, 4 * self.horizon))
-        kept = None if masks is None else masks.ravel().tolist()
+        kept = masks.ravel().tolist()
         for (_, flow_j, rpm_j, _, sign), at, disc in zip(self._layout, band_rows, self._discs):
-            if kept is None or kept[rpm_j]:
+            if kept[rpm_j]:
                 self._disc_columns(S, at, flow_j, rpm_j, sign, controls.item(rpm_j), *disc)
             else:
                 _, band, factors = disc

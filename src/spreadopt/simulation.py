@@ -21,7 +21,7 @@ from .controllers import (ControllerKind, OptimizerSettings, RecedingHorizonCont
                           make_controller)
 from .errors import ConfigurationError, RunAbortedError, SpreadOptError
 from .field import FieldGrid, as_amount_map, cost, save_map
-from .kinematics import DrivePlan, trajectory
+from .kinematics import DrivePlan, TractorState, trajectory
 from .spread import (DepositScaling, DepositionModel, TriangleSupport, total_deposit)
 
 TRACE_COLUMNS = ("k", "t", "x", "y", "phi", "D_l", "D_r", "rpm_l", "rpm_r",
@@ -81,6 +81,17 @@ class RunRecord:
         return float(np.sum(self.controller_seconds))
 
 
+def check_setup(scenario: Scenario, constraints: ControlConstraints) -> list[TractorState]:
+    """The checks :func:`run` makes before its first decision: the initial
+    controls must lie inside the actuator boxes, and the plan must
+    integrate at the scenario's ``dt``.  Returns the plan's states."""
+    u0 = scenario.initial_controls.as_array()
+    if np.any(u0 < constraints.lower()) or np.any(u0 > constraints.upper()):
+        raise ConfigurationError(
+            f"initial controls {scenario.initial_controls} violate the actuator boxes")
+    return trajectory(scenario.plan, scenario.dt)
+
+
 def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstraints,
         settings: OptimizerSettings,
         controller: RecedingHorizonController | None = None) -> RunRecord:
@@ -89,18 +100,11 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
     ``controller`` defaults to the scenario's; any object with a
     ``plan_controls`` method of the same signature may stand in for it.
 
-    The feasibility of the initial controls against the boxes is required
-    up front; each controller output is additionally verified before it is
-    applied.  A controller failure raises :class:`RunAbortedError`
-    carrying the partial record.
+    :func:`check_setup` runs before the first decision; each controller
+    output is additionally verified before it is applied.  A controller
+    failure raises :class:`RunAbortedError` carrying the partial record.
     """
-    lo, hi = constraints.lower(), constraints.upper()
-    u0 = scenario.initial_controls.as_array()
-    if np.any(u0 < lo) or np.any(u0 > hi):
-        raise ConfigurationError(
-            f"initial controls {scenario.initial_controls} violate the actuator boxes")
-
-    states = trajectory(scenario.plan, scenario.dt)
+    states = check_setup(scenario, constraints)
     n = len(states) - 1
     if controller is None:
         controller = make_controller(scenario.controller, scenario.horizon, cal, constraints,

@@ -11,8 +11,9 @@ import spreadopt
 from spreadopt import (ConfigurationError, ControllerKind, DepositionModel, DepositScaling,
                        NumericalFailureError, OptimizerSettings, TriangleSupport)
 from spreadopt.cli import main
-from spreadopt.config import (default_calibration_path, default_scenario_path,
-                              load_scenario)
+from spreadopt.calibration import _PATTERN_KEYS, ControlConstraints
+from spreadopt.config import (_SCENARIO_SECTIONS, default_calibration_path,
+                              default_scenario_path, field_names, load_scenario)
 from spreadopt.controllers import RecedingHorizonController
 from spreadopt.simulation import read_trace
 
@@ -38,12 +39,22 @@ dt = 1
 controller = greedy
 horizon = 2
 scaling = literal
+triangle_support = unit
 
 [controls]
 flow_left = 45
 flow_right = 45
 rpm_left = 600
 rpm_right = 600
+
+[optimizer]
+max_iterations = 60
+gradient_tolerance = 1e-6
+step_tolerance = 1e-10
+finite_diff_epsilon = 1e-5
+gauss_newton = true
+restarts = 0
+seed = 0
 """
 
 BAD_CALIBRATION = """\
@@ -198,12 +209,11 @@ def test_invalid_calibration_values_name_the_file(scenario_file, tmp_path, line,
     ("calibration", "flow_max = 200", "flow_max = pi/0", "constraints.flow_max"),
     ("scenario", "n_cells = 8", "n_cells = nan", "field.n_cells"),
     ("scenario", "horizon = 2", "horizon = inf", "run.horizon"),
-    ("scenario", "scaling = literal", "scaling = literal\n[optimizer]\nmax_iterations = nan",
-     "optimizer.max_iterations"),
-    ("scenario", "scaling = literal", "scaling = literal\n[optimizer]\nrestarts = inf",
-     "optimizer.restarts"),
-    pytest.param("scenario", "scaling = literal", "scaling = literal\n[optimizer]\nseed = -1",
-                 "[optimizer] seed", id="optimizer-seed"),
+    pytest.param("scenario", "max_iterations = 60", "max_iterations = nan",
+                 "optimizer.max_iterations", id="optimizer-max_iterations"),
+    pytest.param("scenario", "restarts = 0", "restarts = inf", "optimizer.restarts",
+                 id="optimizer-restarts"),
+    pytest.param("scenario", "seed = 0", "seed = -1", "[optimizer] seed", id="optimizer-seed"),
 ])
 def test_validate_rejects_a_bad_number_by_its_key(tmp_path, file, line, broken, key):
     texts = {"scenario": TINY_SCENARIO, "calibration": default_calibration_path().read_text()}
@@ -316,11 +326,6 @@ def test_every_run_choice_value_is_accepted(tmp_path, key, kind):
         assert getattr(config.scenario, attr) is member
 
 
-def test_triangle_support_defaults_to_unit(scenario_file):
-    assert "triangle_support" not in TINY_SCENARIO
-    assert load_scenario(scenario_file).scenario.support is TriangleSupport.UNIT
-
-
 OPTIMIZER_SECTION = """
 [optimizer]
 max_iterations = 7
@@ -333,9 +338,14 @@ seed = 5
 """
 
 
+def with_optimizer(section):
+    """The tiny scenario with ``section`` in place of its ``[optimizer]``."""
+    return TINY_SCENARIO.partition("\n[optimizer]\n")[0] + section
+
+
 def test_every_optimizer_key_is_read(tmp_path):
     path = tmp_path / "tuned.ini"
-    path.write_text(TINY_SCENARIO + OPTIMIZER_SECTION)
+    path.write_text(with_optimizer(OPTIMIZER_SECTION))
     expected = OptimizerSettings(max_iterations=7, gradient_tolerance=1e-4, step_tolerance=1e-8,
                                  finite_diff_epsilon=1e-3, gauss_newton=False, restarts=2,
                                  seed=5)
@@ -347,7 +357,7 @@ def test_every_optimizer_key_is_read(tmp_path):
 
 def test_unknown_optimizer_key_names_the_key_and_the_allowed_keys(tmp_path):
     path = tmp_path / "typo.ini"
-    path.write_text(TINY_SCENARIO + OPTIMIZER_SECTION.replace("max_iterations", "max_iteration"))
+    path.write_text(with_optimizer(OPTIMIZER_SECTION.replace("max_iterations", "max_iteration")))
     with pytest.raises(ConfigurationError) as excinfo:
         load_scenario(path)
     message = str(excinfo.value)
@@ -398,6 +408,80 @@ def test_an_unknown_section_is_rejected(tmp_path, capsys, file, section):
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert f"unknown section [{section}]" in err[0]
+
+
+def without_key(text, key):
+    """``text`` without the line that sets ``key`` and its continuation lines."""
+    kept, dropping = [], False
+    for line in text.splitlines(keepends=True):
+        continued = dropping and line[:1] in " \t" and bool(line.strip())
+        dropping = line.startswith(f"{key} =") or continued
+        if not dropping:
+            kept.append(line)
+    return "".join(kept)
+
+
+# the [prescription] keys are either-or, so neither is required on its own
+REQUIRED_KEYS = [(file, section, key) for file, sections in [
+    ("scenario", _SCENARIO_SECTIONS),
+    ("calibration", {"pattern": tuple(_PATTERN_KEYS),
+                     "constraints": field_names(ControlConstraints)}),
+] for section, keys in sections.items() if section != "prescription" for key in keys]
+
+
+@pytest.mark.parametrize("file, section, key", REQUIRED_KEYS,
+                         ids=[f"{section}-{key}" for _, section, key in REQUIRED_KEYS])
+def test_every_key_is_required(tmp_path, capsys, file, section, key):
+    shipped = INPUT_FILES[file]().read_text()
+    text = without_key(shipped, key)
+    assert len(text.splitlines()) < len(shipped.splitlines())
+    code, err = validate_with(tmp_path, capsys, **{file: text})
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert f"missing [{section}] key {key!r}" in err[0]
+
+
+@pytest.mark.parametrize("file, line, broken, named", [
+    ("scenario", "controller = mpc-full", "controller = mpc%full", "'mpc%full'"),
+    ("calibration", "sigma_angle = 1e-8 0 0.3", "sigma_angle = 1e-8 0 0.3%", "'0.3%'"),
+])
+def test_a_percent_sign_is_read_as_written(tmp_path, file, line, broken, named):
+    # no interpolation: the value is rejected as itself, with no traceback
+    text = INPUT_FILES[file]().read_text()
+    assert line in text
+    (tmp_path / f"{file}.ini").write_text(text.replace(line, broken))
+    done = run_cli(["validate", f"--{file}", str(tmp_path / f"{file}.ini")], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert named in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("file", INPUT_FILES)
+@pytest.mark.parametrize("body", ["", "horizon = 3\n"])
+def test_a_default_section_is_rejected_by_name(tmp_path, capsys, file, body):
+    text = f"[DEFAULT]\n{body}\n" + INPUT_FILES[file]().read_text()
+    code, err = validate_with(tmp_path, capsys, **{file: text})
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert "unknown section [DEFAULT]" in err[0]
+
+
+def test_validate_flags_a_plan_that_does_not_integrate_at_dt(tmp_path, capsys):
+    # run makes the same check before its first decision
+    text = default_scenario_path().read_text()
+    assert "dt = 1\n" in text
+    path = tmp_path / "scenario.ini"
+    path.write_text(text.replace("dt = 1\n", "dt = 0.3\n"))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("problem:")
+    assert "not an integer multiple of dt=0.3" in captured.err
+    assert captured.out.splitlines()[-1] != "ok"
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "not an integer multiple of dt=0.3" in capsys.readouterr().err
 
 
 def test_a_misspelt_run_key_is_rejected(tmp_path, capsys):
@@ -535,7 +619,9 @@ def failing_plan_controls(monkeypatch, fails):
     steps = {}
 
     def plan_controls(self, *args, **kwargs):
-        steps[id(self)] = step = steps.get(id(self), 0) + 1
+        # each controller stays referenced here, so a later one cannot reuse its id
+        step = steps.get(id(self), (self, 0))[1] + 1
+        steps[id(self)] = (self, step)
         if fails(self, step):
             raise NumericalFailureError("injected failure")
         return real(self, *args, **kwargs)

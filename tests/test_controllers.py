@@ -250,7 +250,7 @@ def band_jacobians(draw):
 
 
 def _check_normal_equations(predictor, controls, masks):
-    _, e, S, rows = predictor.cost_residual_jacobian(controls)
+    _, e, S, rows = predictor.cost_residual_jacobian(controls, np.ones(controls.shape))
     M, grad_x = controllers._normal_equations(S, e, masks)
 
     # the dense reference: every cell a row, the residual of every cell
@@ -290,7 +290,7 @@ def test_skipping_clipped_rpm_columns_leaves_the_normal_equations_unchanged(prob
     # the fold multiplies a clipped step's rpm column by zero, so the
     # Jacobian leaves it unbuilt; the fold must not see the difference
     predictor, controls, masks = problem
-    value, e, S, rows = predictor.cost_residual_jacobian(controls)
+    value, e, S, rows = predictor.cost_residual_jacobian(controls, np.ones(masks.shape))
     skipped = predictor.cost_residual_jacobian(controls, masks)
     assert skipped[0] == value
     assert skipped[1].tobytes() == e.tobytes() and skipped[3].tobytes() == rows.tobytes()
@@ -314,7 +314,7 @@ def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
     predictor = controllers._Predictor(grid, [TractorState(150.0, 150.0, 0.3)], grid.zeros(),
                                        prescribed, DepositionModel.FULL_NORMAL, CAL)
     prev = np.array([45.0, 45.0, 600.0, 600.0])
-    _, e, S, rows = predictor.cost_residual_jacobian(prev[None, :])
+    _, e, S, rows = predictor.cost_residual_jacobian(prev[None, :], np.ones((1, 4)))
     # the two discs' bands cover 1,716 of the 32,400 cells
     assert e.shape == rows.shape and S.shape == (rows.size, 4)
     assert rows.size < n * n / 10
@@ -419,7 +419,7 @@ def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
         events.append(("cost", controls.copy()))
         return cost(controls)
 
-    def counted_jacobian(controls, masks=None):
+    def counted_jacobian(controls, masks):
         events.append(("jac", controls.copy()))
         return jacobian(controls, masks)
 
@@ -443,7 +443,7 @@ def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
 
     # the fourth direction, after three accepted steps cut lam 1e-8 -> 1e-11,
     # has a non-negative slope along its clipped path
-    _, e, S, _ = jacobian(controls)
+    _, e, S, _ = jacobian(controls, np.ones((3, 4)))
     Sx = controllers._fold_jacobian(S, np.ones((3, 4)))
     grad_x = (2.0 * (Sx.T @ e)).reshape(3, 4)
     M = Sx.T @ Sx
@@ -482,7 +482,7 @@ def test_a_converged_solve_spends_no_cost_evaluation_after_its_last_jacobian(cap
         events.append("cost")
         return cost(controls)
 
-    def counted_jacobian(controls, masks=None):
+    def counted_jacobian(controls, masks):
         events.append("jac")
         return jacobian(controls, masks)
 

@@ -99,7 +99,8 @@ def test_cost_and_jacobian_paths_give_the_same_cost(problem):
     # the solver compares line-search costs from cost() with iterate costs
     # from cost_residual_jacobian(), so the two must round alike
     predictor, _, controls = problem
-    assert predictor.cost(controls) == predictor.cost_residual_jacobian(controls)[0]
+    ones = np.ones(np.shape(controls))
+    assert predictor.cost(controls) == predictor.cost_residual_jacobian(controls, ones)[0]
 
 
 def _fresh(predictor):
@@ -113,7 +114,7 @@ def _fresh(predictor):
 
 def _jacobian_bytes(predictor, controls):
     return [(np.shape(part), np.asarray(part).tobytes())
-            for part in predictor.cost_residual_jacobian(controls)]
+            for part in predictor.cost_residual_jacobian(controls, np.ones(np.shape(controls)))]
 
 
 @settings(max_examples=100, deadline=None)

@@ -107,7 +107,7 @@ def test_windowed_predictor_matches_the_dense_kernel(n, side, fx, fy, heading, f
         predictor.cost(controls)
     finally:
         controllers.deposit_from_factors = original
-    _, _, S, rows = predictor.cost_residual_jacobian(controls)
+    _, _, S, rows = predictor.cost_residual_jacobian(controls, np.ones(controls.shape))
     assert len(deposits) == 2
     assert np.unique(rows).size == rows.size and S.shape == (rows.size, 4)
     row_of = np.full(dist.size, -1)
@@ -196,8 +196,9 @@ def test_reach_box_predictor_equals_the_whole_field_predictor(problem, model, sc
 
     boxed, whole = predictor(radius), predictor(math.inf)
     assert boxed.cost(controls) == whole.cost(controls)
-    value, e, S, rows = boxed.cost_residual_jacobian(controls)
-    whole_value, whole_e, whole_S, whole_rows = whole.cost_residual_jacobian(controls)
+    ones = np.ones(controls.shape)
+    value, e, S, rows = boxed.cost_residual_jacobian(controls, ones)
+    whole_value, whole_e, whole_S, whole_rows = whole.cost_residual_jacobian(controls, ones)
     assert value == whole_value
     assert np.array_equal(rows, whole_rows)
     assert np.array_equal(e, whole_e) and np.array_equal(S, whole_S)
@@ -236,7 +237,7 @@ def test_a_pose_off_the_field_deposits_nothing_and_keeps_the_warm_start():
                                        radius=controller._radius)
     assert predictor.geometry[0].cells.size == 0
     warm = np.array([[45.0, 45.0, 600.0, 600.0]])
-    value, e, S, rows = predictor.cost_residual_jacobian(warm)
+    value, e, S, rows = predictor.cost_residual_jacobian(warm, np.ones(warm.shape))
     assert value == predictor.cost(warm) == float(np.sum(prescribed ** 2))
     assert e.size == rows.size == 0 and S.shape == (0, 4)
     controls, cost = controllers._optimize(predictor, warm[0], warm, DEFAULT_CONSTRAINTS,
