@@ -6,18 +6,17 @@ steer per-disc mass flow and disc speed so the accumulated deposit tracks
 a per-cell prescription map.
 """
 
-from .calibration import (CalibrationFit, CalibrationModel, ControlConstraints,
-                          DEFAULT_CALIBRATION, DEFAULT_CONSTRAINTS, SpreaderControls,
-                          clamp_controls, fit_calibration, load_calibration,
+from .calibration import (CalibrationModel, ControlConstraints, DEFAULT_CALIBRATION,
+                          DEFAULT_CONSTRAINTS, SpreaderControls, load_calibration,
                           pattern_from_controls, patterns_from_controls,
-                          satisfies_constraints, save_calibration, validate_calibration)
+                          satisfies_constraints, validate_calibration)
 from .config import RunConfig, default_calibration_path, default_scenario_path, load_scenario
 from .controllers import (ControllerKind, OptimizerSettings, RecedingHorizonController,
                           make_controller)
 from .errors import (CalibrationDomainError, ConfigurationError, DegenerateGeometryError,
                      InvalidStateError, NumericalFailureError, RunAbortedError, ShapeError,
                      SpreadOptError)
-from .field import FieldGrid, accumulate, as_amount_map, cell_centers, cost, load_map, save_map
+from .field import FieldGrid, as_amount_map, cost, load_map, save_map
 from .kinematics import DriveCommand, DrivePlan, TractorState, step, trajectory
 from .simulation import ComparisonResult, ComparisonRow, RunRecord, Scenario, compare, run
 from .spread import (DepositScaling, DepositionModel, PatternParams, TriangleSupport,

@@ -9,25 +9,19 @@ negation so the two crescents mirror each other.
 
 Actuator limits are box bounds on per-disc mass flow and RPM plus rate
 limits between consecutive steps.  Rate limits apply to the Euclidean
-norm of the (left, right) change pair.  :func:`clamp_controls` projects a
-requested control componentwise onto the boxes intersected with the
-full-rate window around the previous control; optimizers that must
-guarantee the pair norm restrict each component to ``rate / sqrt(2)``
-instead (see the controllers module) and
-:func:`satisfies_constraints` checks the exact norm.
+norm of the (left, right) change pair.  Optimizers that must guarantee the
+pair norm restrict each component to ``rate / sqrt(2)`` (see the controllers
+module), and :func:`satisfies_constraints` checks the exact norm.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.exceptions import RankWarning
 
-from .errors import CalibrationDomainError, ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError
 from .spread import PatternParams
 
 
@@ -213,25 +207,6 @@ def patterns_from_controls(controls: SpreaderControls,
             pattern_from_controls(controls.rpm_right, controls.flow_right, cal, "right"))
 
 
-def clamp_controls(controls: SpreaderControls, previous: SpreaderControls,
-                   constraints: ControlConstraints) -> SpreaderControls:
-    """Project each component onto its box intersected with the rate window
-    around the previous control.
-
-    The projection is componentwise with the full rate limit per component,
-    so it is idempotent but does not by itself bound the (left, right) pair
-    norm; use :func:`satisfies_constraints` for the exact check.
-    """
-    u = controls.as_array()
-    prev = previous.as_array()
-    lo = np.maximum(constraints.lower(), prev - constraints.rates())
-    hi = np.minimum(constraints.upper(), prev + constraints.rates())
-    if np.any(lo > hi):
-        raise CalibrationDomainError(
-            f"previous control {previous} leaves no feasible window under {constraints}")
-    return SpreaderControls.from_array(np.clip(u, lo, hi))
-
-
 # rounding slack of the feasibility test: absolute on the boxes, absolute
 # plus relative on the rate limits
 _FEASIBILITY_TOL = 1e-9
@@ -250,57 +225,6 @@ def satisfies_constraints(controls: SpreaderControls, previous: SpreaderControls
                       controls.rpm_right - previous.rpm_right)
     return (dflow <= constraints.flow_rate_max * (1.0 + tol) + tol
             and drpm <= constraints.rpm_rate_max * (1.0 + tol) + tol)
-
-
-@dataclass(frozen=True)
-class CalibrationFit:
-    """Result of :func:`fit_calibration`: the model and per-series residuals."""
-
-    model: CalibrationModel
-    residuals: dict[str, np.ndarray]
-
-
-def fit_calibration(rpm, center_distance, sigma_distance, center_angle,
-                    sigma_angle) -> CalibrationFit:
-    """Least-squares fit of the calibration polynomials to bench samples.
-
-    ``rpm`` and the four parameter series must have equal length, at least
-    two points for the linear distance fit and three for the quadratic
-    fits.  Center-angle samples follow the right-disc convention (positive).
-    """
-    r = np.asarray(rpm, dtype=float)
-    series = {
-        "center_distance": np.asarray(center_distance, dtype=float),
-        "sigma_distance": np.asarray(sigma_distance, dtype=float),
-        "center_angle": np.asarray(center_angle, dtype=float),
-        "sigma_angle": np.asarray(sigma_angle, dtype=float),
-    }
-    if r.ndim != 1 or any(s.shape != r.shape for s in series.values()):
-        raise ShapeError("calibration samples must be equal-length 1-d series")
-    if np.unique(r).size < 2:
-        raise ShapeError("calibration samples need at least 2 distinct rpm values")
-
-    n_distinct = np.unique(r).size
-    coeffs = {}
-    residuals = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankWarning)
-        for name, values in series.items():
-            degree = 1 if name == "center_distance" else 2
-            # two distinct rpm cannot determine a quadratic; fit the
-            # highest determined degree and zero-pad the leading terms
-            fit_degree = min(degree, n_distinct - 1)
-            c = np.polyfit(r, values, fit_degree)
-            c = np.concatenate([np.zeros(degree - fit_degree), c])
-            coeffs[name] = tuple(float(v) for v in c)
-            residuals[name] = values - np.polyval(c, r)
-    model = CalibrationModel(
-        distance_coeffs=coeffs["center_distance"],
-        sigma_distance_coeffs=coeffs["sigma_distance"],
-        angle_coeffs=coeffs["center_angle"],
-        sigma_angle_coeffs=coeffs["sigma_angle"],
-    )
-    return CalibrationFit(model=model, residuals=residuals)
 
 
 def validate_calibration(cal: CalibrationModel, constraints: ControlConstraints) -> list[str]:
@@ -329,20 +253,6 @@ def validate_calibration(cal: CalibrationModel, constraints: ControlConstraints)
                 f"{constraints.rpm_max:g}] RPM; violated from {first:g} RPM "
                 f"(value {values[np.argmax(bad)]:g})")
     return problems
-
-
-def save_calibration(path, cal: CalibrationModel,
-                     constraints: ControlConstraints) -> None:
-    """Write calibration and constraints to a key-value text file."""
-    parser = configparser.ConfigParser()
-    parser["pattern"] = {
-        key: " ".join(repr(c) for c in getattr(cal, attr))
-        for key, (attr, _) in _PATTERN_KEYS.items()
-    }
-    parser["constraints"] = {f.name: repr(getattr(constraints, f.name))
-                             for f in fields(constraints)}
-    with open(path, "w") as handle:
-        parser.write(handle)
 
 
 def load_calibration(path) -> tuple[CalibrationModel, ControlConstraints]:

@@ -62,12 +62,13 @@ def read_ini(path, kind: str, sections: dict[str, tuple[str, ...]]) -> configpar
     """Parse the ``kind`` file (such as ``"scenario file"``) at ``path``.
 
     ``sections`` maps each section the file must have to its keys.  An
-    unknown section or key is an error, ``[DEFAULT]`` included, and
-    values are read as written, with no ``%`` interpolation.
+    unknown section or key is an error, ``[DEFAULT]`` included, and keys
+    and values are read as written, with no case folding or ``%`` interpolation.
     """
     # no header names the empty section, so [DEFAULT] is not merged into the others
     parser = configparser.ConfigParser(interpolation=None, default_section="",
                                        inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"{kind} not found: {path}")

@@ -59,12 +59,6 @@ class FieldGrid:
         return np.zeros((self.n_cells, self.n_cells))
 
 
-def cell_centers(grid: FieldGrid) -> np.ndarray:
-    """All cell centers, row-major, as an ``(n_cells**2, 2)`` array of (x, y)."""
-    cx, cy = grid.center_mesh()
-    return np.column_stack([cx.ravel(), cy.ravel()])
-
-
 def as_amount_map(values, grid: FieldGrid | None = None, name: str = "map") -> np.ndarray:
     """Validate an amount or prescription map and return it as a float array.
 
@@ -93,15 +87,6 @@ def cost(applied: np.ndarray, prescribed: np.ndarray) -> float:
         raise ShapeError(f"applied shape {a.shape} does not match prescribed shape {p.shape}")
     diff = p - a
     return float(np.sum(diff * diff))
-
-
-def accumulate(applied: np.ndarray, deposit: np.ndarray) -> np.ndarray:
-    """Elementwise sum of an amount map and one step's deposit map."""
-    a = np.asarray(applied, dtype=float)
-    d = np.asarray(deposit, dtype=float)
-    if a.shape != d.shape:
-        raise ShapeError(f"applied shape {a.shape} does not match deposit shape {d.shape}")
-    return a + d
 
 
 def save_map(path, values: np.ndarray) -> None:

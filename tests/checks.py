@@ -1,13 +1,14 @@
 """Reference computations the tests hold the predictor and solver to, the
-strategy that draws their starting controls, and the step-by-step forms of
-the per-call helpers."""
+strategy that draws their starting controls, the projection that turns a
+wished control into a feasible one, and the step-by-step forms of the
+per-call helpers."""
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from spreadopt import SpreaderControls, satisfies_constraints
+from spreadopt import CalibrationDomainError, SpreaderControls, satisfies_constraints
 
 
 def analytic_gradient(predictor, controls):
@@ -51,6 +52,24 @@ def chain_feasible(rows, previous, constraints):
             return False
         anchor = controls
     return True
+
+
+def clamp_controls(controls, previous, constraints):
+    """Project each component of ``controls`` onto its box intersected with
+    the rate window around ``previous``.
+
+    The projection is componentwise with the full rate limit per component,
+    so it is idempotent but does not by itself bound the (left, right) pair
+    norm; ``satisfies_constraints`` is the exact check.
+    """
+    u = controls.as_array()
+    prev = previous.as_array()
+    lo = np.maximum(constraints.lower(), prev - constraints.rates())
+    hi = np.minimum(constraints.upper(), prev + constraints.rates())
+    if np.any(lo > hi):
+        raise CalibrationDomainError(
+            f"previous control {previous} leaves no feasible window under {constraints}")
+    return SpreaderControls.from_array(np.clip(u, lo, hi))
 
 
 # -- loop-by-loop references of the solver's and kernel's per-call helpers ----

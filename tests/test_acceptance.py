@@ -26,7 +26,6 @@ from spreadopt import (
     SpreaderControls,
     TractorState,
     bearing,
-    clamp_controls,
     patterns_from_controls,
     run,
     total_deposit,
@@ -37,7 +36,7 @@ from spreadopt.cli import main
 from spreadopt.config import default_scenario_path, load_scenario
 from spreadopt.simulation import read_trace
 
-from checks import analytic_gradient, central_difference_gradient
+from checks import analytic_gradient, central_difference_gradient, clamp_controls
 from replay import ScheduleReplayController
 
 CAL = DEFAULT_CALIBRATION

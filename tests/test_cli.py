@@ -400,6 +400,21 @@ def test_an_unknown_key_is_rejected_in_every_section(tmp_path, capsys, file, sec
     assert f"[{section}]" in err[0] and "'bogus'" in err[0]
 
 
+@pytest.mark.parametrize("file, line, written, section", [
+    ("scenario", "horizon = 5\n", "HORIZON = 7\n", "run"),
+    ("calibration", "flow_max = 200\n", "FLOW_MAX = 200\n", "constraints"),
+], ids=["scenario-HORIZON", "calibration-FLOW_MAX"])
+def test_a_key_is_matched_as_written(tmp_path, capsys, file, line, written, section):
+    # an upper-case key is unknown, not read as its lower-case namesake
+    text = INPUT_FILES[file]().read_text()
+    assert text.count(line) == 1
+    code, err = validate_with(tmp_path, capsys, **{file: text.replace(line, written)})
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert f"unknown [{section}] key {written.split()[0]!r}" in err[0]
+
+
 @pytest.mark.parametrize("file, section", [("scenario", "optimiser"), ("calibration", "limits")])
 def test_an_unknown_section_is_rejected(tmp_path, capsys, file, section):
     text = INPUT_FILES[file]().read_text() + f"\n[{section}]\nseed = 1\n"

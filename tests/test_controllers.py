@@ -22,7 +22,6 @@ from spreadopt import (
     SpreaderControls,
     TractorState,
     as_amount_map,
-    clamp_controls,
     cost,
     make_controller,
     run,
@@ -34,7 +33,7 @@ from spreadopt import (
 from spreadopt import controllers, spread
 from spreadopt.spread import SQRT_TWO_PI, TriangleSupport
 
-from checks import analytic_gradient, central_difference_gradient, chain_feasible
+from checks import analytic_gradient, central_difference_gradient, chain_feasible, clamp_controls
 from replay import ScheduleReplayController
 
 CAL = DEFAULT_CALIBRATION

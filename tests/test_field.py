@@ -6,9 +6,7 @@ from spreadopt import (
     ConfigurationError,
     FieldGrid,
     ShapeError,
-    accumulate,
     as_amount_map,
-    cell_centers,
     cost,
     load_map,
     save_map,
@@ -22,25 +20,29 @@ def test_grid_geometry():
 
 
 def test_default_field_has_8100_cells():
-    centers = cell_centers(FieldGrid(150.0, 90))
-    assert centers.shape == (8100, 2)
-    assert centers[0] == pytest.approx([150.0 / 180, 150.0 / 180])
-    assert (centers > 0.0).all() and (centers < 150.0).all()
+    xs, ys = FieldGrid(150.0, 90).center_mesh()
+    assert xs.shape == ys.shape == (90, 90)
+    assert (xs[0, 0], ys[0, 0]) == pytest.approx((150.0 / 180, 150.0 / 180))
+    for centers in (xs, ys):
+        assert (centers > 0.0).all() and (centers < 150.0).all()
 
 
 def test_single_cell_center_is_the_midpoint():
-    assert cell_centers(FieldGrid(2.0, 1)).tolist() == [[1.0, 1.0]]
+    xs, ys = FieldGrid(2.0, 1).center_mesh()
+    assert xs.tolist() == ys.tolist() == [[1.0]]
 
 
 def test_two_by_two_centers_row_major():
-    centers = cell_centers(FieldGrid(2.0, 2))
-    assert centers.tolist() == [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]
+    xs, ys = FieldGrid(2.0, 2).center_mesh()
+    assert xs.tolist() == [[0.5, 1.5], [0.5, 1.5]]
+    assert ys.tolist() == [[0.5, 0.5], [1.5, 1.5]]
 
 
 def test_origin_offsets_every_center():
-    base = cell_centers(FieldGrid(30.0, 3))
-    moved = cell_centers(FieldGrid(30.0, 3, origin=(7.0, -2.0)))
-    assert np.allclose(moved, base + [7.0, -2.0])
+    base_x, base_y = FieldGrid(30.0, 3).center_mesh()
+    moved_x, moved_y = FieldGrid(30.0, 3, origin=(7.0, -2.0)).center_mesh()
+    assert np.allclose(moved_x, base_x + 7.0)
+    assert np.allclose(moved_y, base_y - 2.0)
 
 
 def test_rows_index_y_and_columns_index_x():
@@ -70,21 +72,6 @@ def test_cost_sums_squared_residuals():
 def test_cost_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
         cost(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
-def test_accumulate_identity_and_linearity():
-    grid = FieldGrid(10.0, 3)
-    deposit = as_amount_map(np.arange(9.0).reshape(3, 3), grid)
-    assert np.array_equal(accumulate(grid.zeros(), deposit), deposit)
-    total = grid.zeros()
-    for _ in range(4):
-        total = accumulate(total, deposit)
-    assert np.allclose(total, 4.0 * deposit)
-
-
-def test_accumulate_rejects_mismatched_shapes():
-    with pytest.raises(ShapeError):
-        accumulate(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 def test_amount_map_validation():
