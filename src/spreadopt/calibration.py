@@ -230,11 +230,13 @@ def satisfies_constraints(controls: SpreaderControls, previous: SpreaderControls
 def validate_calibration(cal: CalibrationModel, constraints: ControlConstraints) -> list[str]:
     """Check the pattern domain over the admissible RPM range.
 
-    Samples every whole RPM between the bounds and returns a list of
-    human-readable problems; an empty list means the calibration is usable.
+    Samples both bounds and every whole RPM between them and returns a
+    list of human-readable problems; an empty list means the calibration
+    is usable.
     """
     problems = []
-    rpms = np.arange(constraints.rpm_min, constraints.rpm_max + 0.5, 1.0)
+    lo, hi = constraints.rpm_min, constraints.rpm_max
+    rpms = np.concatenate(([lo], np.arange(math.floor(lo) + 1.0, math.ceil(hi)), [hi]))
     checks = (
         ("center distance", cal.distance(rpms), lambda v: v > 0, "must be positive"),
         ("radial spread (sigma_distance)", cal.sigma_distance(rpms),
@@ -269,10 +271,7 @@ def load_calibration(path) -> tuple[CalibrationModel, ControlConstraints]:
                                                  "constraints": field_names(ControlConstraints)})
     pattern = _SectionReader(parser, path, "pattern")
     coeffs = {attr: pattern.numbers(key) for key, (attr, _) in _PATTERN_KEYS.items()}
-    try:
-        cal = CalibrationModel(**coeffs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: [pattern] {exc}") from None
+    cal = pattern.build(CalibrationModel, **coeffs)
     constraints = _SectionReader(parser, path, "constraints").instance(ControlConstraints)
     problems = validate_calibration(cal, constraints)
     if problems:

@@ -55,14 +55,10 @@ def _build_parser() -> _Parser:
                         help="calibration file (default: the built-in synthetic bench)")
     common.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default: ./out)")
-    common.add_argument("--horizon", type=int, default=None,
-                        help="prediction horizon in steps (ignored by the greedy controller)")
     common.add_argument("--verbose", action="store_true",
                         help="log per-iteration optimizer diagnostics to out/run.log")
 
-    run_parser = sub.add_parser("run", parents=[common], help="one closed-loop run")
-    run_parser.add_argument("--controller", choices=[k.value for k in ControllerKind],
-                            default=None, help="controller override")
+    sub.add_parser("run", parents=[common], help="one closed-loop run of the scenario file")
 
     compare_parser = sub.add_parser("compare", parents=[common],
                                     help="run controller variants side by side")
@@ -74,37 +70,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _prepare(args, kinds=None):
-    """Load the scenario and calibration files and apply ``--controller``
-    and ``--horizon``.
-
-    ``kinds`` are the controllers that will run, None for the scenario's
-    own; the warning about ``--horizon`` is printed once when greedy is
-    among them.  Returns the scenario, the optimizer settings, the
-    calibration, the constraints and ``echo(scenario)``, its echo lines.
-    """
+def _prepare(args):
+    """Load the scenario and calibration files: returns the scenario as
+    read, the optimizer settings, the calibration, the constraints and
+    ``echo(scenario)``, its echo lines."""
     scenario_path = args.scenario if args.scenario is not None else default_scenario_path()
     calibration_path = (args.calibration if args.calibration is not None
                         else default_calibration_path())
     config = load_scenario(scenario_path)
     cal, constraints = load_calibration(calibration_path)
 
-    if args.horizon is not None and args.horizon < 1:
-        raise ConfigurationError(f"--horizon must be at least 1, got {args.horizon}")
-    flags = {"controller": getattr(args, "controller", None), "horizon": args.horizon}
-    scenario = dataclasses.replace(config.scenario,
-                                   **{k: v for k, v in flags.items() if v is not None})
-
-    if args.horizon is not None and ControllerKind.GREEDY in (
-            kinds if kinds is not None else (scenario.controller,)):
-        print("warning: --horizon is ignored by the greedy controller "
-              "(it is single-step by definition)", file=sys.stderr)
-
     def echo(ran):
         return _config_lines(ran, config.settings, cal, constraints, scenario_path,
                              calibration_path)
 
-    return scenario, config.settings, cal, constraints, echo
+    return config.scenario, config.settings, cal, constraints, echo
 
 
 def _write(path: Path, writer, *args, **kwargs):
@@ -253,13 +233,17 @@ def cmd_compare(args) -> int:
         names = [token.strip() for token in args.only.split(",") if token.strip()]
         if not names:
             raise _UsageError("spreadopt compare: --only needs at least one controller")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise _UsageError(f"spreadopt compare: --only names {repeated[0]} more than once, "
+                              "but each controller has one output directory")
         try:
             kinds = [ControllerKind(name) for name in names]
         except ValueError as exc:
             raise ConfigurationError(f"--only: {exc}") from None
     else:
         kinds = list(ControllerKind)
-    scenario, settings, cal, constraints, echo = _prepare(args, kinds)
+    scenario, settings, cal, constraints, echo = _prepare(args)
     _create_out(args.out)
     _check_outputs([args.out / "comparison.csv", args.out / "summary.txt",
                     *(args.out / kind.value / name for kind in kinds for name in _RUN_FILES)])
@@ -284,7 +268,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scenario, _, _, constraints, echo = _prepare(args, kinds=())
+    scenario, _, _, constraints, echo = _prepare(args)
     for key, value in echo(scenario):
         print(f"{key} = {value}")
     # load_calibration has already rejected a calibration that fails validation

@@ -167,9 +167,14 @@ class _SectionReader:
         """Dataclass ``cls`` from this section, one key per field parsed as
         the field's type."""
         readers = {"bool": self.boolean, "int": self.integer, "float": self.number}
-        values = {f.name: readers[f.type](f.name) for f in dataclasses.fields(cls)}
+        return self.build(cls, **{f.name: readers[f.type](f.name)
+                                  for f in dataclasses.fields(cls)})
+
+    def build(self, cls, *args, **kwargs):
+        """``cls(*args, **kwargs)`` from values read in this section, with
+        an invalid value reported by this file and section."""
         try:
-            return cls(**values)
+            return cls(*args, **kwargs)
         except SpreadOptError as exc:
             raise ConfigurationError(f"{self.path}: [{self.section}] {exc}") from None
 
@@ -198,7 +203,8 @@ def load_scenario(path) -> RunConfig:
     parser = read_ini(path, "scenario file", _SCENARIO_SECTIONS)
 
     field_sec = _SectionReader(parser, path, "field")
-    grid = FieldGrid(
+    grid = field_sec.build(
+        FieldGrid,
         side_length=field_sec.number("side_length"),
         n_cells=field_sec.integer("n_cells"),
         origin=(field_sec.number("origin_x"), field_sec.number("origin_y")),
@@ -212,15 +218,16 @@ def load_scenario(path) -> RunConfig:
             f"{path}: [prescription] needs exactly one of 'uniform' or 'file'")
     if uniform is not None:
         level = prescription_sec.number("uniform")
-        if level < 0:
-            raise ConfigurationError(f"{path}: prescription.uniform must be non-negative")
+        if not 0 <= level < math.inf:
+            raise ConfigurationError(f"{path}: [prescription] uniform must be finite and "
+                                     "non-negative")
         prescription = grid.zeros() + level
     else:
         prescription = load_map(path.parent / source, grid)
 
     plan_sec = _SectionReader(parser, path, "plan")
-    start = TractorState(plan_sec.number("start_x"), plan_sec.number("start_y"),
-                         plan_sec.number("start_heading"))
+    start = plan_sec.build(TractorState, plan_sec.number("start_x"), plan_sec.number("start_y"),
+                           plan_sec.number("start_heading"))
     segments = []
     for line_no, line in enumerate(plan_sec.raw("segments").strip().splitlines(), start=1):
         tokens = line.split()
@@ -234,13 +241,14 @@ def load_scenario(path) -> RunConfig:
             speed, turn_rate, duration = (parse_number(t) for t in tokens)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: plan.segments line {line_no}: {exc}") from exc
-        segments.append(DriveCommand(speed, turn_rate, duration))
+        segments.append(plan_sec.build(DriveCommand, speed, turn_rate, duration))
     if not segments:
         raise ConfigurationError(f"{path}: plan.segments is empty")
     plan = DrivePlan(start=start, segments=tuple(segments))
 
     run_sec = _SectionReader(parser, path, "run")
-    scenario = Scenario(
+    scenario = run_sec.build(
+        Scenario,
         grid=grid,
         prescription=prescription,
         plan=plan,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,39 @@ def test_loading_an_invalid_calibration_fails(tmp_path):
                     "sigma_angle = 0 -1e-3 0.3\n\n"
                     + shipped[shipped.index("[constraints]"):])
     with pytest.raises(ConfigurationError, match="sigma_angle"):
+        load_calibration(path)
+
+
+def rpm_box_calibration(tmp_path, rpm_min, rpm_max, sigma_angle_zero):
+    """The shipped calibration file with the rpm box [``rpm_min``, ``rpm_max``]
+    and an angular spread that falls through zero at ``sigma_angle_zero`` RPM."""
+    shipped = default_calibration_path().read_text()
+    replaced = {"sigma_angle = 1e-8 0 0.3\n": f"sigma_angle = 0 -1e-3 {sigma_angle_zero}e-3\n",
+                "rpm_min = 300\n": f"rpm_min = {rpm_min}\n",
+                "rpm_max = 900\n": f"rpm_max = {rpm_max}\n"}
+    for line, edited in replaced.items():
+        assert shipped.count(line) == 1
+        shipped = shipped.replace(line, edited)
+    path = tmp_path / "cal.ini"
+    path.write_text(shipped)
+    return path
+
+
+def test_validation_samples_no_rpm_past_the_box(tmp_path):
+    # invalid from 900.3 RPM, valid on the whole box
+    cal, constraints = load_calibration(rpm_box_calibration(tmp_path, 300.5, 900.2, 900.3))
+    assert (constraints.rpm_min, constraints.rpm_max) == (300.5, 900.2)
+    pattern_from_controls(constraints.rpm_max, 45.0, cal, "right")
+    pattern_from_controls(constraints.rpm_min, 45.0, cal, "right")
+
+
+def test_validation_samples_a_fractional_rpm_ceiling(tmp_path):
+    # invalid from 900.1 RPM, between the last whole RPM and the ceiling
+    path = rpm_box_calibration(tmp_path, 300, 900.2, 900.1)
+    broken = dataclasses.replace(DEFAULT_CALIBRATION, sigma_angle_coeffs=(0.0, -1e-3, 0.9001))
+    with pytest.raises(CalibrationDomainError):
+        pattern_from_controls(900.2, 45.0, broken, "right")
+    with pytest.raises(ConfigurationError, match="sigma_angle.*violated from 900.2 RPM"):
         load_calibration(path)
 
 

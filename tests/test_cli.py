@@ -122,25 +122,6 @@ def test_run_summary_lists_the_resolved_configuration(scenario_file, tmp_path):
     assert pairs[-1][0] == "wall_clock.controller_seconds"
 
 
-def test_run_controller_override_and_horizon_warning(scenario_file, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["run", "--scenario", str(scenario_file), "--out", str(out),
-                 "--controller", "greedy", "--horizon", "5"])
-    assert code == 0
-    assert "ignored by the greedy controller" in capsys.readouterr().err
-
-
-def test_horizon_warning_follows_the_scenario_files_controller(scenario_file, tmp_path,
-                                                                capsys):
-    # the tiny scenario's own controller is greedy
-    assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "g"),
-                 "--horizon", "3"]) == 0
-    assert "--horizon is ignored by the greedy controller" in capsys.readouterr().err
-    assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "m"),
-                 "--controller", "mpc-full", "--horizon", "3"]) == 0
-    assert "ignored" not in capsys.readouterr().err
-
-
 def test_missing_calibration_file_fails_cleanly(scenario_file, tmp_path, capsys):
     missing = tmp_path / "nope.ini"
     code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
@@ -166,13 +147,20 @@ def test_missing_prescription_map_fails_cleanly(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-def test_a_removed_flag_is_a_usage_error(scenario_file, tmp_path):
-    # the optimizer is set in the scenario file only; argparse alone would exit 2
-    done = run_cli(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
-                    "--restarts", "1"], tmp_path)
+REMOVED_FLAGS = [("run", "--restarts", "1"), ("run", "--controller", "greedy"),
+                 ("run", "--horizon", "3"), ("compare", "--horizon", "3"),
+                 ("validate", "--horizon", "3")]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, _ in REMOVED_FLAGS])
+def test_a_removed_flag_is_a_usage_error(scenario_file, tmp_path, command, flag, value):
+    # the scenario file alone sets the run; argparse alone would exit 2
+    done = run_cli([command, "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
+                    flag, value], tmp_path)
     assert done.returncode == 1
-    assert done.stderr.startswith("error:")
-    assert "--restarts" in done.stderr
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert flag in done.stderr
 
 
 def test_malformed_scenario_fails_cleanly(tmp_path, capsys):
@@ -289,21 +277,31 @@ def test_compare_with_an_unknown_controller_fails(scenario_file, tmp_path, capsy
     assert "wizard" in capsys.readouterr().err
 
 
-def test_unknown_controller_choice_is_a_usage_error(scenario_file, tmp_path, capsys):
-    code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
-                 "--controller", "wizard"])
+def test_compare_with_a_repeated_controller_fails_before_any_decision(scenario_file, tmp_path,
+                                                                      monkeypatch, capsys):
+    # each controller writes into its own directory, which a repeat would overwrite
+    def no_decision(self, *args, **kwargs):
+        raise AssertionError("plan_controls called before --only was checked")
+
+    monkeypatch.setattr(RecedingHorizonController, "plan_controls", no_decision)
+    out = tmp_path / "o"
+    code = main(["compare", "--scenario", str(scenario_file), "--out", str(out),
+                 "--only", "greedy,mpc-full,greedy"])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "greedy" in err[0] and "mpc-full" not in err[0]
+    assert not out.exists()
 
 
 RUN_CHOICES = [("controller", ControllerKind), ("scaling", DepositScaling),
                ("triangle_support", TriangleSupport)]
 
 
-def scenario_with_run_key(tmp_path, key, value):
+def scenario_with_run_key(tmp_path, key, value, name="choice.ini"):
     lines = [line for line in TINY_SCENARIO.splitlines() if not line.startswith(f"{key} =")]
     lines.insert(lines.index("[run]") + 1, f"{key} = {value}")
-    path = tmp_path / "choice.ini"
+    path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -353,6 +351,11 @@ def test_every_optimizer_key_is_read(tmp_path):
     assert all(getattr(expected, name) != getattr(defaults, name)
                for name in OptimizerSettings.__dataclass_fields__)
     assert load_scenario(path).settings == expected
+
+
+def test_the_packaged_optimizer_section_is_the_in_code_default():
+    # the command line runs the packaged file, the library OptimizerSettings()
+    assert load_scenario(default_scenario_path()).settings == OptimizerSettings()
 
 
 def test_unknown_optimizer_key_names_the_key_and_the_allowed_keys(tmp_path):
@@ -499,6 +502,24 @@ def test_validate_flags_a_plan_that_does_not_integrate_at_dt(tmp_path, capsys):
     assert "not an integer multiple of dt=0.3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, broken, section", [
+    ("n_cells = 8", "n_cells = 0", "field"),
+    ("side_length = 40", "side_length = -1", "field"),
+    ("uniform = 20", "uniform = inf", "prescription"),
+    ("start_x = 6", "start_x = inf", "plan"),
+    ("    5 0 3", "    -5 0 3", "plan"),
+    ("dt = 1", "dt = 0", "run"),
+    ("horizon = 2", "horizon = 0", "run"),
+], ids=["n_cells", "side_length", "uniform", "start_x", "segment", "dt", "horizon"])
+def test_an_out_of_range_scenario_value_names_the_file_and_the_section(tmp_path, capsys, line,
+                                                                       broken, section):
+    assert TINY_SCENARIO.count(line) == 1
+    code, err = validate_with(tmp_path, capsys, scenario=TINY_SCENARIO.replace(line, broken))
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {tmp_path / 'scenario.ini'}: [{section}] ")
+
+
 def test_a_misspelt_run_key_is_rejected(tmp_path, capsys):
     # the shipped scenario sets sigma; a misspelt key must not fall back to unit
     text = default_scenario_path().read_text()
@@ -519,24 +540,17 @@ def test_the_first_of_several_misspellings_is_named(tmp_path, capsys):
                    "one of ['dt', 'controller', 'horizon', 'scaling', 'triangle_support']"]
 
 
-def test_horizon_must_be_positive(scenario_file, tmp_path, capsys):
-    code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
-                 "--horizon", "0"])
-    assert code == 1
-    assert "--horizon" in capsys.readouterr().err
-
-
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == 1
     assert "error:" in capsys.readouterr().err
 
 
-def test_repeated_runs_are_byte_identical(scenario_file, tmp_path):
+def test_repeated_runs_are_byte_identical(tmp_path):
+    scenario = scenario_with_run_key(tmp_path, "controller", "mpc-full")
     first = tmp_path / "a"
     second = tmp_path / "b"
     for out in (first, second):
-        code = main(["run", "--scenario", str(scenario_file), "--out", str(out),
-                     "--controller", "mpc-full"])
+        code = main(["run", "--scenario", str(scenario), "--out", str(out)])
         assert code == 0
     assert (first / "A.csv").read_bytes() == (second / "A.csv").read_bytes()
     assert (first / "trace.csv").read_bytes() == (second / "trace.csv").read_bytes()
@@ -676,15 +690,6 @@ def test_a_failed_compare_variant_leaves_the_others_complete(scenario_file, tmp_
     assert sorted(ranking) == ["greedy", "mpc-full"]
 
 
-@pytest.mark.parametrize("only, warns", [("greedy", True), ("mpc-full", False)])
-def test_compare_warns_when_greedy_ignores_the_horizon(scenario_file, tmp_path, capsys, only,
-                                                       warns):
-    assert main(["compare", "--scenario", str(scenario_file), "--out", str(tmp_path / "cmp"),
-                 "--only", only, "--horizon", "3"]) == 0
-    err = capsys.readouterr().err
-    assert err.count("--horizon is ignored by the greedy controller") == int(warns)
-
-
 @pytest.mark.parametrize("argv", [["run"], ["compare", "--only", "greedy"],
                                   ["run", "--verbose"]])
 def test_an_unwritable_out_fails_before_any_decision(scenario_file, tmp_path, monkeypatch,
@@ -713,12 +718,12 @@ def other_kind(kind):
 
 @pytest.mark.parametrize("kind", list(ControllerKind))
 def test_a_compare_variant_writes_what_run_writes(tmp_path, kind):
-    # the scenario file names another controller, which neither echo may show
-    scenario = scenario_with_run_key(tmp_path, "controller", other_kind(kind).value)
+    # compare's scenario file names another controller, which its variant may not echo
+    own = scenario_with_run_key(tmp_path, "controller", kind.value, "own.ini")
+    other = scenario_with_run_key(tmp_path, "controller", other_kind(kind).value, "other.ini")
     ran, compared = tmp_path / "run", tmp_path / "cmp"
-    assert main(["run", "--scenario", str(scenario), "--out", str(ran),
-                 "--controller", kind.value]) == 0
-    assert main(["compare", "--scenario", str(scenario), "--out", str(compared),
+    assert main(["run", "--scenario", str(own), "--out", str(ran)]) == 0
+    assert main(["compare", "--scenario", str(other), "--out", str(compared),
                  "--only", kind.value]) == 0
     variant = compared / kind.value
     for name in ("A.csv", "trace.csv"):
@@ -726,7 +731,7 @@ def test_a_compare_variant_writes_what_run_writes(tmp_path, kind):
 
     def echoed(out):
         return [(key, value) for key, value in summary_pairs(out / "summary.txt")
-                if key != "command" and not key.startswith("wall_clock.")]
+                if key not in ("command", "scenario_file") and not key.startswith("wall_clock.")]
 
     assert echoed(variant) == echoed(ran)
     assert dict(echoed(ran))["run.controller"] == kind.value
@@ -746,8 +751,8 @@ def test_a_failed_compare_variant_diagnostic_names_the_step_and_the_error(
     assert len(read_trace(variant / "trace.csv")["k"]) == 1
     # run's diagnostic of the same failure says the same
     ran = tmp_path / "run"
-    assert main(["run", "--scenario", str(scenario_file), "--out", str(ran),
-                 "--controller", "mpc-triangle"]) == 2
+    triangle = scenario_with_run_key(tmp_path, "controller", "mpc-triangle")
+    assert main(["run", "--scenario", str(triangle), "--out", str(ran)]) == 2
     assert (ran / "diagnostic.txt").read_text() == (variant / "diagnostic.txt").read_text()
 
 

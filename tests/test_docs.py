@@ -29,12 +29,24 @@ def test_the_readme_ini_examples_load(tmp_path, index, load):
     load(path)
 
 
-def test_every_flag_the_readme_names_is_an_option():
+def readme_flags():
     # pip's own flags are not the program's
     prose = re.sub(r"pip install[^`\n]*", "", README)
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", prose))
-    parser = _build_parser()
-    subcommands = parser._subparsers._group_actions[0].choices.values()
-    options = {flag for sub in subcommands for flag in sub._option_string_actions}
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", prose))
+
+
+def program_options():
+    """Every option string of every subcommand, apart from its help."""
+    subcommands = _build_parser()._subparsers._group_actions[0].choices.values()
+    return {flag for sub in subcommands for flag in sub._option_string_actions} - {"-h", "--help"}
+
+
+def test_every_flag_the_readme_names_is_an_option():
+    named = readme_flags()
     assert named
-    assert named <= options, sorted(named - options)
+    assert named <= program_options(), sorted(named - program_options())
+
+
+def test_every_option_is_named_in_the_readme():
+    missing = program_options() - readme_flags()
+    assert not missing, sorted(missing)
