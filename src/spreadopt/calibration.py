@@ -227,33 +227,35 @@ def satisfies_constraints(controls: SpreaderControls, previous: SpreaderControls
             and drpm <= constraints.rpm_rate_max * (1.0 + tol) + tol)
 
 
-def validate_calibration(cal: CalibrationModel, constraints: ControlConstraints) -> list[str]:
-    """Check the pattern domain over the admissible RPM range.
+def pattern_range(coeffs: tuple[float, ...], lo: float, hi: float):
+    """Least and greatest value of a pattern polynomial (degree 1 or 2,
+    highest degree first) over ``[lo, hi]``, each as ``(value, rpm)``.  The
+    only candidates are the bounds and a parabola's vertex between them."""
+    vertex = -coeffs[1] / (2.0 * coeffs[0]) if len(coeffs) == 3 and coeffs[0] != 0.0 else lo
+    rpms = [lo, hi, vertex] if lo < vertex < hi else [lo, hi]
+    points = [(_polyval(coeffs, rpm), rpm) for rpm in rpms]
+    return min(points), max(points)
 
-    Samples both bounds and every whole RPM between them and returns a
-    list of human-readable problems; an empty list means the calibration
-    is usable.
-    """
+
+def validate_calibration(cal: CalibrationModel, constraints: ControlConstraints) -> list[str]:
+    """Check the pattern domain over the admissible RPM range by each
+    parameter's least and greatest value there (:func:`pattern_range`); a
+    value that overflows to infinity fails too.  Returns a list of
+    human-readable problems; an empty list means the calibration is usable."""
     problems = []
     lo, hi = constraints.rpm_min, constraints.rpm_max
-    rpms = np.concatenate(([lo], np.arange(math.floor(lo) + 1.0, math.ceil(hi)), [hi]))
-    checks = (
-        ("center distance", cal.distance(rpms), lambda v: v > 0, "must be positive"),
-        ("radial spread (sigma_distance)", cal.sigma_distance(rpms),
-         lambda v: v > 0, "must be positive"),
-        ("center angle", cal.angle(rpms),
-         lambda v: (v > 0) & (v < math.pi), "must lie in (0, pi)"),
-        ("angular spread (sigma_angle)", cal.sigma_angle(rpms),
-         lambda v: v > 0, "must be positive"),
-    )
-    for name, values, ok, requirement in checks:
-        bad = ~ok(values)
-        if np.any(bad):
-            first = rpms[np.argmax(bad)]
-            problems.append(
-                f"{name} {requirement} over [{constraints.rpm_min:g}, "
-                f"{constraints.rpm_max:g}] RPM; violated from {first:g} RPM "
-                f"(value {values[np.argmax(bad)]:g})")
+    for name, coeffs, ceiling, requirement in (
+            ("center distance", cal.distance_coeffs, math.inf, "must be positive"),
+            ("radial spread (sigma_distance)", cal.sigma_distance_coeffs, math.inf,
+             "must be positive"),
+            ("center angle", cal.angle_coeffs, math.pi, "must lie in (0, pi)"),
+            ("angular spread (sigma_angle)", cal.sigma_angle_coeffs, math.inf,
+             "must be positive")):
+        least, greatest = pattern_range(coeffs, lo, hi)
+        value, rpm = least if least[0] <= 0 else greatest
+        if not 0 < value < ceiling:
+            problems.append(f"{name} {requirement} over [{lo:g}, {hi:g}] RPM; "
+                            f"violated at {rpm:g} RPM (value {value:g})")
     return problems
 
 

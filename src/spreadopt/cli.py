@@ -38,6 +38,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # options only as spelled in full: a prefix unique today may not stay so
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on usage errors; the contract reserves
     # 2 for numerical failures, so re-route to exit code 1
     def error(self, message):
@@ -48,24 +52,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="spreadopt", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", type=Path, default=None,
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--scenario", type=Path, default=None,
                         help="scenario file (default: the built-in S-pattern scenario)")
-    common.add_argument("--calibration", type=Path, default=None,
+    inputs.add_argument("--calibration", type=Path, default=None,
                         help="calibration file (default: the built-in synthetic bench)")
-    common.add_argument("--out", type=Path, default=Path("out"),
-                        help="output directory (default: ./out)")
-    common.add_argument("--verbose", action="store_true",
-                        help="log per-iteration optimizer diagnostics to out/run.log")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", type=Path, default=Path("out"),
+                         help="output directory (default: ./out)")
+    outputs.add_argument("--verbose", action="store_true",
+                         help="log per-iteration optimizer diagnostics to out/run.log")
 
-    sub.add_parser("run", parents=[common], help="one closed-loop run of the scenario file")
+    sub.add_parser("run", parents=[inputs, outputs],
+                   help="one closed-loop run of the scenario file")
 
-    compare_parser = sub.add_parser("compare", parents=[common],
+    compare_parser = sub.add_parser("compare", parents=[inputs, outputs],
                                     help="run controller variants side by side")
     compare_parser.add_argument("--only", default=None,
                                 help="comma-separated subset of controllers to compare")
 
-    sub.add_parser("validate", parents=[common],
+    # validate writes nothing and logs nothing, so it takes no --out or --verbose
+    sub.add_parser("validate", parents=[inputs],
                    help="check scenario and calibration files without running")
     return parser
 
@@ -196,7 +203,7 @@ def _setup_logging(args):
     for handler in list(root.handlers):
         root.removeHandler(handler)
         handler.close()
-    if not args.verbose:
+    if not getattr(args, "verbose", False):
         # a verbose main() earlier in this process must not leave DEBUG on
         root.setLevel(logging.NOTSET)
         return

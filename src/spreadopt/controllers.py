@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import (CalibrationModel, ControlConstraints, SpreaderControls,
-                          pattern_from_controls)
+                          pattern_from_controls, pattern_range)
 from .errors import ConfigurationError, NumericalFailureError, ShapeError
 from .field import FieldGrid, as_amount_map
 from .spread import (BandGeometry, DepositScaling, DepositionModel, PatternParams,
@@ -117,9 +117,9 @@ class _Predictor:
     run, or a private one.  Each pose's entry is a
     :class:`spread.BandGeometry`: the distance, bearing, area scale and flat
     index of the cells in the pose's reach box, the square of half-side
-    ``radius`` around it, sorted by distance.  The
-    controller passes the largest band radius of any speed in its actuator
-    box (:func:`_reach_radius`); the default, an infinite radius, covers the
+    ``radius`` around it, sorted by distance.  The controller passes an
+    upper bound on the band radius of every speed in its actuator box
+    (:func:`_reach_radius`); the default, an infinite radius, covers the
     whole grid.  A disc's radial band is one slice of that order, found by
     two binary searches (:func:`spread.band`); a band reaching past the box
     first grows the box to it (:meth:`_band`), so a band never depends on
@@ -329,23 +329,20 @@ class _Predictor:
         S[at, rpm_j] = d_dist
 
 
-# speeds at which _reach_radius samples the actuator box's rpm range
-_RADIUS_SAMPLES = 33
-
-
 def _reach_radius(cal: CalibrationModel, model: DepositionModel, support: TriangleSupport,
                   constraints: ControlConstraints) -> float:
-    """Largest outer band distance of a disc (``spread.band_bounds``) over
-    the actuator box's rpm range, sampled at evenly spaced speeds from
-    ``rpm_min`` to ``rpm_max``; speeds outside the calibration's domain are
-    skipped.  It only sizes each pose's reach box: a band reaching further,
-    from a speed between the samples, grows the box (``_Predictor._band``)."""
-    radius = 0.0
-    for rpm in np.linspace(constraints.rpm_min, constraints.rpm_max, _RADIUS_SAMPLES).tolist():
-        sd, sa = cal.sigma_distance(rpm), cal.sigma_angle(rpm)
-        if sd > 0.0 and sa > 0.0:
-            radius = max(radius, cal.distance(rpm) + _reach(sd, sa, model, support))
-    return radius
+    """Upper bound on a disc's outer band distance (``spread.band_bounds``)
+    over the actuator box's rpm range: the greatest center distance plus the
+    reach of the greatest radial and the least angular spread, as a reach
+    grows with the one (the normal one while its log term tops one half,
+    which ``WINDOW_TOLERANCE`` ensures) and never with the other.  A spread
+    out of its domain (unvalidated calibrations only) gives the whole grid."""
+    box = constraints.rpm_min, constraints.rpm_max
+    _, (distance, _) = pattern_range(cal.distance_coeffs, *box)
+    (sd_least, _), (sd, _) = pattern_range(cal.sigma_distance_coeffs, *box)
+    (sa, _), _ = pattern_range(cal.sigma_angle_coeffs, *box)
+    in_domain = sd_least > 0.0 and sa > 0.0
+    return distance + _reach(sd, sa, model, support) if in_domain else math.inf
 
 
 def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spreadopt import (
     satisfies_constraints,
     validate_calibration,
 )
+from spreadopt.calibration import pattern_range
 
 from checks import clamp_controls
 
@@ -188,8 +190,69 @@ def test_validation_samples_a_fractional_rpm_ceiling(tmp_path):
     broken = dataclasses.replace(DEFAULT_CALIBRATION, sigma_angle_coeffs=(0.0, -1e-3, 0.9001))
     with pytest.raises(CalibrationDomainError):
         pattern_from_controls(900.2, 45.0, broken, "right")
-    with pytest.raises(ConfigurationError, match="sigma_angle.*violated from 900.2 RPM"):
+    with pytest.raises(ConfigurationError, match="sigma_angle.*violated at 900.2 RPM"):
         load_calibration(path)
+
+
+@pytest.mark.parametrize("line", ["sigma_distance = 0 0.0033333333333333335 0",
+                                  "sigma_angle = 1e-8 0 0.3"],
+                         ids=["sigma_distance", "sigma_angle"])
+def test_validation_finds_a_dip_between_two_whole_rpms(tmp_path, line):
+    # (rpm - 600.5)**2 - 1e-6: negative only strictly between 600 and 601 RPM
+    key = line.split(" = ")[0]
+    shipped = default_calibration_path().read_text()
+    assert shipped.count(line + "\n") == 1
+    path = tmp_path / "cal.ini"
+    path.write_text(shipped.replace(line, f"{key} = 1 -1201 360600.249999"))
+    with pytest.raises(ConfigurationError, match=rf"{key}\).*violated at 600\.5 RPM"):
+        load_calibration(path)
+
+
+def test_validation_of_a_vast_rpm_box_names_the_problem():
+    problems = validate_calibration(DEFAULT_CALIBRATION, ControlConstraints(rpm_max=1e15))
+    assert len(problems) == 1
+    assert problems[0].startswith("center angle must lie in (0, pi)")
+    assert "violated at 1e+15 RPM" in problems[0]
+
+
+def test_validation_memory_does_not_grow_with_the_rpm_box():
+    tracemalloc.start()
+    try:
+        validate_calibration(DEFAULT_CALIBRATION,
+                             ControlConstraints(rpm_min=1.0, rpm_max=1e6 + 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_validation_rejects_a_parameter_that_overflows():
+    # finite coefficients on a finite box, but 1e200 ** 2 is infinite, which
+    # pattern_from_controls rejects
+    cal = dataclasses.replace(DEFAULT_CALIBRATION, sigma_distance_coeffs=(1.0, 0.0, 0.0))
+    constraints = ControlConstraints(rpm_max=1e200)
+    with pytest.raises(CalibrationDomainError):
+        pattern_from_controls(1e200, 45.0, cal, "right")
+    problems = validate_calibration(cal, constraints)
+    assert any(p.startswith("radial spread") and "(value inf)" in p for p in problems)
+
+
+coefficient = st.floats(-10.0, 10.0)
+
+
+@given(coeffs=st.one_of(st.tuples(coefficient, coefficient),
+                        st.tuples(coefficient, coefficient, coefficient)),
+       lo=st.floats(-5.0, 5.0), width=st.floats(0.0, 10.0))
+def test_pattern_range_bounds_the_polynomial_over_the_box(coeffs, lo, width):
+    hi = lo + width
+    least, greatest = pattern_range(coeffs, lo, hi)
+    for value, rpm in (least, greatest):
+        assert lo <= rpm <= hi
+        assert value == np.polyval(coeffs, rpm)
+    sampled = np.polyval(coeffs, np.linspace(lo, hi, 1001))
+    slack = 1e-9 * (1.0 + np.abs(sampled).max())
+    assert least[0] <= sampled.min() + slack
+    assert greatest[0] >= sampled.max() - slack
 
 
 def test_loading_a_truncated_file_fails(tmp_path):

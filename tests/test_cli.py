@@ -147,20 +147,37 @@ def test_missing_prescription_map_fails_cleanly(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-REMOVED_FLAGS = [("run", "--restarts", "1"), ("run", "--controller", "greedy"),
-                 ("run", "--horizon", "3"), ("compare", "--horizon", "3"),
-                 ("validate", "--horizon", "3")]
+REMOVED_FLAGS = [("run", ["--restarts", "1"]), ("run", ["--controller", "greedy"]),
+                 ("run", ["--horizon", "3"]), ("compare", ["--horizon", "3"]),
+                 ("validate", ["--horizon", "3"]), ("validate", ["--out", "o"]),
+                 ("validate", ["--verbose"])]
 
 
-@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS,
-                         ids=[f"{command}{flag}" for command, flag, _ in REMOVED_FLAGS])
-def test_a_removed_flag_is_a_usage_error(scenario_file, tmp_path, command, flag, value):
-    # the scenario file alone sets the run; argparse alone would exit 2
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{command}{flag[0]}" for command, flag in REMOVED_FLAGS])
+def test_a_removed_flag_is_a_usage_error(scenario_file, tmp_path, command, flag):
+    # the scenario file alone sets the run, and validate writes nothing;
+    # argparse alone would exit 2
     done = run_cli([command, "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
-                    flag, value], tmp_path)
+                    *flag], tmp_path)
     assert done.returncode == 1
     assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
-    assert flag in done.stderr
+    assert flag[0] in done.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("prefix, args", [
+    ("--scen", ["validate", "--scen", "tiny.ini"]),
+    ("--verb", ["run", "--scenario", "tiny.ini", "--verb"]),
+    ("--onl", ["compare", "--scenario", "tiny.ini", "--onl", "greedy"]),
+], ids=["validate--scen", "run--verb", "compare--onl"])
+def test_an_option_is_taken_only_as_spelled_in_full(scenario_file, tmp_path, prefix, args):
+    # scenario_file is tiny.ini in tmp_path, and --out defaults to ./out
+    done = run_cli(args, tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert prefix in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_scenario_fails_cleanly(tmp_path, capsys):
@@ -180,14 +197,16 @@ def test_invalid_calibration_names_the_problem(scenario_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, broken", [("flow_min = 0", "flow_min = -1"),
-                                          ("distance = 0.02 3", "distance = 0.02 nan")])
+                                          ("distance = 0.02 3", "distance = 0.02 nan"),
+                                          # validation memory must not grow with the box
+                                          ("rpm_max = 900", "rpm_max = 1e15")])
 def test_invalid_calibration_values_name_the_file(scenario_file, tmp_path, line, broken):
     bad = tmp_path / "bad_values.ini"
     bad.write_text(default_calibration_path().read_text().replace(line, broken))
     done = run_cli(["validate", "--scenario", str(scenario_file), "--calibration", str(bad)],
                    tmp_path)
     assert done.returncode == 1
-    assert done.stderr.startswith("error:")
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
     assert str(bad) in done.stderr
     assert "Traceback" not in done.stderr
 
@@ -631,12 +650,14 @@ def test_verbose_run_writes_a_log_file(scenario_file, tmp_path):
 
 def test_a_plain_run_after_a_verbose_one_turns_debug_logging_off(scenario_file, tmp_path):
     logger = logging.getLogger("spreadopt")
-    assert main(["validate", "--scenario", str(scenario_file), "--out", str(tmp_path / "v"),
-                 "--verbose"]) == 0
-    assert logger.isEnabledFor(logging.DEBUG)
-    assert main(["validate", "--scenario", str(scenario_file), "--out", str(tmp_path / "p")]) == 0
-    assert not logger.isEnabledFor(logging.DEBUG)
-    assert not logger.handlers
+    # validate takes no --verbose, but must still undo an earlier verbose run
+    for plain in (["run", "--out", str(tmp_path / "p")], ["validate"]):
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "v"),
+                     "--verbose"]) == 0
+        assert logger.isEnabledFor(logging.DEBUG)
+        assert main([plain[0], "--scenario", str(scenario_file), *plain[1:]]) == 0
+        assert not logger.isEnabledFor(logging.DEBUG)
+        assert not logger.handlers
 
 
 # --- failure paths ------------------------------------------------------------

@@ -42,8 +42,9 @@ from spreadopt.spread import (DEGENERATE_RADIUS, WINDOW_TOLERANCE, PatternParams
                               pose_geometry)
 
 CAL = DEFAULT_CALIBRATION
-# the radial spread peaks at 611 rpm, inside the actuator box and between
-# the speeds _reach_radius samples, and with it the reach of the bands
+# the radial spread, and with it the reach of the bands, peaks at 611 rpm,
+# strictly inside the actuator box: the box radius comes from that vertex,
+# not from the box's bounds
 PEAKED = CalibrationModel(distance_coeffs=(0.0, 15.0),
                           sigma_distance_coeffs=(-1.0 / 90000.0, 2.0 * 611.0 / 90000.0,
                                                  3.0 - 611.0 ** 2 / 90000.0),
@@ -215,15 +216,32 @@ def test_the_box_radius_covers_the_actuator_box_and_a_wider_band_grows_it():
     at = {rpm: PEAKED.distance(rpm) + spread._reach(PEAKED.sigma_distance(rpm),
                                                     PEAKED.sigma_angle(rpm), model, support)
           for rpm in (DEFAULT_CONSTRAINTS.rpm_min, 611.0, DEFAULT_CONSTRAINTS.rpm_max)}
-    # the reach peaks strictly inside the range, between the samples
-    assert at[611.0] > radius > max(at[DEFAULT_CONSTRAINTS.rpm_min],
-                                    at[DEFAULT_CONSTRAINTS.rpm_max])
+    # the reach peaks strictly inside the range, and the box covers the peak
+    assert radius >= at[611.0] > max(at[DEFAULT_CONSTRAINTS.rpm_min],
+                                     at[DEFAULT_CONSTRAINTS.rpm_max])
     grid = FieldGrid(300.0, 120)
-    predictor = controllers._Predictor(grid, [TractorState(150.0, 150.0, 0.4)], grid.zeros(),
-                                       grid.zeros(), model, PEAKED, radius=radius)
-    assert predictor.geometry[0].radius == radius
-    predictor.cost(np.array([[45.0, 45.0, 611.0, 611.0]]))
-    assert predictor.geometry[0].radius == at[611.0]
+    peak = np.array([[45.0, 45.0, 611.0, 611.0]])
+    # the controller's box keeps its radius at the peak; a box sized by the
+    # range's bounds alone grows to the peak's band
+    for given, grown in ((radius, radius), (at[DEFAULT_CONSTRAINTS.rpm_max], at[611.0])):
+        predictor = controllers._Predictor(grid, [TractorState(150.0, 150.0, 0.4)],
+                                           grid.zeros(), grid.zeros(), model, PEAKED,
+                                           radius=given)
+        assert predictor.geometry[0].radius == given
+        predictor.cost(peak)
+        assert predictor.geometry[0].radius == grown
+
+
+@pytest.mark.parametrize("cal", [CAL, PEAKED], ids=["default", "peaked"])
+def test_the_box_radius_bounds_every_band_in_the_actuator_box(cal):
+    rpms = np.linspace(DEFAULT_CONSTRAINTS.rpm_min, DEFAULT_CONSTRAINTS.rpm_max, 1201)
+    for model in DepositionModel:
+        for support in TriangleSupport:
+            radius = _box_radius(cal, model, support)
+            outer = max(band_bounds(pattern_from_controls(rpm, 45.0, cal, "right"), model,
+                                    support, DepositScaling.LITERAL)[1]
+                        for rpm in rpms.tolist())
+            assert outer <= radius < outer + 0.1
 
 
 def test_a_pose_off_the_field_deposits_nothing_and_keeps_the_warm_start():
