@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -27,8 +28,7 @@ from .calibration import _PATTERN_KEYS, load_calibration
 from .config import default_calibration_path, default_scenario_path, load_scenario
 from .controllers import ControllerKind
 from .errors import ConfigurationError, NumericalFailureError, RunAbortedError, SpreadOptError
-from .simulation import (check_setup, comparison_failed, compare, run, write_comparison,
-                         write_run_outputs, write_summary)
+from .simulation import check_setup, run, write_comparison, write_run_outputs, write_summary
 
 _log = logging.getLogger("spreadopt.cli")
 
@@ -109,7 +109,7 @@ def _create_out(out: Path) -> None:
     _write(out, Path.mkdir, parents=True, exist_ok=True)
 
 
-# what _write_run writes into a run's directory
+# what _run_into writes into a run's directory
 _RUN_FILES = ("A.csv", "trace.csv", "summary.txt", "diagnostic.txt")
 
 
@@ -176,12 +176,17 @@ def _settings_hash(lines) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_run(out_dir, command, scenario, echo, record, error=None):
-    """One controller's run of ``scenario`` into ``out_dir``: the final
-    map, the trace, and a summary echoing the configuration it ran with.
-    A run that aborted with ``error`` leaves its partial record and a
-    ``diagnostic.txt`` saying where and why it stopped; a completed run
-    removes the diagnostic of an earlier run."""
+def _run_into(out_dir, command, scenario, echo, cal, constraints, settings):
+    """Run ``scenario`` and write the run into ``out_dir``: the final map,
+    the trace, and a summary echoing the configuration it ran with.
+    Returns ``(record, error)``.  A run that aborts keeps its partial
+    record and its ``error``, and leaves a ``diagnostic.txt`` saying where
+    and why it stopped; a completed run removes the diagnostic of an
+    earlier run."""
+    try:
+        record, error = run(scenario, cal, constraints, settings), None
+    except RunAbortedError as exc:
+        record, error = exc.record, exc
     config_lines = echo(scenario)
     summary = ([("command", command),
                 ("controller", scenario.controller.value),
@@ -196,6 +201,7 @@ def _write_run(out_dir, command, scenario, echo, record, error=None):
         _write(diagnostic, Path.unlink, missing_ok=True)
     else:
         _write(diagnostic, Path.write_text, f"aborted at step {error.step}: {error}\n")
+    return record, error
 
 
 def _setup_logging(args):
@@ -222,12 +228,7 @@ def cmd_run(args) -> int:
     _create_out(args.out)
     _check_outputs(args.out / name for name in _RUN_FILES)
     _log.info("run: controller=%s horizon=%d", scenario.controller.value, scenario.horizon)
-
-    try:
-        record, error = run(scenario, cal, constraints, settings), None
-    except RunAbortedError as exc:
-        record, error = exc.record, exc
-    _write_run(args.out, "run", scenario, echo, record, error)
+    record, error = _run_into(args.out, "run", scenario, echo, cal, constraints, settings)
     if error is not None:
         raise error
     print(f"final cost {record.final_cost:.6g} after {record.n_steps} steps "
@@ -255,20 +256,24 @@ def cmd_compare(args) -> int:
     _check_outputs([args.out / "comparison.csv", args.out / "summary.txt",
                     *(args.out / kind.value / name for kind in kinds for name in _RUN_FILES)])
 
-    result = compare(scenario, kinds, cal, constraints, settings)
-    _write(args.out / "comparison.csv", write_comparison, result)
-    for row in result.rows:
-        ran = dataclasses.replace(scenario, controller=row.controller)
-        _write_run(args.out / row.controller, "compare", ran, echo, row.record, row.error)
+    rows = []
+    for kind in kinds:
+        record, error = _run_into(args.out / kind.value, "compare",
+                                  dataclasses.replace(scenario, controller=kind), echo, cal,
+                                  constraints, settings)
+        # an aborted variant has no final cost or wall clock to compare
+        rows.append((kind.value, math.nan, math.nan) if error is not None else
+                    (kind.value, record.final_cost, record.total_controller_seconds))
+    ranked = sorted((row for row in rows if math.isfinite(row[1])), key=lambda row: row[1])
+    _write(args.out / "comparison.csv", write_comparison, rows)
     config_lines = echo(scenario)
     _write(args.out / "summary.txt", write_summary,
-           [("command", "compare"), ("ranking", " ".join(result.ranking)),
+           [("command", "compare"), ("ranking", " ".join(name for name, _, _ in ranked)),
             ("settings_hash", _settings_hash(config_lines))] + config_lines)
 
-    for row in result.rows:
-        print(f"{row.controller}: final cost {row.final_cost:.6g}, "
-              f"controller time {row.wall_clock:.3f}s")
-    if comparison_failed(result):
+    for name, final_cost, wall_clock in rows:
+        print(f"{name}: final cost {final_cost:.6g}, controller time {wall_clock:.3f}s")
+    if len(ranked) < len(rows):
         print("error: at least one variant failed; see diagnostics", file=sys.stderr)
         return 3
     return 0

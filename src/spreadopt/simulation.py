@@ -1,4 +1,4 @@
-"""Closed-loop spreading runs and controller comparisons.
+"""Closed-loop spreading runs.
 
 A run walks the tractor along the drive plan, asks the controller for one
 actuator command per step, deposits with the full two-distribution model
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,64 +157,12 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
                      cost(applied, scenario.prescription), controller_seconds)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One controller's run; an aborted run keeps its partial record and
-    its ``error``, with NaN cost and wall clock."""
-
-    controller: str
-    final_cost: float
-    wall_clock: float
-    record: RunRecord
-    error: RunAbortedError | None = None
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    rows: tuple[ComparisonRow, ...]
-    ranking: tuple[str, ...]
-
-
-def compare(scenario: Scenario, controllers, cal: CalibrationModel,
-            constraints: ControlConstraints, settings: OptimizerSettings) -> ComparisonResult:
-    """Run ``scenario`` once under each controller kind and rank the runs.
-
-    Only the controller differs between the runs, and repeating a kind is
-    allowed.  A run that fails is kept on its row and does not stop the
-    others.
-    """
-    kinds = [ControllerKind(kind) for kind in controllers]
-    if not kinds:
-        raise ConfigurationError("comparison needs at least one controller")
-    rows = []
-    for kind in kinds:
-        try:
-            record = run(replace(scenario, controller=kind), cal, constraints, settings)
-        except RunAbortedError as exc:
-            rows.append(ComparisonRow(kind.value, math.nan, math.nan, exc.record, exc))
-            continue
-        rows.append(ComparisonRow(kind.value, record.final_cost,
-                                  record.total_controller_seconds, record))
-
-    ranked = sorted((r for r in rows if math.isfinite(r.final_cost)),
-                    key=lambda r: r.final_cost)
-    return ComparisonResult(tuple(rows), tuple(r.controller for r in ranked))
-
-
-def comparison_failed(result: ComparisonResult) -> bool:
-    return any(not math.isfinite(r.final_cost) for r in result.rows)
-
-
 def write_trace(path, record: RunRecord) -> None:
     """Step trace as CSV with a fixed header."""
-    with open(path, "w") as handle:
-        handle.write(",".join(TRACE_COLUMNS) + "\n")
-        for i in range(record.n_steps):
-            row = [i + 1, record.times[i], record.poses[i, 0], record.poses[i, 1],
-                   record.poses[i, 2], record.controls[i, 0], record.controls[i, 1],
-                   record.controls[i, 2], record.controls[i, 3],
-                   record.deposit_mass[i], record.cost_trace[i]]
-            handle.write(",".join(_format(v) for v in row) + "\n")
+    table = np.column_stack([np.arange(1, record.n_steps + 1), record.times, record.poses,
+                             record.controls, record.deposit_mass, record.cost_trace])
+    np.savetxt(path, table, fmt=["%d"] + ["%.12g"] * 10, delimiter=",",
+               header=",".join(TRACE_COLUMNS), comments="")
 
 
 def read_trace(path) -> dict[str, np.ndarray]:
@@ -228,12 +176,12 @@ def read_trace(path) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
 
 
-def write_comparison(path, result: ComparisonResult) -> None:
+def write_comparison(path, rows) -> None:
+    """One ``controller,final_cost,wall_clock`` line per row."""
     with open(path, "w") as handle:
         handle.write("controller,final_cost,wall_clock\n")
-        for row in result.rows:
-            handle.write(f"{row.controller},{_format(row.final_cost)},"
-                         f"{_format(row.wall_clock)}\n")
+        for controller, final_cost, wall_clock in rows:
+            handle.write(f"{controller},{_format(final_cost)},{_format(wall_clock)}\n")
 
 
 def write_summary(path, lines) -> None:
@@ -250,6 +198,4 @@ def write_run_outputs(out_dir, record: RunRecord, summary_lines) -> None:
 
 
 def _format(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return format(float(value), ".12g")

@@ -156,7 +156,18 @@ def _reach(sd: float, sa: float, model: DepositionModel, support: TriangleSuppor
     angular peak ``1 / (sqrt(2 pi) sa)`` falls to it, about 12 sigma)."""
     if model == DepositionModel.TRIANGLE:
         return _half_widths(sd, sa, support)[0]
-    return sd * math.sqrt(2.0 * math.log(1.0 / (2.0 * math.pi * sd * sa * WINDOW_TOLERANCE)))
+    # the tolerance over the density's peak per gram, 1 / (2 pi sd sa)
+    ratio = 2.0 * math.pi * sd * sa * WINDOW_TOLERANCE
+    if ratio >= 1.0:
+        # the density is at or below the tolerance everywhere
+        return 0.0
+    inverse = 1.0 / ratio if ratio > 0.0 else math.inf
+    if inverse == math.inf:
+        # the ratio underflowed, or its inverse overflows: take the
+        # logarithm as a sum of logarithms
+        return sd * math.sqrt(-2.0 * (math.log(2.0 * math.pi) + math.log(sd) + math.log(sa)
+                                      + math.log(WINDOW_TOLERANCE)))
+    return sd * math.sqrt(2.0 * math.log(inverse))
 
 
 def _density_factors(offsets, sd: float, sa: float, model: DepositionModel,

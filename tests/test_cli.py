@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -274,12 +276,44 @@ def test_compare_subset_writes_ranking_and_per_controller_outputs(scenario_file,
     assert len(lines) == 3
     assert lines[1].startswith("greedy,")
     assert lines[2].startswith("mpc-full,")
-    for name in ("greedy", "mpc-full"):
+    costs = {}
+    for line in lines[1:]:
+        name, final_cost, wall_clock = line.split(",")
         assert (out / name / "trace.csv").exists()
-        assert (out / name / "summary.txt").exists()
-    assert "ranking = " in (out / "summary.txt").read_text()
+        # each row is what that variant's own summary says
+        summary = dict(summary_pairs(out / name / "summary.txt"))
+        assert final_cost == summary["final_cost"]
+        assert abs(float(wall_clock) - float(summary["wall_clock.controller_seconds"])) <= 5e-7
+        costs[name] = float(final_cost)
+    ranking = dict(summary_pairs(out / "summary.txt"))["ranking"].split()
+    assert ranking == sorted(costs, key=costs.get)
     stdout = capsys.readouterr().out
     assert "greedy: final cost" in stdout
+
+
+def test_compare_varies_only_the_controller(scenario_file, tmp_path, monkeypatch):
+    import spreadopt.cli
+
+    # the file names greedy; each run must see the kind it was asked for,
+    # in --only order, and otherwise the file's scenario unchanged
+    seen = []
+    real_run = spreadopt.cli.run
+
+    def spy(scenario, cal, constraints, settings, controller=None):
+        seen.append(scenario)
+        return real_run(scenario, cal, constraints, settings, controller)
+
+    monkeypatch.setattr(spreadopt.cli, "run", spy)
+    assert main(["compare", "--scenario", str(scenario_file), "--out", str(tmp_path / "cmp"),
+                 "--only", "mpc-full,mpc-triangle"]) == 0
+    assert [s.controller for s in seen] == [ControllerKind.MPC_FULL, ControllerKind.MPC_TRIANGLE]
+    base = load_scenario(scenario_file).scenario
+    for scenario in seen:
+        assert scenario.prescription is seen[0].prescription
+        assert np.array_equal(scenario.prescription, base.prescription)
+        for field in dataclasses.fields(base):
+            if field.name not in ("controller", "prescription"):
+                assert getattr(scenario, field.name) == getattr(base, field.name), field.name
 
 
 def test_compare_with_an_empty_only_list_is_a_usage_error(scenario_file, tmp_path, capsys):
@@ -677,6 +711,23 @@ def failing_plan_controls(monkeypatch, fails):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(RecedingHorizonController, "plan_controls", plan_controls)
+
+
+@pytest.mark.parametrize("spread", ["1e16", "1e-200"])
+def test_a_validated_extreme_spread_runs_without_a_traceback(scenario_file, tmp_path, spread):
+    # the density per gram is at or below the window tolerance everywhere
+    # (1e16), or the reach's product of spreads underflows (1e-200)
+    text = default_calibration_path().read_text()
+    for key in ("sigma_distance", "sigma_angle"):
+        text = re.sub(rf"^{key} = .*$", f"{key} = 0 0 {spread}", text, flags=re.M)
+    calibration = tmp_path / "extreme.ini"
+    calibration.write_text(text)
+    inputs = ["--scenario", str(scenario_file), "--calibration", str(calibration)]
+    for argv in (["validate", *inputs], ["run", *inputs, "--out", str(tmp_path / "out")]):
+        done = run_cli(argv, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+    assert dict(summary_pairs(tmp_path / "out" / "summary.txt"))["n_steps"] == "3"
 
 
 def test_an_aborted_run_writes_its_partial_record_and_a_diagnostic(scenario_file, tmp_path,

@@ -1,4 +1,4 @@
-import dataclasses
+
 import math
 
 import numpy as np
@@ -26,14 +26,8 @@ from spreadopt import (
     total_deposit,
     trajectory,
 )
-from spreadopt.simulation import (
-    TRACE_COLUMNS,
-    compare,
-    comparison_failed,
-    read_trace,
-    write_run_outputs,
-    write_trace,
-)
+from spreadopt.simulation import (TRACE_COLUMNS, RunRecord, _format, read_trace,
+                                  write_run_outputs, write_trace)
 
 from replay import ScheduleReplayController
 
@@ -188,6 +182,38 @@ def test_trace_round_trips_through_csv(tmp_path):
     np.testing.assert_allclose(table["cost"], record.cost_trace, rtol=1e-11)
 
 
+SPECIAL_DOUBLES = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324)
+
+
+def test_the_trace_formats_a_number_as_the_comparison_table_does():
+    # doubles of every exponent: random bit patterns
+    doubles = np.random.default_rng(25).integers(0, 2**64, 100_000, dtype=np.uint64)
+    for x in [*doubles.view(np.float64).tolist(), *SPECIAL_DOUBLES]:
+        assert "%.12g" % x == _format(x)
+
+
+def _trace_row_by_row(record):
+    lines = [",".join(TRACE_COLUMNS)]
+    for i in range(record.n_steps):
+        row = [record.times[i], *record.poses[i], *record.controls[i],
+               record.deposit_mass[i], record.cost_trace[i]]
+        lines.append(",".join([str(i + 1), *(_format(v) for v in row)]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 40])
+def test_the_trace_is_the_row_by_row_table(tmp_path, steps):
+    rng = np.random.default_rng(steps)
+    columns = rng.normal(size=(steps, 10)) * 10.0 ** rng.integers(-300, 300, size=(steps, 10))
+    if steps:
+        columns[0, :len(SPECIAL_DOUBLES)] = SPECIAL_DOUBLES
+    record = RunRecord(columns[:, 0], columns[:, 1:4], columns[:, 4:8], columns[:, 8],
+                       columns[:, 9], np.zeros((2, 2)), 0.0, np.zeros(steps))
+    path = tmp_path / "trace.csv"
+    write_trace(path, record)
+    assert path.read_text() == _trace_row_by_row(record)
+
+
 def test_run_outputs_written_as_three_files(tmp_path):
     scenario = tiny_scenario(steps=3)
     record = run(scenario, CAL, DEFAULT_CONSTRAINTS, SETTINGS,
@@ -200,80 +226,3 @@ def test_run_outputs_written_as_three_files(tmp_path):
     assert f"final_cost = {record.final_cost!r}" in summary
     loaded = np.loadtxt(out / "A.csv", delimiter=",")
     np.testing.assert_allclose(loaded, record.final_map, rtol=1e-11)
-
-
-# --- comparisons ---------------------------------------------------------------
-
-def test_compare_ranks_variants_by_final_cost():
-    base = tiny_scenario(ControllerKind.GREEDY, horizon=2)
-    result = compare(base, [ControllerKind.GREEDY, ControllerKind.MPC_FULL],
-                     CAL, DEFAULT_CONSTRAINTS, SETTINGS)
-    assert [r.controller for r in result.rows] == ["greedy", "mpc-full"]
-    costs = {r.controller: r.final_cost for r in result.rows}
-    assert result.ranking == tuple(sorted(costs, key=costs.get))
-    assert not comparison_failed(result)
-    for row in result.rows:
-        assert row.error is None
-        assert row.final_cost == row.record.final_cost
-        assert row.wall_clock == row.record.total_controller_seconds
-
-
-def test_compare_allows_repeated_controllers():
-    base = tiny_scenario(ControllerKind.GREEDY)
-    result = compare(base, [ControllerKind.GREEDY, ControllerKind.GREEDY],
-                     CAL, DEFAULT_CONSTRAINTS, SETTINGS)
-    assert result.rows[0].final_cost == result.rows[1].final_cost
-    assert result.ranking == ("greedy", "greedy")
-    # each row keeps its own run's record
-    assert result.rows[0].record is not result.rows[1].record
-
-
-def test_compare_needs_at_least_one_controller():
-    with pytest.raises(ConfigurationError, match="at least one controller"):
-        compare(tiny_scenario(), [], CAL, DEFAULT_CONSTRAINTS, SETTINGS)
-
-
-def test_compare_varies_only_the_controller(monkeypatch):
-    import spreadopt.simulation as sim
-
-    # the scenario's own controller is mpc-full; every run must see the
-    # kind it was asked for and otherwise the scenario unchanged
-    base = tiny_scenario(ControllerKind.MPC_FULL, horizon=2)
-    seen = []
-    real_run = sim.run
-
-    def spy(scenario, cal, constraints, settings, controller=None):
-        seen.append(scenario)
-        return real_run(scenario, cal, constraints, settings, controller)
-
-    monkeypatch.setattr(sim, "run", spy)
-    sim.compare(base, ["greedy", ControllerKind.MPC_TRIANGLE], CAL, DEFAULT_CONSTRAINTS,
-                SETTINGS)
-    assert [s.controller for s in seen] == [ControllerKind.GREEDY, ControllerKind.MPC_TRIANGLE]
-    for scenario in seen:
-        assert scenario.prescription is base.prescription
-        assert dataclasses.replace(scenario, controller=base.controller) == base
-
-
-def test_compare_records_a_failed_variant_as_nan(monkeypatch):
-    import spreadopt.simulation as sim
-
-    base = tiny_scenario(ControllerKind.GREEDY)
-    real_run = sim.run
-    partial = real_run(base, CAL, DEFAULT_CONSTRAINTS, SETTINGS)
-    raised = RunAbortedError("boom", record=partial, step=1)
-
-    def flaky(scenario, cal, constraints, settings, controller=None):
-        if scenario.controller is ControllerKind.MPC_TRIANGLE:
-            raise raised
-        return real_run(scenario, cal, constraints, settings, controller)
-
-    monkeypatch.setattr(sim, "run", flaky)
-    result = sim.compare(base, [ControllerKind.GREEDY, ControllerKind.MPC_TRIANGLE],
-                         CAL, DEFAULT_CONSTRAINTS, SETTINGS)
-    failed = result.rows[1]
-    assert math.isnan(failed.final_cost) and math.isnan(failed.wall_clock)
-    assert failed.error is raised and failed.record is partial
-    assert result.rows[0].error is None
-    assert result.ranking == ("greedy",)
-    assert comparison_failed(result)

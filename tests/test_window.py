@@ -11,6 +11,7 @@ final costs bitwise.  The plant deposits on the same bands and is held to
 a dense deposit within the window tolerance.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -242,6 +243,54 @@ def test_the_box_radius_bounds_every_band_in_the_actuator_box(cal):
                                     support, DepositScaling.LITERAL)[1]
                         for rpm in rpms.tolist())
             assert outer <= radius < outer + 0.1
+
+
+def _closed_form_reach(sd, sa):
+    """The normal reach as one expression: ``None`` where it is not a
+    finite number, since the product of spreads underflows, its inverse
+    overflows or its logarithm is negative."""
+    try:
+        reach = sd * math.sqrt(2.0 * math.log(1.0 / (2.0 * math.pi * sd * sa * WINDOW_TOLERANCE)))
+    except (ValueError, ZeroDivisionError):
+        return None
+    return reach if math.isfinite(reach) else None
+
+
+# spreads from 1e-200 to 1e200, and pairs at the edges of the closed form,
+# where 1 / (2 pi sd sa tol) overflows or falls to 1
+SPREADS = st.one_of(
+    st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+    st.floats(-309.0, -306.5).map(lambda e: (e / 2.0 + 16.0, e / 2.0 + 16.0)),
+    st.floats(30.5, 31.5).map(lambda e: (e / 2.0, e / 2.0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(exponents=SPREADS)
+def test_the_reach_is_finite_and_non_negative_for_any_spread(exponents):
+    sd, sa = (10.0 ** e for e in exponents)
+    for model in DepositionModel:
+        for support in TriangleSupport:
+            reach = spread._reach(sd, sa, model, support)
+            assert math.isfinite(reach) and reach >= 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(exponents=SPREADS)
+def test_the_normal_reach_is_the_closed_form_or_its_limit(exponents):
+    sd, sa = (10.0 ** e for e in exponents)
+    reach = spread._reach(sd, sa, DepositionModel.FULL_NORMAL, TriangleSupport.UNIT)
+    closed = _closed_form_reach(sd, sa)
+    if 2.0 * math.pi * sd * sa * WINDOW_TOLERANCE >= 1.0:
+        # the density per gram is at or below the tolerance everywhere
+        assert reach == 0.0
+    elif closed is not None:
+        assert reach == closed
+    else:
+        # the product, and its logarithm, in decimal arithmetic that does not underflow
+        with decimal.localcontext(decimal.Context(prec=40)):
+            log_ratio = float((decimal.Decimal(2.0 * math.pi) * decimal.Decimal(sd)
+                              * decimal.Decimal(sa) * decimal.Decimal(WINDOW_TOLERANCE)).ln())
+        assert math.isclose(reach, sd * math.sqrt(-2.0 * log_ratio), rel_tol=1e-12)
 
 
 def test_a_pose_off_the_field_deposits_nothing_and_keeps_the_warm_start():
