@@ -226,3 +226,33 @@ def test_run_outputs_written_as_three_files(tmp_path):
     assert f"final_cost = {record.final_cost!r}" in summary
     loaded = np.loadtxt(out / "A.csv", delimiter=",")
     np.testing.assert_allclose(loaded, record.final_map, rtol=1e-11)
+
+
+def test_compare_ranks_variants_by_final_cost(tmp_path, monkeypatch):
+    import spreadopt.cli
+    from spreadopt.cli import main
+    from test_cli import TINY_SCENARIO
+
+    # keep each variant's record, to hold the comparison table against it
+    records = []
+    real_run = spreadopt.cli.run
+
+    def keep(scenario, cal, constraints, settings, controller=None):
+        records.append(real_run(scenario, cal, constraints, settings, controller))
+        return records[-1]
+
+    monkeypatch.setattr(spreadopt.cli, "run", keep)
+    scenario_path = tmp_path / "tiny.ini"
+    scenario_path.write_text(TINY_SCENARIO)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(scenario_path), "--out", str(out),
+                 "--only", "greedy,mpc-full"]) == 0
+    rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert [name for name, _, _ in rows] == ["greedy", "mpc-full"]
+    assert len(records) == len(rows)
+    for (_, final_cost, wall_clock), record in zip(rows, records):
+        assert final_cost == _format(record.final_cost)
+        assert wall_clock == _format(record.total_controller_seconds)
+    costs = {name: record.final_cost for (name, _, _), record in zip(rows, records)}
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert f"ranking = {' '.join(sorted(costs, key=costs.get))}" in summary
