@@ -20,7 +20,6 @@ from .field import FieldGrid, as_amount_map, cost, load_map, save_map
 from .kinematics import DriveCommand, DrivePlan, TractorState, step, trajectory
 from .simulation import RunRecord, Scenario, run
 from .spread import (DepositScaling, DepositionModel, PatternParams, TriangleSupport,
-                     bearing, deposition_density_normal, deposition_density_triangle,
-                     radial_offset, total_deposit)
+                     bearing, total_deposit)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .spread import PatternParams
+from .spread import SQRT_TWO_PI, PatternParams
 
 
 def _polyval(coeffs: tuple[float, ...], x: float) -> float:
@@ -240,8 +240,10 @@ def pattern_range(coeffs: tuple[float, ...], lo: float, hi: float):
 def validate_calibration(cal: CalibrationModel, constraints: ControlConstraints) -> list[str]:
     """Check the pattern domain over the admissible RPM range by each
     parameter's least and greatest value there (:func:`pattern_range`); a
-    value that overflows to infinity fails too.  Returns a list of
-    human-readable problems; an empty list means the calibration is usable."""
+    value that overflows to infinity fails too.  The peak deposit per cell,
+    ``max(1, flow_max) / (2 pi sigma_distance sigma_angle)`` at the least
+    spreads, must be finite as well.  Returns a list of human-readable
+    problems; an empty list means the calibration is usable."""
     problems = []
     lo, hi = constraints.rpm_min, constraints.rpm_max
     for name, coeffs, ceiling, requirement in (
@@ -256,6 +258,17 @@ def validate_calibration(cal: CalibrationModel, constraints: ControlConstraints)
         if not 0 < value < ceiling:
             problems.append(f"{name} {requirement} over [{lo:g}, {hi:g}] RPM; "
                             f"violated at {rpm:g} RPM (value {value:g})")
+    (sd, sd_rpm), _ = pattern_range(cal.sigma_distance_coeffs, lo, hi)
+    (sa, sa_rpm), _ = pattern_range(cal.sigma_angle_coeffs, lo, hi)
+    # as the kernels build it, a flow (or a partial's unit flow) times each
+    # axis's peak factor, so no product of spreads underflows to a zero divisor
+    if sd > 0 and sa > 0 and not math.isfinite(
+            max(1.0, constraints.flow_max) * (1.0 / (SQRT_TWO_PI * sd))
+            * (1.0 / (SQRT_TWO_PI * sa))):
+        problems.append(
+            "peak deposit max(1, flow_max) / (2 pi sigma_distance sigma_angle) must be finite; "
+            f"not with radial spread (sigma_distance) {sd:g} at {sd_rpm:g} RPM and "
+            f"angular spread (sigma_angle) {sa:g} at {sa_rpm:g} RPM")
     return problems
 
 

@@ -22,7 +22,7 @@ from .controllers import (ControllerKind, OptimizerSettings, RecedingHorizonCont
 from .errors import ConfigurationError, RunAbortedError, SpreadOptError
 from .field import FieldGrid, as_amount_map, cost, save_map
 from .kinematics import DrivePlan, TractorState, trajectory
-from .spread import (DepositScaling, DepositionModel, TriangleSupport, total_deposit)
+from .spread import DepositScaling, TriangleSupport, total_deposit
 
 TRACE_COLUMNS = ("k", "t", "x", "y", "phi", "D_l", "D_r", "rpm_l", "rpm_r",
                  "deposit_mass", "cost")
@@ -141,8 +141,7 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
 
         pose = states[k]
         left, right = patterns_from_controls(decided, cal)
-        deposit = total_deposit(pose, left, right, scenario.grid, DepositionModel.FULL_NORMAL,
-                                scenario.scaling, scenario.support)
+        deposit = total_deposit(pose, left, right, scenario.grid, scenario.scaling)
         applied += deposit
 
         idx = k - 1

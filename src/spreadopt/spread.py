@@ -11,8 +11,11 @@ deposited density at a cell is separable in two scalar coordinates:
 
 Two density shapes are available.  The full model multiplies two normal
 densities in ``X`` and ``Y``; the triangle model is a cheap surrogate with
-the same peak value that falls linearly to zero at unit offset (or, as an
-experimental variant, at one full-width of the matching normal).
+the same peak value that falls linearly to zero at unit offset, or at one
+full-width of the matching normal, as the shipped scenario and every
+benchmark workload set it.  The plant (:func:`total_deposit`) always
+deposits the full model; only a controller's prediction may use the
+surrogate.
 
 Density-to-mass conversion is selectable: ``LITERAL`` stores the density
 value at the cell center as grams, which keeps peak amplitudes directly
@@ -110,12 +113,6 @@ class PatternParams:
                 f"pattern center angle must lie in (-pi, pi), got {self.center_angle}")
 
 
-def radial_offset(cell: tuple[float, float], position: tuple[float, float],
-                  center_distance: float) -> float:
-    """Distance from the vehicle to the cell center minus the pattern radius."""
-    return math.hypot(cell[0] - position[0], cell[1] - position[1]) - center_distance
-
-
 def bearing(cell: tuple[float, float], position: tuple[float, float], heading: float) -> float:
     """Signed angle of the cell as seen from the vehicle's reversed heading.
 
@@ -139,9 +136,9 @@ def bearing(cell: tuple[float, float], position: tuple[float, float], heading: f
 
 # The kernels below compare their model and support arguments with ``==``,
 # which a member and its string value both pass, rather than converting
-# them on every call; the public entry points (disc_deposit, total_deposit,
-# deposition_density_triangle and the controllers' constructors) convert
-# them once, so an unknown value raises ValueError there.
+# them on every call; the public entry points (disc_deposit, total_deposit's
+# scaling and the controllers' constructors) convert them once, so an
+# unknown value raises ValueError there.
 
 def _half_widths(sd: float, sa: float, support: TriangleSupport) -> tuple[float, float]:
     if support == TriangleSupport.UNIT:
@@ -199,32 +196,6 @@ def _normal_factors(offsets: np.ndarray, sd: float, sa: float):
     x /= SQRT_TWO_PI * sd
     y /= SQRT_TWO_PI * sa
     return x, y
-
-
-def _density(x_offset, y_offset, params: PatternParams, model: DepositionModel,
-             support: TriangleSupport = TriangleSupport.UNIT):
-    # offsets may broadcast, as a column against a row
-    offsets = np.array(np.broadcast_arrays(x_offset, y_offset), dtype=float)
-    factors = _density_factors(offsets, params.sigma_distance, params.sigma_angle, model,
-                               support)
-    out = deposit_from_factors(params.mass_flow, factors, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def deposition_density_normal(x_offset, y_offset, params: PatternParams):
-    """Density of the full model: product of two normal densities scaled by flow."""
-    return _density(x_offset, y_offset, params, DepositionModel.FULL_NORMAL)
-
-
-def deposition_density_triangle(x_offset, y_offset, params: PatternParams,
-                                support: TriangleSupport = TriangleSupport.UNIT):
-    """Density of the triangle surrogate.
-
-    Shares the peak value of the full model at zero offset and is clamped
-    to zero outside its support, so it never goes negative.
-    """
-    return _density(x_offset, y_offset, params, DepositionModel.TRIANGLE,
-                    TriangleSupport(support))
 
 
 def pose_geometry(cx: np.ndarray, cy: np.ndarray, x: float, y: float,
@@ -465,10 +436,9 @@ def band(geometry: BandGeometry, inner: float, outer: float):
 
 
 def total_deposit(state, left: PatternParams, right: PatternParams, grid: FieldGrid,
-                  model: DepositionModel = DepositionModel.FULL_NORMAL,
-                  scaling: DepositScaling = DepositScaling.LITERAL,
-                  support: TriangleSupport = TriangleSupport.UNIT) -> np.ndarray:
-    """Combined two-disc deposit map for one pose.
+                  scaling: DepositScaling = DepositScaling.LITERAL) -> np.ndarray:
+    """Combined two-disc deposit map of the full model for one pose: the
+    plant.
 
     ``state`` provides ``x``, ``y`` and ``heading``.  The left disc's
     pattern must sit at a negative center angle and the right disc's at a
@@ -476,15 +446,14 @@ def total_deposit(state, left: PatternParams, right: PatternParams, grid: FieldG
     (:func:`band_bounds`), of the grid cells in the square that holds both
     bands, and scattered into the dense map: outside its band a disc's
     deposit is at most :data:`WINDOW_TOLERANCE` per gram of flow (times the
-    conservative area scale) under the normal model and zero under the
-    triangle.  Cells outside the grid receive nothing.
+    conservative area scale).  Cells outside the grid receive nothing.
     """
     if not (left.center_angle < 0.0 < right.center_angle):
         raise ShapeError(
             "left pattern must have a negative center angle and right a positive one, "
             f"got {left.center_angle} and {right.center_angle}")
-    model, scaling = DepositionModel(model), DepositScaling(scaling)
-    support = TriangleSupport(support)
+    model, support = DepositionModel.FULL_NORMAL, TriangleSupport.UNIT
+    scaling = DepositScaling(scaling)
     bounds = [band_bounds(params, model, support, scaling) for params in (left, right)]
     radius = max(outer for _, outer in bounds)
     cells, cx, cy = reach_box(grid, state.x, state.y, radius)
@@ -494,5 +463,7 @@ def total_deposit(state, left: PatternParams, right: PatternParams, grid: FieldG
     flat = out.reshape(-1)
     for params, (inner, outer) in zip((left, right), bounds):
         _, cells, dist, angle, scale = band(geometry, inner, outer)
+        # the model stays the fifth positional argument, where the
+        # benchmark tracer reads it
         flat[cells] += disc_deposit(dist, angle, scale, params, model, support)
     return out

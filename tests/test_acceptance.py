@@ -197,7 +197,7 @@ def test_criterion_6_conservative_scaling_conserves_mass(default_config, capfd):
     left, right = patterns_from_controls(controls, CAL)
 
     single = total_deposit(TractorState(75.0, 75.0, 0.0), left, right, grid,
-                           DepositionModel.FULL_NORMAL, DepositScaling.CONSERVATIVE)
+                           DepositScaling.CONSERVATIVE)
     dispensed = controls.flow_left + controls.flow_right
     single_err = abs(float(np.sum(single)) - dispensed) / dispensed
 

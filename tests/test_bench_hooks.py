@@ -11,6 +11,7 @@ test installs and uninstalls the tracer so that the suite notices first.
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -62,3 +63,34 @@ def test_a_traced_solve_records_its_folds_and_iterations(monkeypatch):
     assert summary["spans"]["controllers.fold"]["calls"] >= 1
     assert summary["spans"]["controllers.solve"]["calls"] == 1
     assert summary["counts"]["iterations"] > 0
+
+
+@pytest.mark.parametrize("kind", ["greedy", "mpc-triangle", "mpc-full"])
+def test_a_traced_run_deposits_the_normal_model_twice_per_step(monkeypatch, kind):
+    # the tracer names each spread.disc_deposit span by the model it reads
+    # from the call's fifth positional argument; the plant, its only caller
+    # in a run, deposits both discs with the full model whatever predicts
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    from spreadopt import (DEFAULT_CALIBRATION, DEFAULT_CONSTRAINTS, DriveCommand, DrivePlan,
+                           FieldGrid, OptimizerSettings, Scenario, SpreaderControls,
+                           TractorState, simulation)
+
+    grid = FieldGrid(60.0, 12)
+    plan = DrivePlan(TractorState(10.0, 30.0, 0.0), (DriveCommand(5.0, 0.0, 3.0),))
+    scenario = Scenario(grid, np.full((12, 12), 4.0), plan, 1.0,
+                        SpreaderControls(45.0, 45.0, 600.0, 600.0), controller=kind, horizon=2,
+                        support="sigma")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        record = simulation.run(scenario, DEFAULT_CALIBRATION, DEFAULT_CONSTRAINTS,
+                                OptimizerSettings())
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()["spans"]
+    assert record.n_steps == 3
+    assert spans["simulation.plant_deposit"]["calls"] == record.n_steps
+    assert spans["spread.deposit.normal"]["calls"] == 2 * record.n_steps
+    assert "spread.deposit.triangle" not in spans

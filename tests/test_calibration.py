@@ -237,6 +237,24 @@ def test_validation_rejects_a_parameter_that_overflows():
     assert any(p.startswith("radial spread") and "(value inf)" in p for p in problems)
 
 
+@pytest.mark.parametrize("spread, finite", [("1e-200", False), ("5e-324", False),
+                                             ("1e-150", True)])
+def test_validation_rejects_a_peak_deposit_that_overflows(spread, finite):
+    # 200 g over 2 pi 1e-300 is finite; over 2 pi 1e-400 it is not, and that
+    # product, or a subnormal's, underflows to zero
+    value = float(spread)
+    cal = dataclasses.replace(DEFAULT_CALIBRATION, sigma_distance_coeffs=(0.0, 0.0, value),
+                              sigma_angle_coeffs=(0.0, 0.0, value))
+    problems = validate_calibration(cal, DEFAULT_CONSTRAINTS)
+    if finite:
+        assert problems == []
+        return
+    assert len(problems) == 1
+    assert problems[0].startswith("peak deposit")
+    assert (f"radial spread (sigma_distance) {value:g} at 300 RPM and "
+            f"angular spread (sigma_angle) {value:g} at 300 RPM") in problems[0]
+
+
 coefficient = st.floats(-10.0, 10.0)
 
 

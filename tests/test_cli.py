@@ -716,13 +716,23 @@ def failing_plan_controls(monkeypatch, fails):
 @pytest.mark.parametrize("spread", ["1e16", "1e-200"])
 def test_a_validated_extreme_spread_runs_without_a_traceback(scenario_file, tmp_path, spread):
     # the density per gram is at or below the window tolerance everywhere
-    # (1e16), or the reach's product of spreads underflows (1e-200)
+    # (1e16), or the peak deposit overflows, which validation rejects (1e-200)
     text = default_calibration_path().read_text()
     for key in ("sigma_distance", "sigma_angle"):
         text = re.sub(rf"^{key} = .*$", f"{key} = 0 0 {spread}", text, flags=re.M)
     calibration = tmp_path / "extreme.ini"
     calibration.write_text(text)
     inputs = ["--scenario", str(scenario_file), "--calibration", str(calibration)]
+    if spread == "1e-200":
+        done = run_cli(["validate", *inputs], tmp_path)
+        assert done.returncode == 1
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, done.stderr
+        assert "peak deposit" in errors[0]
+        assert "(sigma_distance) 1e-200 at 300 RPM" in errors[0]
+        assert "(sigma_angle) 1e-200 at 300 RPM" in errors[0]
+        assert "Traceback" not in done.stderr
+        return
     for argv in (["validate", *inputs], ["run", *inputs, "--out", str(tmp_path / "out")]):
         done = run_cli(argv, tmp_path)
         assert done.returncode == 0, done.stderr

@@ -100,19 +100,6 @@ def test_normal_factors_match_the_one_axis_reference(n, sd, sa, seed, zero_frac)
     assert factors[1].tobytes() == normal_factor_reference(angle + 0.8, sa).tobytes()
 
 
-@pytest.mark.parametrize("x, y", [(0.0, -0.0), (-0.0, 0.0), (1.5, -0.2),
-                                  (np.linspace(-3.0, 3.0, 7)[:, None],
-                                   np.linspace(-0.5, 0.5, 5)[None, :])])
-def test_the_density_of_scalar_and_broadcast_offsets_matches_the_reference(x, y):
-    params = PatternParams(40.0, 15.0, 2.0, 0.8, 0.3)
-    got = spread.deposition_density_normal(x, y, params)
-    radial = normal_factor_reference(np.asarray(x, dtype=float), 2.0)
-    angular = normal_factor_reference(np.asarray(y, dtype=float), 0.3)
-    expected = 40.0 * radial * angular
-    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
-    assert isinstance(got, float) == (np.ndim(expected) == 0)
-
-
 EDGES = (math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, math.pi, -math.pi,
          math.nextafter(math.pi, 0.0), 4.0)
 

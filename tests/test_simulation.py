@@ -10,7 +10,6 @@ from spreadopt import (
     DEFAULT_CALIBRATION,
     DEFAULT_CONSTRAINTS,
     DepositScaling,
-    DepositionModel,
     DriveCommand,
     DrivePlan,
     FieldGrid,
@@ -70,8 +69,7 @@ def test_replayed_deposits_accumulate_exactly():
     states = trajectory(scenario.plan, scenario.dt)
     for k, controls in enumerate(schedule, start=1):
         left, right = patterns_from_controls(controls, CAL)
-        deposit = total_deposit(states[k], left, right, scenario.grid,
-                                DepositionModel.FULL_NORMAL)
+        deposit = total_deposit(states[k], left, right, scenario.grid)
         assert record.deposit_mass[k - 1] == float(np.sum(deposit))
         applied += deposit
     assert np.array_equal(record.final_map, applied)
@@ -104,8 +102,7 @@ def test_the_plant_is_always_the_full_model():
     for i in range(record.n_steps):
         controls = SpreaderControls(*record.controls[i])
         left, right = patterns_from_controls(controls, CAL)
-        applied += total_deposit(states[i + 1], left, right, scenario.grid,
-                                 DepositionModel.FULL_NORMAL)
+        applied += total_deposit(states[i + 1], left, right, scenario.grid)
     assert np.array_equal(record.final_map, applied)
 
 

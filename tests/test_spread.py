@@ -15,19 +15,31 @@ from spreadopt import (
     TractorState,
     TriangleSupport,
     bearing,
-    deposition_density_normal,
-    deposition_density_triangle,
-    radial_offset,
     total_deposit,
 )
 from spreadopt.spread import (
     SQRT_TWO_PI,
+    _density_factors,
+    deposit_from_factors,
     disc_deposit,
     disc_deposit_partials,
     pose_geometry,
 )
 
 PARAMS = PatternParams(45.0, 15.0, 2.0, 0.8, 0.3)
+
+
+def density(x, y, params, model=DepositionModel.FULL_NORMAL, support=TriangleSupport.UNIT):
+    """One disc's density at radial offsets ``x`` and angular offsets ``y``
+    (which may broadcast), as the kernels build it from its two factors."""
+    offsets = np.array(np.broadcast_arrays(x, y), dtype=float)
+    factors = _density_factors(offsets, params.sigma_distance, params.sigma_angle, model,
+                               support)
+    return deposit_from_factors(params.mass_flow, factors, 1.0)
+
+
+def triangle(x, y, params, support=TriangleSupport.UNIT):
+    return density(x, y, params, DepositionModel.TRIANGLE, support)
 
 
 def make_pair(flow_left=45.0, flow_right=45.0, d=15.0, sd=2.0, psi=0.8, sa=0.3):
@@ -37,12 +49,6 @@ def make_pair(flow_left=45.0, flow_right=45.0, d=15.0, sd=2.0, psi=0.8, sa=0.3):
 
 
 # --- geometry -------------------------------------------------------------
-
-def test_radial_offset_hand_cases():
-    assert radial_offset((3.0, 4.0), (0.0, 0.0), 5.0) == 0.0
-    assert radial_offset((3.0, 4.0), (0.0, 0.0), 2.0) == 3.0
-    assert radial_offset((0.0, 0.0), (0.0, 0.0), 5.0) == -5.0
-
 
 def test_bearing_hand_cases():
     # heading +x, so the reverse direction points along -x
@@ -86,31 +92,31 @@ def test_pose_geometry_degenerate_cell_gets_zero_angle():
 # --- densities ------------------------------------------------------------
 
 def test_normal_peak_value():
-    peak = deposition_density_normal(0.0, 0.0, PARAMS)
+    peak = density(0.0, 0.0, PARAMS)
     assert peak == pytest.approx(45.0 / (2 * math.pi * 2.0 * 0.3), rel=1e-12)
     assert peak == pytest.approx(11.9366, abs=5e-5)
 
 
 def test_zero_mass_flow_gives_zero_density():
     silent = PatternParams(0.0, 15.0, 2.0, 0.8, 0.3)
-    assert deposition_density_normal(1.0, 0.2, silent) == 0.0
-    assert deposition_density_triangle(0.5, 0.2, silent) == 0.0
+    assert density(1.0, 0.2, silent) == 0.0
+    assert triangle(0.5, 0.2, silent) == 0.0
 
 
 def test_normal_density_one_sigma_falloff():
-    peak = deposition_density_normal(0.0, 0.0, PARAMS)
-    assert deposition_density_normal(2.0, 0.0, PARAMS) == pytest.approx(
+    peak = density(0.0, 0.0, PARAMS)
+    assert density(2.0, 0.0, PARAMS) == pytest.approx(
         peak * math.exp(-0.5), rel=1e-12)
-    assert deposition_density_normal(0.0, 0.3, PARAMS) == pytest.approx(
+    assert density(0.0, 0.3, PARAMS) == pytest.approx(
         peak * math.exp(-0.5), rel=1e-12)
 
 
 def test_normal_density_is_even_and_radially_monotone():
     for x, y in ((1.3, 0.2), (0.4, -0.25)):
-        assert deposition_density_normal(x, y, PARAMS) == deposition_density_normal(-x, y, PARAMS)
-        assert deposition_density_normal(x, y, PARAMS) == deposition_density_normal(x, -y, PARAMS)
+        assert density(x, y, PARAMS) == density(-x, y, PARAMS)
+        assert density(x, y, PARAMS) == density(x, -y, PARAMS)
     xs = np.linspace(0.0, 8.0, 30)
-    vals = deposition_density_normal(xs, 0.1, PARAMS)
+    vals = density(xs, 0.1, PARAMS)
     assert (np.diff(vals) < 0.0).all()
 
 
@@ -118,19 +124,18 @@ def test_normal_density_is_even_and_radially_monotone():
        psi=st.floats(0.05, 2.5), sa=st.floats(0.05, 1.0))
 def test_triangle_and_normal_peaks_agree(flow, d, sd, psi, sa):
     p = PatternParams(flow, d, sd, psi, sa)
-    assert deposition_density_triangle(0.0, 0.0, p) == pytest.approx(
-        deposition_density_normal(0.0, 0.0, p), rel=1e-12)
+    assert triangle(0.0, 0.0, p) == pytest.approx(density(0.0, 0.0, p), rel=1e-12)
 
 
 def test_triangle_unit_support_cuts_off_at_one():
-    assert deposition_density_triangle(1.0, 0.0, PARAMS) == 0.0
-    assert deposition_density_triangle(-1.5, 0.0, PARAMS) == 0.0
-    assert deposition_density_triangle(0.0, 1.0, PARAMS) == 0.0
-    assert deposition_density_triangle(0.999, 0.0, PARAMS) > 0.0
+    assert triangle(1.0, 0.0, PARAMS) == 0.0
+    assert triangle(-1.5, 0.0, PARAMS) == 0.0
+    assert triangle(0.0, 1.0, PARAMS) == 0.0
+    assert triangle(0.999, 0.0, PARAMS) > 0.0
 
 
 def test_triangle_halfway_value():
-    value = deposition_density_triangle(0.5, 0.0, PARAMS)
+    value = triangle(0.5, 0.0, PARAMS)
     assert value == pytest.approx(45.0 * 0.5 / (2 * math.pi * 2.0 * 0.3), rel=1e-12)
     assert value == pytest.approx(5.9683, abs=5e-5)
 
@@ -138,10 +143,10 @@ def test_triangle_halfway_value():
 def test_triangle_sigma_support_scales_with_the_widths():
     p = PARAMS
     wide = SQRT_TWO_PI * p.sigma_distance
-    assert deposition_density_triangle(wide, 0.0, p, TriangleSupport.SIGMA) == 0.0
-    assert deposition_density_triangle(0.9 * wide, 0.0, p, TriangleSupport.SIGMA) > 0.0
-    half = deposition_density_triangle(0.5 * wide, 0.0, p, TriangleSupport.SIGMA)
-    peak = deposition_density_normal(0.0, 0.0, p)
+    assert triangle(wide, 0.0, p, TriangleSupport.SIGMA) == 0.0
+    assert triangle(0.9 * wide, 0.0, p, TriangleSupport.SIGMA) > 0.0
+    half = triangle(0.5 * wide, 0.0, p, TriangleSupport.SIGMA)
+    peak = density(0.0, 0.0, p)
     assert half == pytest.approx(0.5 * peak, rel=1e-12)
 
 
@@ -150,7 +155,7 @@ def test_sigma_support_triangle_mass_matches_the_flow():
     p = PatternParams(45.0, 15.0, 2.0, 0.8, 0.3)
     xs = np.linspace(-6.0, 6.0, 4001)[:, None]
     ys = np.linspace(-1.0, 1.0, 4001)[None, :]
-    q = deposition_density_triangle(xs, ys, p, TriangleSupport.SIGMA)
+    q = triangle(xs, ys, p, TriangleSupport.SIGMA)
     mass = np.trapezoid(np.trapezoid(q, ys.ravel(), axis=1), xs.ravel())
     assert mass == pytest.approx(45.0, rel=1e-3)
 
@@ -220,12 +225,10 @@ def test_conservative_deposit_sums_to_the_mass_flow():
     grid = FieldGrid(150.0, 90)
     state = TractorState(75.0, 75.0, 0.0)
     left, right = make_pair(45.0, 0.0)
-    dep = total_deposit(state, left, right, grid, DepositionModel.FULL_NORMAL,
-                        DepositScaling.CONSERVATIVE)
+    dep = total_deposit(state, left, right, grid, DepositScaling.CONSERVATIVE)
     assert float(dep.sum()) == pytest.approx(45.0, rel=0.02)
     fine = FieldGrid(150.0, 900)
-    dep10 = total_deposit(state, left, right, fine, DepositionModel.FULL_NORMAL,
-                          DepositScaling.CONSERVATIVE)
+    dep10 = total_deposit(state, left, right, fine, DepositScaling.CONSERVATIVE)
     assert float(dep10.sum()) == pytest.approx(45.0, rel=0.002)
 
 
@@ -235,7 +238,7 @@ def test_literal_deposit_stores_the_density_itself():
     left, right = make_pair(45.0, 0.0)
     dep = total_deposit(state, left, right, grid)
     # the ring peak sits d metres behind the tractor at the lobe angle
-    peak = deposition_density_normal(0.0, 0.0, left)
+    peak = density(0.0, 0.0, left)
     assert 0.5 * peak < dep.max() <= peak * 1.0000001
 
 
@@ -260,10 +263,6 @@ def test_entry_points_reject_an_unknown_model_or_support():
         lambda: disc_deposit(dist, angle, 1.0, PARAMS, "bogus"),
         lambda: disc_deposit(dist, angle, 1.0, PARAMS, DepositionModel.TRIANGLE, "bogus"),
         lambda: total_deposit(state, left, right, grid, "bogus"),
-        lambda: total_deposit(state, left, right, grid, DepositionModel.TRIANGLE,
-                              DepositScaling.LITERAL, "bogus"),
-        lambda: total_deposit(state, left, right, grid, DepositionModel.FULL_NORMAL, "bogus"),
-        lambda: deposition_density_triangle(0.1, 0.1, PARAMS, "bogus"),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="'bogus' is not a valid"):

@@ -8,7 +8,8 @@ bitwise equal inside the window, negligible (normal model) or zero
 cost, residual, Jacobian and rows; and in closed loop to runs with the
 window widened to the whole grid: controls and maps equal within rounding,
 final costs bitwise.  The plant deposits on the same bands and is held to
-a dense deposit within the window tolerance.
+a dense deposit within the window tolerance, and bitwise to a one-pose
+full-model prediction on an empty map.
 """
 
 import decimal
@@ -33,6 +34,7 @@ from spreadopt import (
     SpreaderControls,
     TractorState,
     pattern_from_controls,
+    patterns_from_controls,
     run,
     total_deposit,
     trajectory,
@@ -326,31 +328,58 @@ def test_a_pose_off_the_field_deposits_nothing_and_keeps_the_warm_start():
        flows=st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 200.0)),
        distance=st.floats(1.0, 40.0), sigma_distance=st.floats(0.2, 5.0),
        angle=st.floats(0.1, 3.0), sigma_angle=st.floats(0.05, 1.0),
-       model=st.sampled_from(DepositionModel), scaling=st.sampled_from(DepositScaling),
-       support=st.sampled_from(TriangleSupport))
+       scaling=st.sampled_from(DepositScaling))
 def test_band_plant_matches_the_dense_deposit(n, side, fx, fy, heading, flows, distance,
-                                             sigma_distance, angle, sigma_angle, model,
-                                             scaling, support):
+                                             sigma_distance, angle, sigma_angle, scaling):
     grid = FieldGrid(side, n)
     pose = TractorState(fx * side, fy * side, heading)
     left = PatternParams(flows[0], distance, sigma_distance, -angle, sigma_angle)
     right = PatternParams(flows[1], distance, sigma_distance, angle, sigma_angle)
-    banded = total_deposit(pose, left, right, grid, model, scaling, support)
+    banded = total_deposit(pose, left, right, grid, scaling)
 
     cx, cy = grid.center_mesh()
     dist, angle_ = pose_geometry(cx, cy, pose.x, pose.y, pose.heading)
     scale = (conservative_scale(dist, grid) if scaling is DepositScaling.CONSERVATIVE
              else np.ones_like(dist))
     dense_scale = scale if scaling is DepositScaling.CONSERVATIVE else 1.0
-    dense = spread.disc_deposit(dist, angle_, dense_scale, left, model, support)
-    dense += spread.disc_deposit(dist, angle_, dense_scale, right, model, support)
+    model = DepositionModel.FULL_NORMAL
+    dense = spread.disc_deposit(dist, angle_, dense_scale, left, model)
+    dense += spread.disc_deposit(dist, angle_, dense_scale, right, model)
     # each disc drops at most WINDOW_TOLERANCE per gram of its flow (times
     # the area scale), and adding that to the other disc's deposit rounds
     # by at most as much again
     bound = 2.0 * WINDOW_TOLERANCE * (flows[0] + flows[1]) * scale * (1.0 + 1e-9)
     assert np.all(np.abs(banded - dense) <= bound)
-    if model is DepositionModel.TRIANGLE:
-        assert np.array_equal(banded, dense)
+
+
+ACTUATORS = DEFAULT_CONSTRAINTS
+FLOW = st.one_of(st.sampled_from([ACTUATORS.flow_min, ACTUATORS.flow_max]),
+                 st.floats(ACTUATORS.flow_min, ACTUATORS.flow_max))
+RPM = st.one_of(st.sampled_from([ACTUATORS.rpm_min, ACTUATORS.rpm_max]),
+                st.floats(ACTUATORS.rpm_min, ACTUATORS.rpm_max))
+# on the field, at its edges and corners, just off it, or far beyond any band
+PLACE = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.5, 1.0, -10.0, 11.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), side=st.floats(10.0, 300.0), fx=PLACE, fy=PLACE,
+       heading=st.floats(-math.pi, math.pi), flows=st.tuples(FLOW, FLOW),
+       rpms=st.tuples(RPM, RPM), scaling=st.sampled_from(DepositScaling),
+       boxed=st.booleans())
+def test_the_plant_is_the_full_model_predictor_on_an_empty_map(n, side, fx, fy, heading, flows,
+                                                               rpms, scaling, boxed):
+    # the plant keeps its own geometry as the predictor's independent
+    # reference, and still deposits bitwise what a one-pose prediction does
+    grid = FieldGrid(side, n)
+    pose = TractorState(fx * side, fy * side, heading)
+    model = DepositionModel.FULL_NORMAL
+    radius = _box_radius(CAL, model, TriangleSupport.UNIT) if boxed else math.inf
+    predictor = controllers._Predictor(grid, [pose], grid.zeros(), grid.zeros(), model, CAL,
+                                       scaling, radius=radius)
+    controls = SpreaderControls(*flows, *rpms)
+    predictor.cost(controls.as_array()[None, :])
+    plant = total_deposit(pose, *patterns_from_controls(controls, CAL), grid, scaling)
+    assert predictor._amount.tobytes() == plant.tobytes()
 
 
 def _closed_loop(kind):
