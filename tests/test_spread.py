@@ -105,10 +105,8 @@ def test_zero_mass_flow_gives_zero_density():
 
 def test_normal_density_one_sigma_falloff():
     peak = density(0.0, 0.0, PARAMS)
-    assert density(2.0, 0.0, PARAMS) == pytest.approx(
-        peak * math.exp(-0.5), rel=1e-12)
-    assert density(0.0, 0.3, PARAMS) == pytest.approx(
-        peak * math.exp(-0.5), rel=1e-12)
+    assert density(2.0, 0.0, PARAMS) == pytest.approx(peak * math.exp(-0.5), rel=1e-12)
+    assert density(0.0, 0.3, PARAMS) == pytest.approx(peak * math.exp(-0.5), rel=1e-12)
 
 
 def test_normal_density_is_even_and_radially_monotone():
