@@ -352,11 +352,10 @@ def test_band_plant_matches_the_dense_deposit(n, side, fx, fy, heading, flows, d
     assert np.all(np.abs(banded - dense) <= bound)
 
 
-ACTUATORS = DEFAULT_CONSTRAINTS
-FLOW = st.one_of(st.sampled_from([ACTUATORS.flow_min, ACTUATORS.flow_max]),
-                 st.floats(ACTUATORS.flow_min, ACTUATORS.flow_max))
-RPM = st.one_of(st.sampled_from([ACTUATORS.rpm_min, ACTUATORS.rpm_max]),
-                st.floats(ACTUATORS.rpm_min, ACTUATORS.rpm_max))
+BOX = DEFAULT_CONSTRAINTS
+FLOW = st.one_of(st.sampled_from([BOX.flow_min, BOX.flow_max]),
+                 st.floats(BOX.flow_min, BOX.flow_max))
+RPM = st.one_of(st.sampled_from([BOX.rpm_min, BOX.rpm_max]), st.floats(BOX.rpm_min, BOX.rpm_max))
 # on the field, at its edges and corners, just off it, or far beyond any band
 PLACE = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.5, 1.0, -10.0, 11.0]))
 
