@@ -36,7 +36,9 @@ of the discs' bands (:class:`_Predictor`), and each iteration forms its
 4H x 4H normal equations from that Jacobian's Gram matrix, so no iteration
 fills, folds or multiplies a Jacobian with a row for every cell.  Sums over
 fewer rows round differently from the dense ones, so Gauss-Newton steps
-agree with dense evaluation to rounding, not bitwise.
+agree with dense evaluation to rounding, not bitwise.  A single pose, as in
+greedy and in an MPC's final decision, also evaluates its cost on its bands
+alone: the field is read once per decision, not on every evaluation.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from .calibration import (CalibrationModel, ControlConstraints, SpreaderControls,
                           pattern_from_controls, pattern_range)
-from .errors import ConfigurationError, NumericalFailureError, ShapeError
+from .errors import ConfigurationError, NumericalFailureError, ShapeError, checked_integer
 from .field import FieldGrid, as_amount_map
 from .spread import (BandGeometry, DepositScaling, DepositionModel, PatternParams,
                      TriangleSupport, _reach, band, band_bounds, by_distance,
@@ -93,19 +95,14 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
-            raise ConfigurationError(
-                f"max_iterations must be a positive integer, got {self.max_iterations!r}")
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
+        object.__setattr__(self, "max_iterations",
+                           checked_integer("max_iterations", self.max_iterations))
         for name in ("gradient_tolerance", "step_tolerance", "finite_diff_epsilon"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be positive, got {value!r}")
         for name in ("restarts", "seed"):
-            value = getattr(self, name)
-            if int(value) != value or value < 0:
-                raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, checked_integer(name, getattr(self, name), False))
 
 
 class _Predictor:
@@ -127,14 +124,29 @@ class _Predictor:
     scattered back to the cells.  Outside the band the normal model's
     deposit is at most ``spread.WINDOW_TOLERANCE`` per gram of flow (times
     the conservative area scale) and the triangle's is exactly zero.  The
-    cost is summed over all ``n_cells`` cells of work arrays, the predicted
-    map and its residual, that every evaluation fills in place; the
     residual and the Jacobian that the solver reads keep only the bands'
     rows.  One crescent covers a few percent of a large field, so the bands
     skip most of the kernel work.
 
+    The cost is summed in one of two ways, chosen by the number of poses.
+    A single pose's two windows are slices of one distance order, so their
+    union is the slice ``[lo, hi)`` of it.  Its predictor gathers the
+    applied map, the prescription and their difference ``r0`` in that order
+    once per geometry, and sums the base cost ``c0 = r0 . r0`` over every
+    cell once.  An evaluation then adds the discs' deposits, in disc order,
+    to the applied amounts in a buffer over ``[lo, hi)`` allocated with the
+    geometry, subtracts the prescription there and returns ``c0 + (e . e -
+    r0 . r0)`` over the slice.  Every residual entry is bitwise the dense
+    one; only the cost's summation order differs, by rounding.  Several
+    poses' bands are not slices of one order, so their union is found by
+    marking cells of the field.  Their cost is summed over all ``n_cells``
+    cells of work arrays, the predicted map and its residual, that every
+    evaluation fills in place.  The field-sized work matters only where an
+    evaluation's kernel work is small against it, as for one pose on a
+    large field.
+
     One record of the last evaluation is kept: the bits of its controls,
-    its objective (its map and residual stay in the work arrays), and per
+    its objective (its residual stays in the buffer or work arrays), and per
     disc its ``PatternParams``, band and radial and angular density
     factors.  :meth:`_evaluate` alone decides what to compute again.  At
     bitwise the record's controls it returns the record's objective and
@@ -169,11 +181,6 @@ class _Predictor:
         self.applied = applied.ravel()
         self.target = prescribed.ravel()
         self.n_cells = self.applied.size
-        # work arrays: a fresh field-sized array per evaluation would be
-        # returned to the kernel on free and fault its pages back in on every
-        # allocation
-        self._amount = np.empty(self.n_cells)
-        self._residual = np.empty(self.n_cells)
         # the record of the last evaluation: its controls' bits and objective,
         # and each disc's parameters, band and density factors, step-major
         self._key = None
@@ -185,13 +192,23 @@ class _Predictor:
         self._layout = [(i, 4 * i + flow_col, 4 * i + rpm_col, side, sign)
                         for i in range(len(poses))
                         for flow_col, rpm_col, side, sign in _DISC_COLUMNS]
-        if len(poses) > 1:
-            # _rows's marks and row positions over several poses
-            self._marked = np.zeros(self.n_cells, dtype=bool)
-            self._position = np.empty(self.n_cells, dtype=np.intp)
         self.poses = list(poses)
         self._cache = {} if geometry_cache is None else geometry_cache
         self.geometry = [self._pose_geometry(pose, radius) for pose in self.poses]
+        if len(poses) == 1:
+            # the base cost of every cell: the one pass over the field
+            r0 = self.applied - self.target
+            self._base_cost = float(r0 @ r0)
+            self._gather()
+        else:
+            # work arrays: a fresh field-sized array per evaluation would be
+            # returned to the kernel on free and fault its pages back in on
+            # every allocation
+            self._amount = np.empty(self.n_cells)
+            self._residual = np.empty(self.n_cells)
+            # _rows's marks and row positions over several poses
+            self._marked = np.zeros(self.n_cells, dtype=bool)
+            self._position = np.empty(self.n_cells, dtype=np.intp)
 
     @property
     def horizon(self) -> int:
@@ -218,38 +235,82 @@ class _Predictor:
         inner, outer = band_bounds(params, self.model, self.support, self.scaling)
         if outer > self.geometry[i].radius:
             self.geometry[i] = self._pose_geometry(self.poses[i], outer)
+            if self.horizon == 1:
+                self._gather()
         return band(self.geometry[i], inner, outer)
 
-    def _rows(self, bands):
+    def _gather(self):
+        """The applied map, the prescription and their difference in the one
+        pose's distance order, and the buffer its evaluations fill."""
+        cells = self.geometry[0].cells
+        applied, target = self.applied[cells], self.target[cells]
+        self._near = applied, target, applied - target
+        self._union = np.empty(cells.size)
+
+    def _rows(self):
         """Cell index of each Jacobian row, one per cell of the union of the
-        ``(window, cells)`` bands, and each band's rows among them."""
+        discs' bands, each band's rows among them, and where the residual on
+        those rows is held: the union buffer's slices of the one pose's
+        distance order, or the rows of the field-sized residual."""
         if self.horizon == 1:
             # both windows are slices of the one pose's distance order: their
             # union is one slice of it, or two when they are apart
             order = self.geometry[0].cells
-            (a1, b1), (a2, b2) = ((window.start, window.stop) for window, _ in bands)
+            (a1, b1), (a2, b2) = ((band[0].start, band[0].stop) for _, band, _ in self._discs)
             if max(a1, a2) <= min(b1, b2):
-                lo = min(a1, a2)
-                return order[lo:max(b1, b2)], [slice(a1 - lo, b1 - lo), slice(a2 - lo, b2 - lo)]
+                lo, hi = min(a1, a2), max(b1, b2)
+                return (order[lo:hi], [slice(a1 - lo, b1 - lo), slice(a2 - lo, b2 - lo)],
+                        [slice(lo, hi)])
             return (np.concatenate([order[a1:b1], order[a2:b2]]),
-                    [slice(0, b1 - a1), slice(b1 - a1, b1 - a1 + b2 - a2)])
+                    [slice(0, b1 - a1), slice(b1 - a1, b1 - a1 + b2 - a2)],
+                    [slice(a1, b1), slice(a2, b2)])
         marked, position = self._marked, self._position
-        for _, cells in bands:
-            marked[cells] = True
+        cells = [band[1] for _, band, _ in self._discs]
+        for band_cells in cells:
+            marked[band_cells] = True
         rows = np.flatnonzero(marked)
         marked[rows] = False
         position[rows] = np.arange(rows.size)
         # gathered one band at a time, as the caller scatters it
-        return rows, (position[cells] for _, cells in bands)
+        return rows, (position[band_cells] for band_cells in cells), rows
 
     def cost(self, controls: np.ndarray) -> float:
         """Objective for a (H, 4) control array."""
         return self._evaluate(controls)
 
+    def _field_cost(self, values) -> float:
+        """Fill the predicted map and its residual over every cell with the
+        record's deposits at the flows in ``values``, and sum the residual's
+        squares."""
+        amount = self._amount
+        np.copyto(amount, self.applied)
+        for (_, flow_j, _, _, _), (_, band, factors) in zip(self._layout, self._discs):
+            amount[band[1]] += deposit_from_factors(values[flow_j], factors, band[4])
+        e = np.subtract(amount, self.target, out=self._residual)
+        return float(e @ e)
+
+    def _band_cost(self, values) -> float:
+        """Fill the residual on the union slice of the one pose's two
+        windows with the record's deposits at the flows in ``values``, and
+        add the change of its squares' sum to the base cost."""
+        (_, left, _), (_, right, _) = self._discs
+        lo = min(left[0].start, right[0].start)
+        hi = max(left[0].stop, right[0].stop)
+        applied, target, r0 = self._near
+        e = self._union[lo:hi]
+        np.copyto(e, applied[lo:hi])
+        for (_, flow_j, _, _, _), (_, band, factors) in zip(self._layout, self._discs):
+            window = band[0]
+            e[window.start - lo:window.stop - lo] += deposit_from_factors(values[flow_j],
+                                                                          factors, band[4])
+        e -= target[lo:hi]
+        r0 = r0[lo:hi]
+        return self._base_cost + (float(e @ e) - float(r0 @ r0))
+
     def _evaluate(self, controls: np.ndarray) -> float:
-        """Fill the predicted map and its residual at ``controls`` and return
-        the objective, unless ``controls`` are bitwise the record's: then the
-        record's objective, with its map and residual left as they are."""
+        """Fill the residual at ``controls`` and return the objective, unless
+        ``controls`` are bitwise the record's: then the record's objective,
+        with its residual left as it is."""
         controls = np.asarray(controls, dtype=np.float64)
         key = controls.tobytes()
         if key == self._key:
@@ -260,8 +321,6 @@ class _Predictor:
         values = controls.ravel().tolist()
         # the record matches no controls until this evaluation completes
         self._key = None
-        amount = self._amount
-        np.copyto(amount, self.applied)
         for k, (i, flow_j, rpm_j, side, _) in enumerate(self._layout):
             flow = values[flow_j]
             if same[rpm_j]:
@@ -275,10 +334,8 @@ class _Predictor:
                 params = self._disc_params(flow, values[rpm_j], side)
                 band = self._band(i, params)
                 factors = disc_factors(band[2], band[3], params, self.model, self.support)
-            amount[band[1]] += deposit_from_factors(flow, factors, band[4])
             self._discs[k] = (params, band, factors)
-        e = np.subtract(amount, self.target, out=self._residual)
-        value = float(e @ e)
+        value = self._band_cost(values) if self.horizon == 1 else self._field_cost(values)
         if not math.isfinite(value):
             raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
         self._value, self._key, self._bits = value, key, bits
@@ -298,7 +355,7 @@ class _Predictor:
         column."""
         controls = np.asarray(controls, dtype=np.float64)
         value = self._evaluate(controls)
-        rows, band_rows = self._rows([band[:2] for _, band, _ in self._discs])
+        rows, band_rows, held = self._rows()
         S = np.zeros((rows.size, 4 * self.horizon))
         kept = masks.ravel().tolist()
         for (_, flow_j, rpm_j, _, sign), at, disc in zip(self._layout, band_rows, self._discs):
@@ -307,7 +364,13 @@ class _Predictor:
             else:
                 _, band, factors = disc
                 S[at, flow_j] = deposit_from_factors(1.0, factors, band[4])
-        return value, self._residual[rows], S, rows
+        # gathered once the last disc's partials are freed: they and the
+        # Jacobian are the solve's peak
+        if self.horizon == 1:
+            residual = np.concatenate([self._union[piece] for piece in held])
+        else:
+            residual = self._residual[held]
+        return value, residual, S, rows
 
     def _disc_columns(self, S, at, flow_j, rpm_j, sign, rpm, params, band, factors):
         """Write one disc's flow and rpm columns into rows ``at`` of ``S``.
@@ -582,10 +645,8 @@ class RecedingHorizonController:
                  constraints: ControlConstraints, settings: OptimizerSettings,
                  scaling: DepositScaling = DepositScaling.LITERAL,
                  support: TriangleSupport = TriangleSupport.UNIT):
-        if int(horizon) != horizon or horizon < 1:
-            raise ConfigurationError(f"horizon must be a positive integer, got {horizon!r}")
+        self.horizon = checked_integer("horizon", horizon)
         self.model = DepositionModel(model)
-        self.horizon = int(horizon)
         self.cal = cal
         self.constraints = constraints
         self.settings = settings

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+the constructors share."""
+
+import math
 
 
 class SpreadOptError(Exception):
@@ -41,3 +44,15 @@ class RunAbortedError(SpreadOptError, RuntimeError):
         super().__init__(message)
         self.record = record
         self.step = step
+
+
+def checked_integer(name: str, value, positive: bool = True) -> int:
+    """``value`` as an ``int`` if it is a whole number, at least one if
+    ``positive`` and at least zero otherwise; else a
+    :class:`ConfigurationError` naming ``name``.  Finiteness is tested
+    first: ``int()`` of an infinity or a NaN raises a bare OverflowError or
+    ValueError."""
+    if not (math.isfinite(value) and int(value) == value and value >= int(positive)):
+        kind = "positive" if positive else "non-negative"
+        raise ConfigurationError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, checked_integer
 
 _CSV_FORMAT = "%.12g"
 
@@ -32,9 +32,7 @@ class FieldGrid:
     def __post_init__(self):
         if not (math.isfinite(self.side_length) and self.side_length > 0):
             raise ConfigurationError(f"field side length must be positive, got {self.side_length!r}")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 1:
-            raise ConfigurationError(f"cell count must be a positive integer, got {self.n_cells!r}")
-        object.__setattr__(self, "n_cells", int(self.n_cells))
+        object.__setattr__(self, "n_cells", checked_integer("cell count", self.n_cells))
         ox, oy = self.origin
         if not (math.isfinite(ox) and math.isfinite(oy)):
             raise ConfigurationError(f"field origin must be finite, got {self.origin!r}")

@@ -19,7 +19,7 @@ from .calibration import (CalibrationModel, ControlConstraints, SpreaderControls
                           patterns_from_controls, satisfies_constraints)
 from .controllers import (ControllerKind, OptimizerSettings, RecedingHorizonController,
                           make_controller)
-from .errors import ConfigurationError, RunAbortedError, SpreadOptError
+from .errors import ConfigurationError, RunAbortedError, SpreadOptError, checked_integer
 from .field import FieldGrid, as_amount_map, cost, save_map
 from .kinematics import DrivePlan, TractorState, trajectory
 from .spread import DepositScaling, TriangleSupport, total_deposit
@@ -47,9 +47,7 @@ class Scenario:
                            as_amount_map(self.prescription, self.grid, name="prescription"))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
-        if int(self.horizon) != self.horizon or self.horizon < 1:
-            raise ConfigurationError(f"horizon must be a positive integer, got {self.horizon!r}")
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon", checked_integer("horizon", self.horizon))
         object.__setattr__(self, "controller", ControllerKind(self.controller))
         object.__setattr__(self, "scaling", DepositScaling(self.scaling))
         object.__setattr__(self, "support", TriangleSupport(self.support))

@@ -8,7 +8,10 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from spreadopt import CalibrationDomainError, SpreaderControls, satisfies_constraints
+from spreadopt import (CalibrationDomainError, SpreaderControls, pattern_from_controls,
+                       satisfies_constraints)
+from spreadopt.controllers import _DISC_COLUMNS
+from spreadopt.spread import band, band_bounds, disc_deposit, disc_deposit_partials
 
 
 def analytic_gradient(predictor, controls):
@@ -108,6 +111,36 @@ def normal_equations_reference(S, e, masks):
     of its transpose."""
     folded = fold_jacobian_reference(np.concatenate((S.T @ S, [2.0 * (S.T @ e)])), masks)
     return fold_jacobian_reference(folded[:-1].T, masks), folded[-1]
+
+
+def field_order_prediction(predictor, controls):
+    """A one-pose prediction over every cell, in field order: the applied
+    map copied, each disc's deposit on its band scattered in disc order, the
+    prescription subtracted and the squares summed.  Returns that cost, the
+    residual and the Jacobian with a row per cell (columns in control
+    order, every column built), and each disc's band cells.
+    ``predictor.geometry[0]`` must reach both bands."""
+    values = np.asarray(controls, dtype=float).reshape(4).tolist()
+    cal, model, support = predictor.cal, predictor.model, predictor.support
+    amount = predictor.applied.copy()
+    S = np.zeros((predictor.n_cells, 4))
+    bands = []
+    for flow_col, rpm_col, side, sign in _DISC_COLUMNS:
+        rpm = values[rpm_col]
+        params = pattern_from_controls(rpm, values[flow_col], cal, side)
+        _, cells, dist, angle, scale = band(
+            predictor.geometry[0], *band_bounds(params, model, support, predictor.scaling))
+        amount[cells] += disc_deposit(dist, angle, scale, params, model, support)
+        unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(dist, angle, scale, params,
+                                                                  model, support)
+        S[cells, flow_col] = unit
+        S[cells, rpm_col] = (d_dist * cal.distance_slope(rpm)
+                             + d_sd * cal.sigma_distance_slope(rpm)
+                             + d_angle * (sign * cal.angle_slope(rpm))
+                             + d_sa * cal.sigma_angle_slope(rpm))
+        bands.append(cells)
+    e = amount - predictor.target
+    return float(e @ e), e, S, bands
 
 
 def normal_factor_reference(offset, sigma):

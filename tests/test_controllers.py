@@ -334,11 +334,11 @@ def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
         tracemalloc.stop()
     # the fold sees the Gram matrix with the gradient row, then its transpose
     assert folds and set(folds) == {(5, 4), (4, 4)}
-    # every evaluation fills the predictor's work arrays, so the peak is the
-    # bands' Jacobian and partials with the last evaluation's density
-    # factors: 0.96 of one n_cells map (0.76 before the predictor kept the
-    # factors for the next Jacobian), against 2.96 when each evaluation
-    # allocated a predicted map and a residual
+    # a single pose's evaluations fill the union buffer that the predictor
+    # allocated with its geometry, so the peak is the bands' Jacobian and
+    # partials with the last evaluation's density factors: under one n_cells
+    # map, against 2.96 when each evaluation allocated a predicted map and a
+    # residual, and just over one when each allocated its union slice
     assert peak < n * n * 8
 
 
@@ -723,6 +723,38 @@ def test_settings_validation():
     with pytest.raises(ConfigurationError):
         OptimizerSettings(seed=1.5)
     assert type(OptimizerSettings(seed=3.0).seed) is int
+
+
+def _scenario_of_horizon(horizon):
+    grid = FieldGrid(10.0, 2)
+    plan = DrivePlan(TractorState(0.0, 5.0, 0.0), (DriveCommand(1.0, 0.0, 1.0),))
+    return Scenario(grid, grid.zeros(), plan, 1.0, SpreaderControls(40.0, 40.0, 600.0, 600.0),
+                    horizon=horizon)
+
+
+# each constructor's integer field: the name its error gives, and a build
+INTEGER_FIELDS = {
+    "FieldGrid.n_cells": ("cell count", lambda value: FieldGrid(150.0, value)),
+    "Scenario.horizon": ("horizon", _scenario_of_horizon),
+    "RecedingHorizonController.horizon": (
+        "horizon", lambda value: controllers.RecedingHorizonController(
+            DepositionModel.FULL_NORMAL, value, CAL, DEFAULT_CONSTRAINTS, OptimizerSettings())),
+    "OptimizerSettings.max_iterations": (
+        "max_iterations", lambda value: OptimizerSettings(max_iterations=value)),
+    "OptimizerSettings.restarts": ("restarts", lambda value: OptimizerSettings(restarts=value)),
+    "OptimizerSettings.seed": ("seed", lambda value: OptimizerSettings(seed=value)),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_a_non_finite_integer_field_is_a_configuration_error(field, value):
+    name, build = INTEGER_FIELDS[field]
+    with pytest.raises(ConfigurationError, match=f"^{name} must be a (positive|non-negative) "
+                                                 f"integer, got {value!r}$"):
+        build(value)
+    # the same build takes a whole number
+    build(2.0)
 
 
 @pytest.mark.parametrize("field", ["model", "scaling", "support"])

@@ -44,6 +44,8 @@ from spreadopt.spread import (DEGENERATE_RADIUS, WINDOW_TOLERANCE, PatternParams
                               TriangleSupport, band, band_bounds, conservative_scale,
                               pose_geometry)
 
+from checks import field_order_prediction
+
 CAL = DEFAULT_CALIBRATION
 # the radial spread, and with it the reach of the bands, peaks at 611 rpm,
 # strictly inside the actuator box: the box radius comes from that vertex,
@@ -378,7 +380,91 @@ def test_the_plant_is_the_full_model_predictor_on_an_empty_map(n, side, fx, fy, 
     controls = SpreaderControls(*flows, *rpms)
     predictor.cost(controls.as_array()[None, :])
     plant = total_deposit(pose, *patterns_from_controls(controls, CAL), grid, scaling)
-    assert predictor._amount.tobytes() == plant.tobytes()
+    # a single pose fills its residual only on the union slice of its two
+    # windows in its distance order; on a zero prescription that is the map
+    windows = [band[0] for _, band, _ in predictor._discs]
+    union = slice(min(w.start for w in windows), max(w.stop for w in windows))
+    predicted = grid.zeros()
+    predicted.ravel()[predictor.geometry[0].cells[union]] = predictor._union[union]
+    assert predicted.tobytes() == plant.tobytes()
+
+
+# a radial spread narrow enough that the two discs' windows come apart when
+# their speeds differ, under either model
+NARROW = CalibrationModel(distance_coeffs=(1.0 / 24.0, -7.5),
+                          sigma_distance_coeffs=(0.0, 0.0, 0.3),
+                          angle_coeffs=CAL.angle_coeffs,
+                          sigma_angle_coeffs=CAL.sigma_angle_coeffs)
+
+
+@st.composite
+def single_pose_schedules(draw):
+    """A one-pose problem and a sequence of controls, each from the one
+    before by a move: a new flow alone, a new rpm, an rpm at a bound of the
+    actuator box (as the unroll clips it), or the two discs at opposite rpm
+    bounds, which pulls their windows apart."""
+    n = draw(st.integers(1, 40))
+    side = draw(st.floats(10.0, 300.0))
+    pose = TractorState(draw(PLACE) * side, draw(PLACE) * side, draw(st.floats(-math.pi, math.pi)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = [draw(FLOW), draw(FLOW), draw(RPM), draw(RPM)]
+    schedule = [row]
+    bounds = [BOX.rpm_min, BOX.rpm_max]
+    for move in draw(st.lists(st.sampled_from(["flow", "rpm", "clip", "apart"]), min_size=1,
+                              max_size=6)):
+        row = list(row)
+        if move == "flow":
+            row[draw(st.sampled_from([0, 1]))] = draw(FLOW)
+        elif move == "rpm":
+            row[draw(st.sampled_from([2, 3]))] = draw(RPM)
+        elif move == "clip":
+            row[draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(bounds))
+        else:
+            row[2:] = bounds if draw(st.booleans()) else bounds[::-1]
+        schedule.append(row)
+    return (FieldGrid(side, n), pose, rng.uniform(0.0, 30.0, (n, n)),
+            rng.choice([0.0, 12.0, 30.0], (n, n)), schedule)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=single_pose_schedules(), model=st.sampled_from(DepositionModel),
+       scaling=st.sampled_from(DepositScaling), support=st.sampled_from(TriangleSupport),
+       cal=st.sampled_from([CAL, NARROW]), box=st.sampled_from(["actuator", "first", "empty"]))
+def test_a_single_pose_prediction_is_the_field_order_prediction(problem, model, scaling,
+                                                                support, cal, box):
+    # a single pose sums its cost on its windows' union only: its residual
+    # and Jacobian rows stay bitwise, its cost within rounding
+    grid, pose, applied, prescribed, schedule = problem
+    if box == "actuator":
+        radius = _box_radius(cal, model, support)
+    elif box == "first":
+        # the first controls' widest band: a later wider one grows the box
+        # while the other disc keeps its window
+        radius = max(band_bounds(pattern_from_controls(schedule[0][rpm_col],
+                                                       schedule[0][flow_col], cal, side_name),
+                                 model, support, scaling)[1]
+                     for flow_col, rpm_col, side_name, _ in controllers._DISC_COLUMNS)
+    else:
+        radius = 0.0
+
+    def predictor(radius):
+        return controllers._Predictor(grid, [pose], applied, prescribed, model, cal, scaling,
+                                      support, radius=radius)
+
+    boxed, whole = predictor(radius), predictor(math.inf)
+    ones = np.ones((1, 4))
+    for row in schedule:
+        controls = np.array([row])
+        value = boxed.cost(controls)
+        assert value == whole.cost(controls)
+        expected, residual, jacobian, bands = field_order_prediction(whole, controls)
+        assert abs(value - expected) <= 1e-12 * expected
+        for used in (boxed, whole):
+            got, e, S, rows = used.cost_residual_jacobian(controls, ones)
+            assert got == value
+            assert np.array_equal(np.sort(rows), np.union1d(*bands))
+            assert e.tobytes() == residual[rows].tobytes()
+            assert S.tobytes() == jacobian[rows].tobytes()
 
 
 def _closed_loop(kind):
