@@ -25,11 +25,11 @@ model promises less than the line search's acceptance threshold over the
 deltas that may move (the predicted-reduction test of Levenberg-Marquardt
 methods).
 
-The greedy controller is the single-step special case with the full
-deposition model; the model-predictive controllers look several steps
-ahead with either the full model or the triangle surrogate.  The plant
-is always simulated with the full model regardless of what a controller
-believes.
+The greedy controller is the one-step case of the same solver, its
+unroll and its fold included, with the full deposition model; the
+model-predictive controllers look several steps ahead with either the
+full model or the triangle surrogate.  The plant is always simulated with
+the full model regardless of what a controller believes.
 
 The residual and Jacobian the solver reads have rows only on the cells
 of the discs' bands (:class:`_Predictor`), and each iteration forms its
@@ -39,6 +39,8 @@ fewer rows round differently from the dense ones, so Gauss-Newton steps
 agree with dense evaluation to rounding, not bitwise.  A single pose, as in
 greedy and in an MPC's final decision, also evaluates its cost on its bands
 alone: the field is read once per decision, not on every evaluation.
+Either way a prediction fills one work array in place, field-sized for
+several poses and the size of the pose's reach box for one.
 """
 
 from __future__ import annotations
@@ -128,25 +130,26 @@ class _Predictor:
     rows.  One crescent covers a few percent of a large field, so the bands
     skip most of the kernel work.
 
-    The cost is summed in one of two ways, chosen by the number of poses.
-    A single pose's two windows are slices of one distance order, so their
-    union is the slice ``[lo, hi)`` of it.  Its predictor gathers the
-    applied map, the prescription and their difference ``r0`` in that order
-    once per geometry, and sums the base cost ``c0 = r0 . r0`` over every
-    cell once.  An evaluation then adds the discs' deposits, in disc order,
-    to the applied amounts in a buffer over ``[lo, hi)`` allocated with the
-    geometry, subtracts the prescription there and returns ``c0 + (e . e -
-    r0 . r0)`` over the slice.  Every residual entry is bitwise the dense
-    one; only the cost's summation order differs, by rounding.  Several
-    poses' bands are not slices of one order, so their union is found by
-    marking cells of the field.  Their cost is summed over all ``n_cells``
-    cells of work arrays, the predicted map and its residual, that every
-    evaluation fills in place.  The field-sized work matters only where an
+    Each evaluation fills one work array in place with the residual: the
+    applied amounts, plus the discs' deposits in disc order, less the
+    prescription.  The cost is summed in one of two ways, chosen by the
+    number of poses.  A single pose's two windows are slices of one
+    distance order, so their union is the slice ``[lo, hi)`` of it.  Its
+    predictor gathers the applied map, the prescription and their
+    difference ``r0`` in that order once per geometry, with a work array of
+    the geometry's size, and sums the base cost ``c0 = r0 . r0`` over every
+    cell once.  An evaluation then fills the work array on ``[lo, hi)``
+    alone and returns ``c0 + (e . e - r0 . r0)`` over the slice.  Every
+    residual entry is bitwise the dense one; only the cost's summation
+    order differs, by rounding.  Several poses' bands are not slices of one
+    order, so their union is found by marking cells of the field, and their
+    work array is field-sized: each evaluation fills it and sums its squares
+    over all ``n_cells`` cells.  The field-sized work matters only where an
     evaluation's kernel work is small against it, as for one pose on a
     large field.
 
     One record of the last evaluation is kept: the bits of its controls,
-    its objective (its residual stays in the buffer or work arrays), and per
+    its objective (its residual stays in the work array), and per
     disc its ``PatternParams``, band and radial and angular density
     factors.  :meth:`_evaluate` alone decides what to compute again.  At
     bitwise the record's controls it returns the record's objective and
@@ -184,7 +187,6 @@ class _Predictor:
         # the record of the last evaluation: its controls' bits and objective,
         # and each disc's parameters, band and density factors, step-major
         self._key = None
-        self._bits = None
         self._value = None
         self._discs = [None] * (2 * len(poses))
         # per disc, step-major as the record: its step, the flat indices of
@@ -201,11 +203,10 @@ class _Predictor:
             self._base_cost = float(r0 @ r0)
             self._gather()
         else:
-            # work arrays: a fresh field-sized array per evaluation would be
-            # returned to the kernel on free and fault its pages back in on
-            # every allocation
-            self._amount = np.empty(self.n_cells)
-            self._residual = np.empty(self.n_cells)
+            # the residual's work array: a fresh field-sized array per
+            # evaluation would be returned to the kernel on free and fault its
+            # pages back in on every allocation
+            self._work = np.empty(self.n_cells)
             # _rows's marks and row positions over several poses
             self._marked = np.zeros(self.n_cells, dtype=bool)
             self._position = np.empty(self.n_cells, dtype=np.intp)
@@ -241,17 +242,17 @@ class _Predictor:
 
     def _gather(self):
         """The applied map, the prescription and their difference in the one
-        pose's distance order, and the buffer its evaluations fill."""
+        pose's distance order, and the work array its evaluations fill."""
         cells = self.geometry[0].cells
         applied, target = self.applied[cells], self.target[cells]
         self._near = applied, target, applied - target
-        self._union = np.empty(cells.size)
+        self._work = np.empty(cells.size)
 
     def _rows(self):
         """Cell index of each Jacobian row, one per cell of the union of the
-        discs' bands, each band's rows among them, and where the residual on
-        those rows is held: the union buffer's slices of the one pose's
-        distance order, or the rows of the field-sized residual."""
+        discs' bands, each band's rows among them, and where the work array
+        holds the residual on those rows: slices of the one pose's distance
+        order, or the rows of the field."""
         if self.horizon == 1:
             # both windows are slices of the one pose's distance order: their
             # union is one slice of it, or two when they are apart
@@ -272,21 +273,20 @@ class _Predictor:
         marked[rows] = False
         position[rows] = np.arange(rows.size)
         # gathered one band at a time, as the caller scatters it
-        return rows, (position[band_cells] for band_cells in cells), rows
+        return rows, (position[band_cells] for band_cells in cells), [rows]
 
     def cost(self, controls: np.ndarray) -> float:
         """Objective for a (H, 4) control array."""
         return self._evaluate(controls)
 
     def _field_cost(self, values) -> float:
-        """Fill the predicted map and its residual over every cell with the
-        record's deposits at the flows in ``values``, and sum the residual's
-        squares."""
-        amount = self._amount
-        np.copyto(amount, self.applied)
+        """Fill the residual over every cell with the record's deposits at
+        the flows in ``values``, and sum its squares."""
+        e = self._work
+        np.copyto(e, self.applied)
         for (_, flow_j, _, _, _), (_, band, factors) in zip(self._layout, self._discs):
-            amount[band[1]] += deposit_from_factors(values[flow_j], factors, band[4])
-        e = np.subtract(amount, self.target, out=self._residual)
+            e[band[1]] += deposit_from_factors(values[flow_j], factors, band[4])
+        e -= self.target
         return float(e @ e)
 
     def _band_cost(self, values) -> float:
@@ -297,7 +297,7 @@ class _Predictor:
         lo = min(left[0].start, right[0].start)
         hi = max(left[0].stop, right[0].stop)
         applied, target, r0 = self._near
-        e = self._union[lo:hi]
+        e = self._work[lo:hi]
         np.copyto(e, applied[lo:hi])
         for (_, flow_j, _, _, _), (_, band, factors) in zip(self._layout, self._discs):
             window = band[0]
@@ -315,9 +315,8 @@ class _Predictor:
         key = controls.tobytes()
         if key == self._key:
             return self._value
-        bits = np.frombuffer(key, np.int64)
-        same = ((bits == self._bits).tolist() if self._key is not None
-                else [False] * bits.size)
+        same = ((np.frombuffer(key, np.int64) == np.frombuffer(self._key, np.int64)).tolist()
+                if self._key is not None else [False] * controls.size)
         values = controls.ravel().tolist()
         # the record matches no controls until this evaluation completes
         self._key = None
@@ -338,7 +337,7 @@ class _Predictor:
         value = self._band_cost(values) if self.horizon == 1 else self._field_cost(values)
         if not math.isfinite(value):
             raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
-        self._value, self._key, self._bits = value, key, bits
+        self._value, self._key = value, key
         return value
 
     def cost_residual_jacobian(self, controls: np.ndarray, masks: np.ndarray):
@@ -366,11 +365,7 @@ class _Predictor:
                 S[at, flow_j] = deposit_from_factors(1.0, factors, band[4])
         # gathered once the last disc's partials are freed: they and the
         # Jacobian are the solve's peak
-        if self.horizon == 1:
-            residual = np.concatenate([self._union[piece] for piece in held])
-        else:
-            residual = self._residual[held]
-        return value, residual, S, rows
+        return value, np.concatenate([self._work[piece] for piece in held]), S, rows
 
     def _disc_columns(self, S, at, flow_j, rpm_j, sign, rpm, params, band, factors):
         """Write one disc's flow and rpm columns into rows ``at`` of ``S``.
@@ -411,8 +406,6 @@ def _reach_radius(cal: CalibrationModel, model: DepositionModel, support: Triang
 def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Running controls for a (H, 4) delta array, clipped to the actuator
     boxes step by step."""
-    if len(deltas) == 1:
-        return (prev + deltas).clip(lo, hi)
     controls = np.empty_like(deltas)
     current = prev
     for delta, row in zip(deltas, controls):
@@ -423,7 +416,7 @@ def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray
 def _clip_masks(controls: np.ndarray, deltas: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Clip masks of an unroll: 1.0 where :func:`_unroll` kept a step's
     control plus its delta, 0.0 where it clipped that sum to a box."""
-    before = prev if len(controls) == 1 else np.concatenate(([prev], controls[:-1]))
+    before = np.concatenate(([prev], controls[:-1]))
     return (controls == before + deltas).astype(float)
 
 
@@ -517,7 +510,6 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
             alpha *= 0.5
         return None
 
-    iteration = 0
     for iteration in range(1, settings.max_iterations + 1):
         # only the accepted iterate's masks are read
         masks = _clip_masks(controls, x, prev)

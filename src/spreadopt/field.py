@@ -84,7 +84,8 @@ def cost(applied: np.ndarray, prescribed: np.ndarray) -> float:
     if a.shape != p.shape:
         raise ShapeError(f"applied shape {a.shape} does not match prescribed shape {p.shape}")
     diff = p - a
-    return float(np.sum(diff * diff))
+    diff *= diff
+    return float(np.sum(diff))
 
 
 def save_map(path, values: np.ndarray) -> None:

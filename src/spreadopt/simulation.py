@@ -40,7 +40,7 @@ class Scenario:
     controller: ControllerKind = ControllerKind.MPC_FULL
     horizon: int = 5
     scaling: DepositScaling = DepositScaling.LITERAL
-    support: TriangleSupport = TriangleSupport.UNIT
+    support: TriangleSupport = TriangleSupport.SIGMA
 
     def __post_init__(self):
         object.__setattr__(self, "prescription",

@@ -411,6 +411,16 @@ def test_the_packaged_optimizer_section_is_the_in_code_default():
     assert load_scenario(default_scenario_path()).settings == OptimizerSettings()
 
 
+def test_the_packaged_run_section_is_the_scenario_default():
+    # the command line runs the packaged [run] section, the library a
+    # Scenario that leaves these fields out
+    packaged = load_scenario(default_scenario_path()).scenario
+    names = ("controller", "horizon", "scaling", "support")
+    defaults = {field.name: field.default for field in dataclasses.fields(packaged)}
+    assert {name: defaults[name] for name in names} == {name: getattr(packaged, name)
+                                                        for name in names}
+
+
 def test_unknown_optimizer_key_names_the_key_and_the_allowed_keys(tmp_path):
     path = tmp_path / "typo.ini"
     path.write_text(with_optimizer(OPTIMIZER_SECTION.replace("max_iterations", "max_iteration")))

@@ -334,11 +334,49 @@ def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
         tracemalloc.stop()
     # the fold sees the Gram matrix with the gradient row, then its transpose
     assert folds and set(folds) == {(5, 4), (4, 4)}
-    # a single pose's evaluations fill the union buffer that the predictor
+    # a single pose's evaluations fill the work array that the predictor
     # allocated with its geometry, so the peak is the bands' Jacobian and
     # partials with the last evaluation's density factors: under one n_cells
     # map, against 2.96 when each evaluation allocated a predicted map and a
     # residual, and just over one when each allocated its union slice
+    assert peak < n * n * 8
+
+
+def test_a_several_pose_solve_allocates_no_field_sized_temporaries():
+    # the cell size of the greedy test, on a field four times its area, so
+    # that the four bands' records, partials and Jacobian stay under one map
+    n, h = 360, 2
+    grid = FieldGrid(600.0, n)
+    prescribed = as_amount_map(np.full((n, n), 20.0), grid)
+    applied = grid.zeros()
+    plan = DrivePlan(TractorState(300.0, 300.0, 0.3), (DriveCommand(8.0, 0.1, float(h)),))
+    poses = trajectory(plan, 1.0)[1:]
+    cache = {}
+    controllers._Predictor(grid, poses, applied, prescribed, DepositionModel.FULL_NORMAL, CAL,
+                           geometry_cache=cache)
+    tracemalloc.start()
+    try:
+        predictor = controllers._Predictor(grid, poses, applied, prescribed,
+                                           DepositionModel.FULL_NORMAL, CAL, geometry_cache=cache)
+        built, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # with the geometry cached, building keeps one float64 work map and
+    # _rows's row positions and marks: 17 bytes a cell, 25 with a second map
+    kept = np.dtype(np.float64).itemsize + np.dtype(np.intp).itemsize + 1
+    assert kept * n * n <= built < (kept + 1) * n * n
+    prev = np.array([45.0, 45.0, 600.0, 600.0])
+    start = np.tile(prev, (h, 1)) + [[5.0, -5.0, 30.0, -30.0], [10.0, -10.0, 60.0, -60.0]]
+    tracemalloc.start()
+    try:
+        controls, _ = controllers._optimize(predictor, prev, start, DEFAULT_CONSTRAINTS,
+                                            OptimizerSettings())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert controls.shape == (h, 4)
+    # every evaluation fills the work map in place: the peak is the bands'
+    # records, partials and Jacobian, under one n_cells map
     assert peak < n * n * 8
 
 

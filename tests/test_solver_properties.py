@@ -93,6 +93,29 @@ def test_solver_returns_a_feasible_no_worse_deterministic_schedule(problem):
     _check_solver(*problem)
 
 
+@settings(max_examples=30, deadline=None)
+@given(problem=problems())
+def test_a_gradient_only_solve_never_rises_stays_feasible_and_repeats(problem):
+    # gauss_newton = false: every step is a projected gradient step
+    predictor, previous, start = problem
+    prev = previous.as_array()
+    gradient_only = OptimizerSettings(gauss_newton=False)
+    x0 = np.diff(np.vstack([prev, start]), axis=0)
+    # the solve starts from the deltas clipped to its box
+    rbox = CONSTRAINTS.rates() / math.sqrt(2.0)
+    begin = controllers._unroll(x0.clip(-rbox, rbox), prev, CONSTRAINTS.lower(),
+                                CONSTRAINTS.upper())
+    controls, cost, iterations = controllers._solve_deltas(predictor, prev, x0, CONSTRAINTS,
+                                                           gradient_only)
+    assert cost == predictor.cost(controls)
+    assert cost <= predictor.cost(begin)
+    assert chain_feasible(controls, previous, CONSTRAINTS)
+    again, again_cost, again_iterations = controllers._solve_deltas(
+        predictor, prev, x0, CONSTRAINTS, gradient_only)
+    assert again.tobytes() == controls.tobytes()
+    assert (again_cost, again_iterations) == (cost, iterations)
+
+
 @settings(max_examples=300, deadline=None)
 @given(problem=problems())
 def test_cost_and_jacobian_paths_give_the_same_cost(problem):

@@ -385,7 +385,7 @@ def test_the_plant_is_the_full_model_predictor_on_an_empty_map(n, side, fx, fy, 
     windows = [band[0] for _, band, _ in predictor._discs]
     union = slice(min(w.start for w in windows), max(w.stop for w in windows))
     predicted = grid.zeros()
-    predicted.ravel()[predictor.geometry[0].cells[union]] = predictor._union[union]
+    predicted.ravel()[predictor.geometry[0].cells[union]] = predictor._work[union]
     assert predicted.tobytes() == plant.tobytes()
 
 
