@@ -19,7 +19,6 @@ from .errors import (CalibrationDomainError, ConfigurationError, DegenerateGeome
 from .field import FieldGrid, as_amount_map, cost, load_map, save_map
 from .kinematics import DriveCommand, DrivePlan, TractorState, step, trajectory
 from .simulation import RunRecord, Scenario, run
-from .spread import (DepositScaling, DepositionModel, PatternParams, TriangleSupport,
-                     bearing, total_deposit)
+from .spread import DepositScaling, DepositionModel, PatternParams, bearing, total_deposit
 
 __version__ = "0.1.0"

@@ -221,7 +221,12 @@ def load_scenario(path) -> RunConfig:
         if not 0 <= level < math.inf:
             raise ConfigurationError(f"{path}: [prescription] uniform must be finite and "
                                      "non-negative")
-        prescription = grid.zeros() + level
+        try:
+            prescription = grid.zeros() + level
+        except MemoryError:
+            raise ConfigurationError(
+                f"{path}: [field] n_cells = {grid.n_cells} gives a field too large to "
+                "allocate") from None
     else:
         prescription = load_map(path.parent / source, grid)
 

@@ -56,10 +56,9 @@ from .calibration import (CalibrationModel, ControlConstraints, SpreaderControls
                           pattern_from_controls, pattern_range)
 from .errors import ConfigurationError, NumericalFailureError, ShapeError, checked_integer
 from .field import FieldGrid, as_amount_map
-from .spread import (BandGeometry, DepositScaling, DepositionModel, PatternParams,
-                     TriangleSupport, _reach, band, band_bounds, by_distance,
-                     deposit_from_factors, disc_deposit_partials, disc_factors,
-                     pose_geometry, reach_box)
+from .spread import (BandGeometry, DepositScaling, DepositionModel, PatternParams, _reach,
+                     band, band_bounds, by_distance, deposit_from_factors,
+                     disc_deposit_partials, disc_factors, pose_geometry, reach_box)
 
 _log = logging.getLogger("spreadopt.optimizer")
 
@@ -170,7 +169,6 @@ class _Predictor:
     def __init__(self, grid: FieldGrid, poses, applied, prescribed,
                  model: DepositionModel, cal: CalibrationModel,
                  scaling: DepositScaling = DepositScaling.LITERAL,
-                 support: TriangleSupport = TriangleSupport.UNIT,
                  geometry_cache: dict | None = None, radius: float = math.inf):
         if not poses:
             raise ShapeError("prediction needs at least one pose")
@@ -180,7 +178,6 @@ class _Predictor:
         self.model = DepositionModel(model)
         self.cal = cal
         self.scaling = DepositScaling(scaling)
-        self.support = TriangleSupport(support)
         self.applied = applied.ravel()
         self.target = prescribed.ravel()
         self.n_cells = self.applied.size
@@ -233,7 +230,7 @@ class _Predictor:
     def _band(self, i: int, params: PatternParams):
         """One disc's window of pose ``i``'s geometry, and the cell indices,
         distance, bearing and area scale on it."""
-        inner, outer = band_bounds(params, self.model, self.support, self.scaling)
+        inner, outer = band_bounds(params, self.model, self.scaling)
         if outer > self.geometry[i].radius:
             self.geometry[i] = self._pose_geometry(self.poses[i], outer)
             if self.horizon == 1:
@@ -332,7 +329,7 @@ class _Predictor:
                 self._discs[k] = None
                 params = self._disc_params(flow, values[rpm_j], side)
                 band = self._band(i, params)
-                factors = disc_factors(band[2], band[3], params, self.model, self.support)
+                factors = disc_factors(band[2], band[3], params, self.model)
             self._discs[k] = (params, band, factors)
         value = self._band_cost(values) if self.horizon == 1 else self._field_cost(values)
         if not math.isfinite(value):
@@ -373,7 +370,7 @@ class _Predictor:
         next disc's."""
         _, _, dist, angle, scale = band
         unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(
-            dist, angle, scale, params, self.model, self.support, factors)
+            dist, angle, scale, params, self.model, factors)
         S[at, flow_j] = unit
         # the chain rule through the calibration, summed in place in the
         # order d_dist * a + d_sd * b + d_angle * c + d_sa * d rounds
@@ -387,7 +384,7 @@ class _Predictor:
         S[at, rpm_j] = d_dist
 
 
-def _reach_radius(cal: CalibrationModel, model: DepositionModel, support: TriangleSupport,
+def _reach_radius(cal: CalibrationModel, model: DepositionModel,
                   constraints: ControlConstraints) -> float:
     """Upper bound on a disc's outer band distance (``spread.band_bounds``)
     over the actuator box's rpm range: the greatest center distance plus the
@@ -400,7 +397,7 @@ def _reach_radius(cal: CalibrationModel, model: DepositionModel, support: Triang
     (sd_least, _), (sd, _) = pattern_range(cal.sigma_distance_coeffs, *box)
     (sa, _), _ = pattern_range(cal.sigma_angle_coeffs, *box)
     in_domain = sd_least > 0.0 and sa > 0.0
-    return distance + _reach(sd, sa, model, support) if in_domain else math.inf
+    return distance + _reach(sd, sa, model) if in_domain else math.inf
 
 
 def _unroll(deltas: np.ndarray, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -635,18 +632,16 @@ class RecedingHorizonController:
 
     def __init__(self, model: DepositionModel, horizon: int, cal: CalibrationModel,
                  constraints: ControlConstraints, settings: OptimizerSettings,
-                 scaling: DepositScaling = DepositScaling.LITERAL,
-                 support: TriangleSupport = TriangleSupport.UNIT):
+                 scaling: DepositScaling = DepositScaling.LITERAL):
         self.horizon = checked_integer("horizon", horizon)
         self.model = DepositionModel(model)
         self.cal = cal
         self.constraints = constraints
         self.settings = settings
         self.scaling = DepositScaling(scaling)
-        self.support = TriangleSupport(support)
         self._warm: np.ndarray | None = None
         self._geometry_cache: dict = {}
-        self._radius = _reach_radius(cal, self.model, self.support, constraints)
+        self._radius = _reach_radius(cal, self.model, constraints)
 
     def plan_controls(self, plan_tail, applied, prescribed, previous: SpreaderControls,
                       grid: FieldGrid) -> SpreaderControls:
@@ -669,7 +664,7 @@ class RecedingHorizonController:
         self._geometry_cache = {key: entry for key, entry in self._geometry_cache.items()
                                 if key in keys}
         predictor = _Predictor(grid, poses, applied, prescribed, self.model, self.cal,
-                               self.scaling, self.support, self._geometry_cache, self._radius)
+                               self.scaling, self._geometry_cache, self._radius)
         controls, _ = _optimize(predictor, prev, warm, self.constraints, self.settings)
 
         self._warm = controls
@@ -678,15 +673,13 @@ class RecedingHorizonController:
 
 def make_controller(kind: ControllerKind, horizon: int, cal: CalibrationModel,
                     constraints: ControlConstraints, settings: OptimizerSettings,
-                    scaling: DepositScaling = DepositScaling.LITERAL,
-                    support: TriangleSupport = TriangleSupport.UNIT) -> RecedingHorizonController:
+                    scaling: DepositScaling = DepositScaling.LITERAL) -> RecedingHorizonController:
     """Build a controller by kind.  The greedy kind is the single-step
     full-model controller regardless of the requested horizon."""
     kind = ControllerKind(kind)
     if kind is ControllerKind.GREEDY:
         return RecedingHorizonController(DepositionModel.FULL_NORMAL, 1, cal, constraints,
-                                         settings, scaling, support)
+                                         settings, scaling)
     model = (DepositionModel.TRIANGLE if kind is ControllerKind.MPC_TRIANGLE
              else DepositionModel.FULL_NORMAL)
-    return RecedingHorizonController(model, horizon, cal, constraints, settings,
-                                     scaling, support)
+    return RecedingHorizonController(model, horizon, cal, constraints, settings, scaling)

@@ -40,6 +40,8 @@ class Scenario:
     controller: ControllerKind = ControllerKind.MPC_FULL
     horizon: int = 5
     scaling: DepositScaling = DepositScaling.LITERAL
+    # the triangle's one half-width, read by no run: the scenario file's
+    # required [run] triangle_support key sets it and the summary echoes it
     support: TriangleSupport = TriangleSupport.SIGMA
 
     def __post_init__(self):
@@ -106,7 +108,7 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
     n = len(states) - 1
     if controller is None:
         controller = make_controller(scenario.controller, scenario.horizon, cal, constraints,
-                                     settings, scenario.scaling, scenario.support)
+                                     settings, scenario.scaling)
 
     applied = scenario.grid.zeros()
     previous = scenario.initial_controls

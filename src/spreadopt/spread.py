@@ -11,11 +11,10 @@ deposited density at a cell is separable in two scalar coordinates:
 
 Two density shapes are available.  The full model multiplies two normal
 densities in ``X`` and ``Y``; the triangle model is a cheap surrogate with
-the same peak value that falls linearly to zero at unit offset, or at one
-full-width of the matching normal, as the shipped scenario and every
-benchmark workload set it.  The plant (:func:`total_deposit`) always
-deposits the full model; only a controller's prediction may use the
-surrogate.
+the same peak value that falls linearly to zero at one full width
+``sqrt(2 pi) sigma`` of the matching normal, so it discharges the same
+mass.  The plant (:func:`total_deposit`) always deposits the full model;
+only a controller's prediction may use the surrogate.
 
 Density-to-mass conversion is selectable: ``LITERAL`` stores the density
 value at the cell center as grams, which keeps peak amplitudes directly
@@ -66,10 +65,9 @@ class DepositScaling(str, enum.Enum):
 
 
 class TriangleSupport(str, enum.Enum):
-    """Half-width of the triangle surrogate: fixed at one, or one
-    full-width (sqrt(2*pi) sigma) of the matching normal."""
+    """Half-width of the triangle surrogate: one full width (sqrt(2*pi)
+    sigma) of the matching normal, its only form."""
 
-    UNIT = "unit"
     SIGMA = "sigma"
 
 
@@ -134,25 +132,20 @@ def bearing(cell: tuple[float, float], position: tuple[float, float], heading: f
     return -angle if cross < 0 else angle
 
 
-# The kernels below compare their model and support arguments with ``==``,
-# which a member and its string value both pass, rather than converting
-# them on every call; the public entry points (disc_deposit, total_deposit's
-# scaling and the controllers' constructors) convert them once, so an
-# unknown value raises ValueError there.
+# The kernels below compare their model argument with ``==``, which a
+# member and its string value both pass, rather than converting it on every
+# call; the public entry points (disc_deposit, total_deposit's scaling and
+# the controllers' constructors) convert it once, so an unknown value
+# raises ValueError there.  The triangle's half-widths are one full width,
+# ``SQRT_TWO_PI`` times the spread, on each axis.
 
-def _half_widths(sd: float, sa: float, support: TriangleSupport) -> tuple[float, float]:
-    if support == TriangleSupport.UNIT:
-        return 1.0, 1.0
-    return SQRT_TWO_PI * sd, SQRT_TWO_PI * sa
-
-
-def _reach(sd: float, sa: float, model: DepositionModel, support: TriangleSupport) -> float:
+def _reach(sd: float, sa: float, model: DepositionModel) -> float:
     """Radial offset beyond which one disc's density per gram of flow is
-    zero (triangle: the support half-width) or at most
+    zero (triangle: its radial half-width) or at most
     :data:`WINDOW_TOLERANCE` (normal: where the radial factor times the
     angular peak ``1 / (sqrt(2 pi) sa)`` falls to it, about 12 sigma)."""
     if model == DepositionModel.TRIANGLE:
-        return _half_widths(sd, sa, support)[0]
+        return SQRT_TWO_PI * sd
     # the tolerance over the density's peak per gram, 1 / (2 pi sd sa)
     ratio = 2.0 * math.pi * sd * sa * WINDOW_TOLERANCE
     if ratio >= 1.0:
@@ -167,8 +160,7 @@ def _reach(sd: float, sa: float, model: DepositionModel, support: TriangleSuppor
     return sd * math.sqrt(2.0 * math.log(inverse))
 
 
-def _density_factors(offsets, sd: float, sa: float, model: DepositionModel,
-                     support: TriangleSupport):
+def _density_factors(offsets, sd: float, sa: float, model: DepositionModel):
     """Radial and angular factors of one disc's density at the radial and
     angular offsets in the two rows of ``offsets``; the density is the mass
     flow times their product.  The normal model builds them in the rows
@@ -176,9 +168,9 @@ def _density_factors(offsets, sd: float, sa: float, model: DepositionModel,
     if model == DepositionModel.FULL_NORMAL:
         return _normal_factors(offsets, sd, sa)
     x, y = offsets
-    half_x, half_y = _half_widths(sd, sa, support)
-    return (np.maximum(0.0, 1.0 - np.abs(x) / half_x) / (SQRT_TWO_PI * sd),
-            np.maximum(0.0, 1.0 - np.abs(y) / half_y) / (SQRT_TWO_PI * sa))
+    half_x, half_y = SQRT_TWO_PI * sd, SQRT_TWO_PI * sa
+    return (np.maximum(0.0, 1.0 - np.abs(x) / half_x) / half_x,
+            np.maximum(0.0, 1.0 - np.abs(y) / half_y) / half_y)
 
 
 def _normal_factors(offsets: np.ndarray, sd: float, sa: float):
@@ -230,25 +222,26 @@ def conservative_scale(dist: np.ndarray, grid: FieldGrid) -> np.ndarray:
 
 def disc_deposit(dist: np.ndarray, angle: np.ndarray, scale, params: PatternParams,
                  model: DepositionModel,
-                 support: TriangleSupport = TriangleSupport.UNIT) -> np.ndarray:
+                 support: TriangleSupport = TriangleSupport.SIGMA) -> np.ndarray:
     """Per-cell deposit of one disc given precomputed pose geometry.
 
     ``scale`` is 1.0 for literal scaling or the array from
-    :func:`conservative_scale`.
+    :func:`conservative_scale`.  ``support`` must name the triangle's one
+    half-width, :attr:`TriangleSupport.SIGMA`, and changes nothing.
     """
-    factors = disc_factors(dist, angle, params, DepositionModel(model), TriangleSupport(support))
+    TriangleSupport(support)
+    factors = disc_factors(dist, angle, params, DepositionModel(model))
     return deposit_from_factors(params.mass_flow, factors, scale)
 
 
 def disc_factors(dist: np.ndarray, angle: np.ndarray, params: PatternParams,
-                 model: DepositionModel, support: TriangleSupport):
+                 model: DepositionModel):
     """The radial and angular density factors of one disc at the given
     geometry, ``(radial, angular)``: its deposit per gram of flow is their
     product times the area scale.  ``dist`` and ``angle`` are arrays of one
-    shape, an entry per cell.  ``model`` and ``support`` are not
-    validated."""
+    shape, an entry per cell.  ``model`` is not validated."""
     return _density_factors(_offsets(dist, angle, params), params.sigma_distance,
-                            params.sigma_angle, model, support)
+                            params.sigma_angle, model)
 
 
 def _offsets(dist: np.ndarray, angle: np.ndarray, params: PatternParams) -> np.ndarray:
@@ -288,25 +281,23 @@ def _normal_partials(value, offset, sigma):
     return d_center, d_sigma
 
 
-def _ramp_partials(factor, offset, sigma, half, sigma_scaled):
+def _ramp_partials(factor, offset, sigma):
     """One axis's triangle factor differentiated with respect to its
-    offset and to its spread; ``half`` is the support half-width, which
-    grows with the spread when ``sigma_scaled``."""
+    offset and to its spread, which sets both its normalization and its
+    half-width ``SQRT_TWO_PI * sigma``."""
+    half = SQRT_TWO_PI * sigma
     # a factor is positive exactly on the interior of its support
     inside = factor > 0.0
     # d(ramp)/d(offset) = -sign(offset)/half on the support interior, zero outside
-    d_offset = np.where(inside, -np.sign(offset) / half, 0.0) / (SQRT_TWO_PI * sigma)
-    # sigma enters the normalization always, and the half-width when scaled
-    d_sigma = -factor / sigma
-    if sigma_scaled:
-        d_sigma = d_sigma + np.where(inside, np.abs(offset) * SQRT_TWO_PI / half ** 2, 0.0) / (
-            SQRT_TWO_PI * sigma)
+    d_offset = np.where(inside, -np.sign(offset) / half, 0.0) / half
+    # sigma enters the normalization and the half-width
+    d_sigma = -factor / sigma + np.where(inside, np.abs(offset) * SQRT_TWO_PI / half ** 2,
+                                         0.0) / half
     return d_offset, d_sigma
 
 
 def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
-                          params: PatternParams, model: DepositionModel,
-                          support: TriangleSupport = TriangleSupport.UNIT, factors=None):
+                          params: PatternParams, model: DepositionModel, factors=None):
     """Partials of one disc's deposit with respect to its pattern
     parameters.
 
@@ -325,7 +316,7 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
     x = dist - params.center_distance
     y = angle - params.center_angle
     if factors is None:
-        factors = disc_factors(dist, angle, params, model, support)
+        factors = disc_factors(dist, angle, params, model)
     unit = deposit_from_factors(1.0, factors, scale)
 
     if model == DepositionModel.FULL_NORMAL:
@@ -339,10 +330,8 @@ def disc_deposit_partials(dist: np.ndarray, angle: np.ndarray, scale,
         return unit, d_dist, d_sigma_d, d_angle, d_sigma_a
 
     radial, angular = factors
-    half_x, half_y = _half_widths(sd, sa, support)
-    sigma_scaled = support == TriangleSupport.SIGMA
-    dradial_dx, dradial_dsd = _ramp_partials(radial, x, sd, half_x, sigma_scaled)
-    dangular_dy, dangular_dsa = _ramp_partials(angular, y, sa, half_y, sigma_scaled)
+    dradial_dx, dradial_dsd = _ramp_partials(radial, x, sd)
+    dangular_dy, dangular_dsa = _ramp_partials(angular, y, sa)
     # chain: d/d(center_distance) = d/dx * dx/d(center_distance) = dradial_dx * (-1)
     d_dist = D * scale * angular * dradial_dx * (-1.0)
     d_angle = D * scale * radial * dangular_dy * (-1.0)
@@ -410,13 +399,13 @@ def by_distance(grid: FieldGrid, cells: np.ndarray, dist: np.ndarray, angle: np.
     return BandGeometry(dist, angle[order], scale, cells[order], radius)
 
 
-def band_bounds(params: PatternParams, model: DepositionModel, support: TriangleSupport,
+def band_bounds(params: PatternParams, model: DepositionModel,
                 scaling: DepositScaling) -> tuple[float, float]:
     """Inner and outer distance of one disc's band: the cells whose
     distance from the vehicle lies within the pattern center distance plus
     or minus :func:`_reach`.  Under conservative scaling the band starts at
     the vehicle, since the ``cell_area / r`` factor is unbounded there."""
-    reach = _reach(params.sigma_distance, params.sigma_angle, model, support)
+    reach = _reach(params.sigma_distance, params.sigma_angle, model)
     outer = params.center_distance + reach
     # equal to the member or to its value, without an enum lookup per band
     if scaling == DepositScaling.CONSERVATIVE:
@@ -452,9 +441,9 @@ def total_deposit(state, left: PatternParams, right: PatternParams, grid: FieldG
         raise ShapeError(
             "left pattern must have a negative center angle and right a positive one, "
             f"got {left.center_angle} and {right.center_angle}")
-    model, support = DepositionModel.FULL_NORMAL, TriangleSupport.UNIT
+    model = DepositionModel.FULL_NORMAL
     scaling = DepositScaling(scaling)
-    bounds = [band_bounds(params, model, support, scaling) for params in (left, right)]
+    bounds = [band_bounds(params, model, scaling) for params in (left, right)]
     radius = max(outer for _, outer in bounds)
     cells, cx, cy = reach_box(grid, state.x, state.y, radius)
     dist, angle = pose_geometry(cx, cy, state.x, state.y, state.heading)
@@ -465,5 +454,5 @@ def total_deposit(state, left: PatternParams, right: PatternParams, grid: FieldG
         _, cells, dist, angle, scale = band(geometry, inner, outer)
         # the model stays the fifth positional argument, where the
         # benchmark tracer reads it
-        flat[cells] += disc_deposit(dist, angle, scale, params, model, support)
+        flat[cells] += disc_deposit(dist, angle, scale, params, model)
     return out

@@ -121,7 +121,7 @@ def field_order_prediction(predictor, controls):
     order, every column built), and each disc's band cells.
     ``predictor.geometry[0]`` must reach both bands."""
     values = np.asarray(controls, dtype=float).reshape(4).tolist()
-    cal, model, support = predictor.cal, predictor.model, predictor.support
+    cal, model = predictor.cal, predictor.model
     amount = predictor.applied.copy()
     S = np.zeros((predictor.n_cells, 4))
     bands = []
@@ -129,10 +129,10 @@ def field_order_prediction(predictor, controls):
         rpm = values[rpm_col]
         params = pattern_from_controls(rpm, values[flow_col], cal, side)
         _, cells, dist, angle, scale = band(
-            predictor.geometry[0], *band_bounds(params, model, support, predictor.scaling))
-        amount[cells] += disc_deposit(dist, angle, scale, params, model, support)
+            predictor.geometry[0], *band_bounds(params, model, predictor.scaling))
+        amount[cells] += disc_deposit(dist, angle, scale, params, model)
         unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(dist, angle, scale, params,
-                                                                  model, support)
+                                                                  model)
         S[cells, flow_col] = unit
         S[cells, rpm_col] = (d_dist * cal.distance_slope(rpm)
                              + d_sd * cal.sigma_distance_slope(rpm)

@@ -80,8 +80,7 @@ def test_a_traced_run_deposits_the_normal_model_twice_per_step(monkeypatch, kind
     grid = FieldGrid(60.0, 12)
     plan = DrivePlan(TractorState(10.0, 30.0, 0.0), (DriveCommand(5.0, 0.0, 3.0),))
     scenario = Scenario(grid, np.full((12, 12), 4.0), plan, 1.0,
-                        SpreaderControls(45.0, 45.0, 600.0, 600.0), controller=kind, horizon=2,
-                        support="sigma")
+                        SpreaderControls(45.0, 45.0, 600.0, 600.0), controller=kind, horizon=2)
     tracer = Tracer()
     tracer.install()
     try:

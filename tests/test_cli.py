@@ -11,13 +11,14 @@ import pytest
 
 import spreadopt
 from spreadopt import (ConfigurationError, ControllerKind, DepositionModel, DepositScaling,
-                       NumericalFailureError, OptimizerSettings, TriangleSupport)
+                       NumericalFailureError, OptimizerSettings)
 from spreadopt.cli import main
 from spreadopt.calibration import _PATTERN_KEYS, ControlConstraints
 from spreadopt.config import (_SCENARIO_SECTIONS, default_calibration_path,
                               default_scenario_path, field_names, load_scenario)
 from spreadopt.controllers import RecedingHorizonController
 from spreadopt.simulation import read_trace
+from spreadopt.spread import TriangleSupport
 
 TINY_SCENARIO = """\
 [field]
@@ -41,7 +42,7 @@ dt = 1
 controller = greedy
 horizon = 2
 scaling = literal
-triangle_support = unit
+triangle_support = sigma
 
 [controls]
 flow_left = 45
@@ -360,13 +361,18 @@ def scenario_with_run_key(tmp_path, key, value, name="choice.ini"):
 
 
 @pytest.mark.parametrize("key, kind", RUN_CHOICES)
-def test_unknown_run_choice_names_the_key_and_the_allowed_values(tmp_path, key, kind):
-    with pytest.raises(ConfigurationError) as excinfo:
-        load_scenario(scenario_with_run_key(tmp_path, key, "bogus"))
-    message = str(excinfo.value)
-    assert f"unknown {key} 'bogus'" in message
-    for member in kind:
-        assert repr(member.value) in message
+def test_unknown_run_choice_names_the_key_and_the_allowed_values(tmp_path, key, kind, capsys):
+    # unit is the triangle support that older scenario files may still hold
+    for value in ("bogus", "unit") if key == "triangle_support" else ("bogus",):
+        path = scenario_with_run_key(tmp_path, key, value)
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_scenario(path)
+        message = str(excinfo.value)
+        assert f"unknown {key} {value!r}" in message
+        for member in kind:
+            assert repr(member.value) in message
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("key, kind", RUN_CHOICES)
@@ -573,7 +579,10 @@ def test_validate_flags_a_plan_that_does_not_integrate_at_dt(tmp_path, capsys):
     ("    5 0 3", "    -5 0 3", "plan"),
     ("dt = 1", "dt = 0", "run"),
     ("horizon = 2", "horizon = 0", "run"),
-], ids=["n_cells", "side_length", "uniform", "start_x", "segment", "dt", "horizon"])
+    # about 7 EiB, which no allocation can take even in part
+    ("n_cells = 8", "n_cells = 1000000000", "field"),
+], ids=["n_cells", "side_length", "uniform", "start_x", "segment", "dt", "horizon",
+        "n_cells_too_large"])
 def test_an_out_of_range_scenario_value_names_the_file_and_the_section(tmp_path, capsys, line,
                                                                        broken, section):
     assert TINY_SCENARIO.count(line) == 1
@@ -584,7 +593,7 @@ def test_an_out_of_range_scenario_value_names_the_file_and_the_section(tmp_path,
 
 
 def test_a_misspelt_run_key_is_rejected(tmp_path, capsys):
-    # the shipped scenario sets sigma; a misspelt key must not fall back to unit
+    # a misspelt key is rejected, not read as the shipped sigma
     text = default_scenario_path().read_text()
     assert "triangle_support = sigma" in text
     code, err = validate_with(tmp_path, capsys,

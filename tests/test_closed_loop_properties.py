@@ -2,12 +2,12 @@
 
 Each example draws a field of 6-30 cells per side with a random zone
 prescription, a drive plan of 1-3 segments from a start anywhere in or
-near the field, any controller with a horizon of 1-4, either scaling,
-either triangle support and an initial control anywhere in the actuator
-boxes (edges included).  The run must emit only controls that meet the
-boxes and the 2-norm pair rate limit, must repeat bitwise, and for the
-full-model controllers (greedy and mpc-full) the predictor's cost of each
-applied control must equal the plant's cost after that step.
+near the field, any controller with a horizon of 1-4, either scaling and
+an initial control anywhere in the actuator boxes (edges included).  The
+run must emit only controls that meet the boxes and the 2-norm pair rate
+limit, must repeat bitwise, and for the full-model controllers (greedy and
+mpc-full) the predictor's cost of each applied control must equal the
+plant's cost after that step.
 """
 
 import math
@@ -32,7 +32,6 @@ from spreadopt import (
     run,
 )
 from spreadopt import controllers
-from spreadopt.spread import TriangleSupport
 
 from checks import chain_feasible, controls_in_boxes
 
@@ -62,7 +61,7 @@ def scenarios(draw):
     return Scenario(grid, prescription, DrivePlan(start, tuple(segments)), 1.0,
                     draw(controls_in_boxes(CONSTRAINTS)),
                     draw(st.sampled_from(ControllerKind)), draw(st.integers(1, 4)),
-                    draw(st.sampled_from(DepositScaling)), draw(st.sampled_from(TriangleSupport)))
+                    draw(st.sampled_from(DepositScaling)))
 
 
 class _Recorder:
@@ -79,7 +78,7 @@ class _Recorder:
 
 def _run(scenario):
     recorder = _Recorder(make_controller(scenario.controller, scenario.horizon, CAL, CONSTRAINTS,
-                                         SETTINGS, scenario.scaling, scenario.support))
+                                         SETTINGS, scenario.scaling))
     return run(scenario, CAL, CONSTRAINTS, SETTINGS, controller=recorder), recorder.calls
 
 
@@ -96,7 +95,7 @@ def _check_closed_loop(scenario):
             predictor = controllers._Predictor(scenario.grid, [pose], applied,
                                                scenario.prescription,
                                                DepositionModel.FULL_NORMAL, CAL,
-                                               scenario.scaling, scenario.support)
+                                               scenario.scaling)
             assert predictor.cost(controls[None, :]) == pytest.approx(plant, rel=1e-9, abs=1e-9)
 
     again, _ = _run(scenario)

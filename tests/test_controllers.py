@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -29,9 +30,13 @@ from spreadopt import (
     trajectory,
     DriveCommand,
     DrivePlan,
+    default_calibration_path,
+    default_scenario_path,
+    load_calibration,
+    load_scenario,
 )
 from spreadopt import controllers, spread
-from spreadopt.spread import SQRT_TWO_PI, TriangleSupport
+from spreadopt.spread import SQRT_TWO_PI
 
 from checks import analytic_gradient, central_difference_gradient, chain_feasible, clamp_controls
 from replay import ScheduleReplayController
@@ -240,8 +245,7 @@ def band_jacobians(draw):
     grid = FieldGrid(side, n)
     predictor = controllers._Predictor(
         grid, poses, rng.uniform(0.0, 30.0, (n, n)), rng.choice([0.0, 12.0, 30.0], (n, n)),
-        draw(st.sampled_from(DepositionModel)), CAL, draw(st.sampled_from(DepositScaling)),
-        draw(st.sampled_from(TriangleSupport)))
+        draw(st.sampled_from(DepositionModel)), CAL, draw(st.sampled_from(DepositScaling)))
     lo, hi = DEFAULT_CONSTRAINTS.lower(), DEFAULT_CONSTRAINTS.upper()
     controls = rng.uniform(lo, hi, (horizon, 4))
     masks = (rng.random((horizon, 4)) >= draw(st.floats(0.0, 0.5))).astype(float)
@@ -795,18 +799,17 @@ def test_a_non_finite_integer_field_is_a_configuration_error(field, value):
     build(2.0)
 
 
-@pytest.mark.parametrize("field", ["model", "scaling", "support"])
-def test_constructors_reject_an_unknown_model_scaling_or_support(field):
+@pytest.mark.parametrize("field", ["model", "scaling"])
+def test_constructors_reject_an_unknown_model_or_scaling(field):
     grid, prescribed = small_field()
     args = {"model": DepositionModel.FULL_NORMAL, "scaling": DepositScaling.LITERAL,
-            "support": TriangleSupport.UNIT, field: "bogus"}
+            field: "bogus"}
     with pytest.raises(ValueError, match="'bogus' is not a valid"):
         controllers._Predictor(grid, [TractorState(20.0, 20.0, 0.0)], grid.zeros(), prescribed,
-                               args["model"], CAL, args["scaling"], args["support"])
+                               args["model"], CAL, args["scaling"])
     with pytest.raises(ValueError, match="'bogus' is not a valid"):
         controllers.RecedingHorizonController(args["model"], 2, CAL, DEFAULT_CONSTRAINTS,
-                                              OptimizerSettings(), args["scaling"],
-                                              args["support"])
+                                              OptimizerSettings(), args["scaling"])
 
 
 # --- controller steps -------------------------------------------------------
@@ -859,6 +862,24 @@ def test_greedy_controller_forces_a_single_step_horizon():
                                  OptimizerSettings())
     assert controller.horizon == 1
     assert controller.model is DepositionModel.FULL_NORMAL
+
+
+def test_the_library_mpc_triangle_decides_as_the_packaged_one():
+    # make_controller's defaults predict with the packaged scenario's
+    # triangle: on the shipped plan cut to three steps, the library's
+    # mpc-triangle decides bitwise as the packaged run's
+    config = load_scenario(default_scenario_path())
+    cal, constraints = load_calibration(default_calibration_path())
+    shipped = config.scenario
+    first = shipped.plan.segments[0]
+    plan = DrivePlan(shipped.plan.start, (DriveCommand(first.speed, first.turn_rate, 3.0),))
+    scenario = dataclasses.replace(shipped, plan=plan, controller=ControllerKind.MPC_TRIANGLE)
+    packaged = run(scenario, cal, constraints, config.settings)
+    library = make_controller(ControllerKind.MPC_TRIANGLE, scenario.horizon, cal, constraints,
+                              config.settings)
+    record = run(scenario, cal, constraints, config.settings, controller=library)
+    assert record.n_steps == packaged.n_steps == 3
+    assert record.controls.tobytes() == packaged.controls.tobytes()
 
 
 def test_receding_horizon_controller_truncates_at_the_plan_end():

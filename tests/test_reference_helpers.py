@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spreadopt import CalibrationDomainError, PatternParams, controllers, spread
-from spreadopt.spread import DepositionModel, TriangleSupport
+from spreadopt.spread import DepositionModel
 
 from checks import (clip_masks_reference, fold_jacobian_reference, normal_equations_reference,
                     normal_factor_reference, pattern_domain_error_reference, unroll_reference)
@@ -94,8 +94,7 @@ def test_normal_factors_match_the_one_axis_reference(n, sd, sa, seed, zero_frac)
     # the kernel the plant and the predictor call, on a band's geometry
     params = PatternParams(1.0, 15.0, sd, -0.8, sa)
     dist, angle = x + 15.0, y - 0.8
-    factors = spread.disc_factors(dist, angle, params, DepositionModel.FULL_NORMAL,
-                                  TriangleSupport.UNIT)
+    factors = spread.disc_factors(dist, angle, params, DepositionModel.FULL_NORMAL)
     assert factors[0].tobytes() == normal_factor_reference(dist - 15.0, sd).tobytes()
     assert factors[1].tobytes() == normal_factor_reference(angle + 0.8, sa).tobytes()
 

@@ -2,12 +2,11 @@
 
 Each example draws a field of 6-30 cells per side, a driven tail of 1-4
 poses, random applied and prescribed maps, either deposition model, either
-scaling and either triangle support, a previous control anywhere in the
-actuator boxes (edges included) and a feasible warm start whose pair
-changes reach up to the full rate disc.  ``controllers._optimize`` must
-return a schedule that meets the boxes and the 2-norm pair rate limit,
-predicts no worse than the warm start, and is bitwise the same on a second
-call.
+scaling, a previous control anywhere in the actuator boxes (edges
+included) and a feasible warm start whose pair changes reach up to the
+full rate disc.  ``controllers._optimize`` must return a schedule that
+meets the boxes and the 2-norm pair rate limit, predicts no worse than the
+warm start, and is bitwise the same on a second call.
 """
 
 import math
@@ -29,7 +28,6 @@ from spreadopt import (
     trajectory,
 )
 from spreadopt import controllers
-from spreadopt.spread import TriangleSupport
 
 from checks import chain_feasible, controls_in_boxes
 
@@ -52,8 +50,7 @@ def problems(draw):
     grid = FieldGrid(side, n)
     predictor = controllers._Predictor(
         grid, poses, applied, prescribed, draw(st.sampled_from(DepositionModel)),
-        DEFAULT_CALIBRATION, draw(st.sampled_from(DepositScaling)),
-        draw(st.sampled_from(TriangleSupport)))
+        DEFAULT_CALIBRATION, draw(st.sampled_from(DepositScaling)))
 
     lo, hi = CONSTRAINTS.lower(), CONSTRAINTS.upper()
     previous = draw(controls_in_boxes(CONSTRAINTS))
@@ -132,7 +129,7 @@ def _fresh(predictor):
     return controllers._Predictor(predictor.grid, predictor.poses,
                                   predictor.applied.reshape(n, n),
                                   predictor.target.reshape(n, n), predictor.model,
-                                  predictor.cal, predictor.scaling, predictor.support)
+                                  predictor.cal, predictor.scaling)
 
 
 def _jacobian_bytes(predictor, controls):

@@ -13,12 +13,12 @@ from spreadopt import (
     PatternParams,
     ShapeError,
     TractorState,
-    TriangleSupport,
     bearing,
     total_deposit,
 )
 from spreadopt.spread import (
     SQRT_TWO_PI,
+    TriangleSupport,
     _density_factors,
     deposit_from_factors,
     disc_deposit,
@@ -29,17 +29,16 @@ from spreadopt.spread import (
 PARAMS = PatternParams(45.0, 15.0, 2.0, 0.8, 0.3)
 
 
-def density(x, y, params, model=DepositionModel.FULL_NORMAL, support=TriangleSupport.UNIT):
+def density(x, y, params, model=DepositionModel.FULL_NORMAL):
     """One disc's density at radial offsets ``x`` and angular offsets ``y``
     (which may broadcast), as the kernels build it from its two factors."""
     offsets = np.array(np.broadcast_arrays(x, y), dtype=float)
-    factors = _density_factors(offsets, params.sigma_distance, params.sigma_angle, model,
-                               support)
+    factors = _density_factors(offsets, params.sigma_distance, params.sigma_angle, model)
     return deposit_from_factors(params.mass_flow, factors, 1.0)
 
 
-def triangle(x, y, params, support=TriangleSupport.UNIT):
-    return density(x, y, params, DepositionModel.TRIANGLE, support)
+def triangle(x, y, params):
+    return density(x, y, params, DepositionModel.TRIANGLE)
 
 
 def make_pair(flow_left=45.0, flow_right=45.0, d=15.0, sd=2.0, psi=0.8, sa=0.3):
@@ -125,15 +124,9 @@ def test_triangle_and_normal_peaks_agree(flow, d, sd, psi, sa):
     assert triangle(0.0, 0.0, p) == pytest.approx(density(0.0, 0.0, p), rel=1e-12)
 
 
-def test_triangle_unit_support_cuts_off_at_one():
-    assert triangle(1.0, 0.0, PARAMS) == 0.0
-    assert triangle(-1.5, 0.0, PARAMS) == 0.0
-    assert triangle(0.0, 1.0, PARAMS) == 0.0
-    assert triangle(0.999, 0.0, PARAMS) > 0.0
-
-
 def test_triangle_halfway_value():
-    value = triangle(0.5, 0.0, PARAMS)
+    # halfway to the radial edge of the support
+    value = triangle(0.5 * SQRT_TWO_PI * PARAMS.sigma_distance, 0.0, PARAMS)
     assert value == pytest.approx(45.0 * 0.5 / (2 * math.pi * 2.0 * 0.3), rel=1e-12)
     assert value == pytest.approx(5.9683, abs=5e-5)
 
@@ -141,9 +134,11 @@ def test_triangle_halfway_value():
 def test_triangle_sigma_support_scales_with_the_widths():
     p = PARAMS
     wide = SQRT_TWO_PI * p.sigma_distance
-    assert triangle(wide, 0.0, p, TriangleSupport.SIGMA) == 0.0
-    assert triangle(0.9 * wide, 0.0, p, TriangleSupport.SIGMA) > 0.0
-    half = triangle(0.5 * wide, 0.0, p, TriangleSupport.SIGMA)
+    assert triangle(wide, 0.0, p) == 0.0
+    assert triangle(-1.5 * wide, 0.0, p) == 0.0
+    assert triangle(0.0, SQRT_TWO_PI * p.sigma_angle, p) == 0.0
+    assert triangle(0.9 * wide, 0.0, p) > 0.0
+    half = triangle(0.5 * wide, 0.0, p)
     peak = density(0.0, 0.0, p)
     assert half == pytest.approx(0.5 * peak, rel=1e-12)
 
@@ -153,7 +148,7 @@ def test_sigma_support_triangle_mass_matches_the_flow():
     p = PatternParams(45.0, 15.0, 2.0, 0.8, 0.3)
     xs = np.linspace(-6.0, 6.0, 4001)[:, None]
     ys = np.linspace(-1.0, 1.0, 4001)[None, :]
-    q = triangle(xs, ys, p, TriangleSupport.SIGMA)
+    q = triangle(xs, ys, p)
     mass = np.trapezoid(np.trapezoid(q, ys.ravel(), axis=1), xs.ravel())
     assert mass == pytest.approx(45.0, rel=1e-3)
 
@@ -252,7 +247,7 @@ def test_tractor_on_a_cell_center_stays_finite():
 
 def test_entry_points_reject_an_unknown_model_or_support():
     # the kernels compare these arguments with ==, so an unknown value must
-    # be caught where it enters
+    # be caught where it enters; older scenario files may still name "unit"
     dist, angle = np.array([14.0, 15.0]), np.array([0.7, 0.8])
     left, right = make_pair()
     grid = FieldGrid(60.0, 12)
@@ -260,10 +255,11 @@ def test_entry_points_reject_an_unknown_model_or_support():
     calls = [
         lambda: disc_deposit(dist, angle, 1.0, PARAMS, "bogus"),
         lambda: disc_deposit(dist, angle, 1.0, PARAMS, DepositionModel.TRIANGLE, "bogus"),
+        lambda: disc_deposit(dist, angle, 1.0, PARAMS, DepositionModel.TRIANGLE, "unit"),
         lambda: total_deposit(state, left, right, grid, "bogus"),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="'bogus' is not a valid"):
+        with pytest.raises(ValueError, match="'(bogus|unit)' is not a valid"):
             call()
     # a member's value is accepted as the member
     assert np.array_equal(disc_deposit(dist, angle, 1.0, PARAMS, "triangle", "sigma"),
@@ -279,12 +275,8 @@ def _fd_partial(make, base, name, eps):
     return (make(**hi) - make(**lo)) / (2 * eps)
 
 
-@pytest.mark.parametrize("model,support", [
-    (DepositionModel.FULL_NORMAL, TriangleSupport.UNIT),
-    (DepositionModel.TRIANGLE, TriangleSupport.UNIT),
-    (DepositionModel.TRIANGLE, TriangleSupport.SIGMA),
-])
-def test_disc_partials_match_finite_differences(model, support):
+@pytest.mark.parametrize("model", list(DepositionModel))
+def test_disc_partials_match_finite_differences(model):
     rng = np.random.default_rng(11)
     dist = rng.uniform(5.0, 25.0, 40)
     angle = rng.uniform(-2.0, 2.0, 40)
@@ -293,9 +285,9 @@ def test_disc_partials_match_finite_differences(model, support):
                 center_angle=0.8, sigma_angle=0.3)
 
     def value(**kw):
-        return disc_deposit(dist, angle, scale, PatternParams(**kw), model, support)
+        return disc_deposit(dist, angle, scale, PatternParams(**kw), model)
 
-    got = disc_deposit_partials(dist, angle, scale, PatternParams(**base), model, support)
+    got = disc_deposit_partials(dist, angle, scale, PatternParams(**base), model)
     unit, d_dist, d_sigma_d, d_angle, d_sigma_a = got
 
     eps = 1e-6

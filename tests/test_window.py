@@ -40,9 +40,8 @@ from spreadopt import (
     trajectory,
 )
 from spreadopt import controllers, spread
-from spreadopt.spread import (DEGENERATE_RADIUS, WINDOW_TOLERANCE, PatternParams,
-                              TriangleSupport, band, band_bounds, conservative_scale,
-                              pose_geometry)
+from spreadopt.spread import (DEGENERATE_RADIUS, WINDOW_TOLERANCE, PatternParams, band,
+                              band_bounds, conservative_scale, pose_geometry)
 
 from checks import field_order_prediction
 
@@ -57,8 +56,8 @@ PEAKED = CalibrationModel(distance_coeffs=(0.0, 15.0),
                           sigma_angle_coeffs=CAL.sigma_angle_coeffs)
 
 
-def _box_radius(cal, model, support):
-    return controllers._reach_radius(cal, model, support, DEFAULT_CONSTRAINTS)
+def _box_radius(cal, model):
+    return controllers._reach_radius(cal, model, DEFAULT_CONSTRAINTS)
 
 
 def _dense_rpm_column(partials, rpm, sign):
@@ -76,11 +75,10 @@ def _dense_rpm_column(partials, rpm, sign):
        flows=st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 200.0)),
        rpms=st.tuples(st.floats(300.0, 900.0), st.floats(300.0, 900.0)),
        model=st.sampled_from(DepositionModel),
-       support=st.sampled_from(TriangleSupport),
        scaling=st.sampled_from(DepositScaling),
        on_cell=st.one_of(st.none(), st.floats(0.0, 0.5 * DEGENERATE_RADIUS)))
 def test_windowed_predictor_matches_the_dense_kernel(n, side, fx, fy, heading, flows, rpms,
-                                                      model, support, scaling, on_cell):
+                                                      model, scaling, on_cell):
     grid = FieldGrid(side, n)
     cx, cy = grid.center_mesh()
     if on_cell is None:
@@ -91,7 +89,7 @@ def test_windowed_predictor_matches_the_dense_kernel(n, side, fx, fy, heading, f
         j = min(int(np.clip(fy, 0.0, 1.0) * n), n - 1)
         pose = TractorState(float(cx[j, i]) + on_cell, float(cy[j, i]), heading)
     predictor = controllers._Predictor(grid, [pose], grid.zeros(), grid.zeros(), model, CAL,
-                                       scaling, support, radius=_box_radius(CAL, model, support))
+                                       scaling, radius=_box_radius(CAL, model))
     controls = np.array([[flows[0], flows[1], rpms[0], rpms[1]]])
 
     dist, angle = pose_geometry(cx, cy, pose.x, pose.y, pose.heading)
@@ -124,16 +122,15 @@ def test_windowed_predictor_matches_the_dense_kernel(n, side, fx, fy, heading, f
                                                               deposits):
         rpm = controls[0, rpm_col]
         params = pattern_from_controls(rpm, controls[0, flow_col], CAL, side_name)
-        cells = band(predictor.geometry[0], *band_bounds(params, model, support, scaling))[1]
+        cells = band(predictor.geometry[0], *band_bounds(params, model, scaling))[1]
         bands.append(cells)
         outside = np.ones(dist.size, dtype=bool)
         outside[cells] = False
         # rows of the other disc's band outside this one's
         others = row_of[outside & (row_of >= 0)]
 
-        dense = spread.disc_deposit(dist, angle, dense_scale, params, model, support)
-        partials = spread.disc_deposit_partials(dist, angle, dense_scale, params, model,
-                                                support)
+        dense = spread.disc_deposit(dist, angle, dense_scale, params, model)
+        partials = spread.disc_deposit_partials(dist, angle, dense_scale, params, model)
         unit = partials[0]
         rpm_column = _dense_rpm_column(partials, float(rpm), sign)
 
@@ -188,17 +185,17 @@ def reach_box_problems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(problem=reach_box_problems(), model=st.sampled_from(DepositionModel),
-       scaling=st.sampled_from(DepositScaling), support=st.sampled_from(TriangleSupport),
-       cal=st.sampled_from([CAL, PEAKED]), sized=st.booleans())
-def test_reach_box_predictor_equals_the_whole_field_predictor(problem, model, scaling,
-                                                              support, cal, sized):
+       scaling=st.sampled_from(DepositScaling), cal=st.sampled_from([CAL, PEAKED]),
+       sized=st.booleans())
+def test_reach_box_predictor_equals_the_whole_field_predictor(problem, model, scaling, cal,
+                                                              sized):
     grid, poses, applied, prescribed, controls = problem
     # the controller's box, or an empty one that only the guard grows
-    radius = _box_radius(cal, model, support) if sized else 0.0
+    radius = _box_radius(cal, model) if sized else 0.0
 
     def predictor(radius):
         return controllers._Predictor(grid, poses, applied, prescribed, model, cal, scaling,
-                                      support, radius=radius)
+                                      radius=radius)
 
     boxed, whole = predictor(radius), predictor(math.inf)
     assert boxed.cost(controls) == whole.cost(controls)
@@ -216,10 +213,10 @@ def test_reach_box_predictor_equals_the_whole_field_predictor(problem, model, sc
 
 
 def test_the_box_radius_covers_the_actuator_box_and_a_wider_band_grows_it():
-    model, support = DepositionModel.FULL_NORMAL, TriangleSupport.UNIT
-    radius = _box_radius(PEAKED, model, support)
+    model = DepositionModel.FULL_NORMAL
+    radius = _box_radius(PEAKED, model)
     at = {rpm: PEAKED.distance(rpm) + spread._reach(PEAKED.sigma_distance(rpm),
-                                                    PEAKED.sigma_angle(rpm), model, support)
+                                                    PEAKED.sigma_angle(rpm), model)
           for rpm in (DEFAULT_CONSTRAINTS.rpm_min, 611.0, DEFAULT_CONSTRAINTS.rpm_max)}
     # the reach peaks strictly inside the range, and the box covers the peak
     assert radius >= at[611.0] > max(at[DEFAULT_CONSTRAINTS.rpm_min],
@@ -241,12 +238,11 @@ def test_the_box_radius_covers_the_actuator_box_and_a_wider_band_grows_it():
 def test_the_box_radius_bounds_every_band_in_the_actuator_box(cal):
     rpms = np.linspace(DEFAULT_CONSTRAINTS.rpm_min, DEFAULT_CONSTRAINTS.rpm_max, 1201)
     for model in DepositionModel:
-        for support in TriangleSupport:
-            radius = _box_radius(cal, model, support)
-            outer = max(band_bounds(pattern_from_controls(rpm, 45.0, cal, "right"), model,
-                                    support, DepositScaling.LITERAL)[1]
-                        for rpm in rpms.tolist())
-            assert outer <= radius < outer + 0.1
+        radius = _box_radius(cal, model)
+        outer = max(band_bounds(pattern_from_controls(rpm, 45.0, cal, "right"), model,
+                                DepositScaling.LITERAL)[1]
+                    for rpm in rpms.tolist())
+        assert outer <= radius < outer + 0.1
 
 
 def _closed_form_reach(sd, sa):
@@ -273,16 +269,15 @@ SPREADS = st.one_of(
 def test_the_reach_is_finite_and_non_negative_for_any_spread(exponents):
     sd, sa = (10.0 ** e for e in exponents)
     for model in DepositionModel:
-        for support in TriangleSupport:
-            reach = spread._reach(sd, sa, model, support)
-            assert math.isfinite(reach) and reach >= 0.0
+        reach = spread._reach(sd, sa, model)
+        assert math.isfinite(reach) and reach >= 0.0
 
 
 @settings(max_examples=400, deadline=None)
 @given(exponents=SPREADS)
 def test_the_normal_reach_is_the_closed_form_or_its_limit(exponents):
     sd, sa = (10.0 ** e for e in exponents)
-    reach = spread._reach(sd, sa, DepositionModel.FULL_NORMAL, TriangleSupport.UNIT)
+    reach = spread._reach(sd, sa, DepositionModel.FULL_NORMAL)
     closed = _closed_form_reach(sd, sa)
     if 2.0 * math.pi * sd * sa * WINDOW_TOLERANCE >= 1.0:
         # the density per gram is at or below the tolerance everywhere
@@ -374,7 +369,7 @@ def test_the_plant_is_the_full_model_predictor_on_an_empty_map(n, side, fx, fy, 
     grid = FieldGrid(side, n)
     pose = TractorState(fx * side, fy * side, heading)
     model = DepositionModel.FULL_NORMAL
-    radius = _box_radius(CAL, model, TriangleSupport.UNIT) if boxed else math.inf
+    radius = _box_radius(CAL, model) if boxed else math.inf
     predictor = controllers._Predictor(grid, [pose], grid.zeros(), grid.zeros(), model, CAL,
                                        scaling, radius=radius)
     controls = SpreaderControls(*flows, *rpms)
@@ -428,28 +423,28 @@ def single_pose_schedules(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(problem=single_pose_schedules(), model=st.sampled_from(DepositionModel),
-       scaling=st.sampled_from(DepositScaling), support=st.sampled_from(TriangleSupport),
-       cal=st.sampled_from([CAL, NARROW]), box=st.sampled_from(["actuator", "first", "empty"]))
-def test_a_single_pose_prediction_is_the_field_order_prediction(problem, model, scaling,
-                                                                support, cal, box):
+       scaling=st.sampled_from(DepositScaling), cal=st.sampled_from([CAL, NARROW]),
+       box=st.sampled_from(["actuator", "first", "empty"]))
+def test_a_single_pose_prediction_is_the_field_order_prediction(problem, model, scaling, cal,
+                                                                box):
     # a single pose sums its cost on its windows' union only: its residual
     # and Jacobian rows stay bitwise, its cost within rounding
     grid, pose, applied, prescribed, schedule = problem
     if box == "actuator":
-        radius = _box_radius(cal, model, support)
+        radius = _box_radius(cal, model)
     elif box == "first":
         # the first controls' widest band: a later wider one grows the box
         # while the other disc keeps its window
         radius = max(band_bounds(pattern_from_controls(schedule[0][rpm_col],
                                                        schedule[0][flow_col], cal, side_name),
-                                 model, support, scaling)[1]
+                                 model, scaling)[1]
                      for flow_col, rpm_col, side_name, _ in controllers._DISC_COLUMNS)
     else:
         radius = 0.0
 
     def predictor(radius):
         return controllers._Predictor(grid, [pose], applied, prescribed, model, cal, scaling,
-                                      support, radius=radius)
+                                      radius=radius)
 
     boxed, whole = predictor(radius), predictor(math.inf)
     ones = np.ones((1, 4))
@@ -499,7 +494,7 @@ def _spy_kernels(monkeypatch):
     return sizes
 
 
-def _whole_grid(params, model, support, scaling):
+def _whole_grid(params, model, scaling):
     return 0.0, math.inf
 
 
