@@ -93,3 +93,34 @@ def test_a_traced_run_deposits_the_normal_model_twice_per_step(monkeypatch, kind
     assert spans["simulation.plant_deposit"]["calls"] == record.n_steps
     assert spans["spread.deposit.normal"]["calls"] == 2 * record.n_steps
     assert "spread.deposit.triangle" not in spans
+
+
+def test_the_kernel_probe_times_every_kernel_on_the_package(monkeypatch):
+    # bench/probe.py imports spread.TriangleSupport and passes its SIGMA
+    # member sixth to disc_deposit: deleting either breaks the probe that a
+    # --trace 1 run ends with
+    monkeypatch.syspath_prepend(str(BENCH))
+    import probe
+
+    monkeypatch.setattr(probe, "SIZES", (12,))
+    monkeypatch.setattr(probe, "REPEATS", 1)
+    out = probe.probe()
+    kernels = ("geometry", "deposit_normal", "deposit_triangle", "partials")
+    assert set(out) == {f"{kernel}.n12" for kernel in kernels} | {"n12"}
+    assert all(np.isfinite(value) and value > 0.0 for value in out.values())
+
+
+@pytest.mark.parametrize("name", ["paper-compare", "large-field-greedy", "long-horizon-mpc"])
+def test_a_generated_workload_loads_with_the_shipped_triangle_support(monkeypatch, tmp_path,
+                                                                      name):
+    # bench/workloads.py copies the shipped Scenario.support into every
+    # generated scenario's [run] triangle_support key
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    from spreadopt.spread import TriangleSupport
+
+    inputs = workloads.generate(name, tmp_path)
+    config, _ = workloads.validate(inputs)
+    assert "triangle_support = sigma" in inputs.scenario.read_text()
+    assert config.scenario.support is TriangleSupport.SIGMA
