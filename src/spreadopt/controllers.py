@@ -74,17 +74,18 @@ class ControllerKind(str, enum.Enum):
     MPC_FULL = "mpc-full"
 
 
+# the optimizer keys that nothing reads, and the one value each accepts
+_PINNED = {"finite_diff_epsilon": 1e-5, "gauss_newton": True, "restarts": 0, "seed": 0}
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Tuning knobs of the schedule optimizer.
 
     ``gradient_tolerance`` bounds the infinity norm of the projected
     gradient at which iteration stops; ``step_tolerance`` the relative
-    change of the delta iterate.  ``finite_diff_epsilon`` is validated
-    but read by nothing: the solver uses the analytic gradient only.
-    ``restarts`` adds that many random feasible starting points on top of
-    the warm start (off by default; runs stay deterministic for a fixed
-    non-negative integer ``seed``).
+    change of the delta iterate.  The keys of :data:`_PINNED` are read by
+    nothing: each accepts only its shipped value until it is removed.
     """
 
     max_iterations: int = 60
@@ -98,12 +99,16 @@ class OptimizerSettings:
     def __post_init__(self):
         object.__setattr__(self, "max_iterations",
                            checked_integer("max_iterations", self.max_iterations))
-        for name in ("gradient_tolerance", "step_tolerance", "finite_diff_epsilon"):
+        for name in ("gradient_tolerance", "step_tolerance"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be positive, got {value!r}")
-        for name in ("restarts", "seed"):
-            object.__setattr__(self, name, checked_integer(name, getattr(self, name), False))
+        for name, shipped in _PINNED.items():
+            value = getattr(self, name)
+            if value != shipped:
+                raise ConfigurationError(
+                    f"{name} accepts only its shipped value {shipped!r}, got {value!r}")
+            object.__setattr__(self, name, shipped)
 
 
 class _Predictor:
@@ -153,13 +158,13 @@ class _Predictor:
     factors.  :meth:`_evaluate` alone decides what to compute again.  At
     bitwise the record's controls it returns the record's objective and
     computes nothing.  In the solver that is every Jacobian: a solve's
-    first is taken at the start that :func:`_optimize` has just evaluated
-    (unless clipping its deltas moved it), every later one at the candidate
-    the line search has just accepted, so a Jacobian adds only the partials
-    and the chain rule through the calibration.  At other controls, each
-    disc whose rpm is bitwise the record's keeps its band and factors, which
-    depend only on the pose and the rpm, and its parameters too unless its
-    flow changed; it only multiplies its deposit again.  Rpm repeats mostly
+    first is taken at the start that :func:`_solve_deltas` has just
+    evaluated (unless clipping its deltas moved it), every later one at the
+    candidate the line search has just accepted, so a Jacobian adds only
+    the partials and the chain rule through the calibration.  At other
+    controls, each disc whose rpm is bitwise the record's keeps its band and
+    factors, which depend only on the pose and the rpm, and its parameters
+    too unless its flow changed; it only multiplies its deposit again.  Rpm repeats mostly
     because the unroll clips it at the actuator box.  Only the two factors
     are kept per disc, not the offsets or the deposit, so the record stays
     within a few band-sized arrays per disc.  Every reuse gives bitwise the
@@ -467,12 +472,16 @@ def _normal_equations(S: np.ndarray, e: np.ndarray, masks: np.ndarray):
     return _fold_jacobian(folded[:-1].T, masks), folded[-1]
 
 
-def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
+def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
                   constraints: ControlConstraints, settings: OptimizerSettings):
-    """Minimize the predicted cost over delta space from one start.
+    """Minimize the predicted cost over delta space from the (H, 4) control
+    schedule ``start``.
 
-    Returns ``(controls, cost, iterations)``.  Every accepted step lowers
-    the cost, so the last iterate is the best one.
+    Returns ``(controls, cost, iterations)``: the last iterate, the solve's
+    best since every accepted step lowers the cost, if it predicts below
+    ``start``, else ``start`` and its cost.  ``start`` may hold deltas
+    beyond the ``rate/sqrt(2)`` box the solver searches in; the solve then
+    begins from the clipped deltas, a different and possibly worse schedule.
     """
     lo = constraints.lower()
     hi = constraints.upper()
@@ -489,7 +498,8 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         return [(j, v > 0.0) for j, (v, r) in enumerate(zip(flat, bounds))
                 if v <= -r or v >= r]
 
-    x = np.clip(x0, low, rbox)
+    start_cost = predictor.cost(start)
+    x = np.clip(np.diff(np.vstack([prev, start]), axis=0), low, rbox)
     flat = x.ravel().tolist()
     on_bound = at_bounds(flat)
     controls = _unroll(x, prev, lo, hi)
@@ -554,30 +564,29 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
             break
 
         accepted = None
-        if settings.gauss_newton:
-            # with no delta pinned, the diagonal summed above is the trace
-            trace = float(M.trace()) if pinned else diagonal_sum
-            M.flat[::M.shape[0] + 1] += lam * (trace / M.shape[0] + 1e-12)
-            try:
-                direction = np.linalg.solve(M, rhs).reshape(h, 4)
-            except np.linalg.LinAlgError:
-                direction = None
-            if direction is not None:
-                # slope of alpha -> clip(x + alpha d) at 0+: components pushing
-                # against an active rbox bound do not move
-                blocked = [j for j, upper in on_bound
-                           if (direction.item(j) > 0.0 if upper else direction.item(j) < 0.0)]
-                moving = direction
-                if blocked:
-                    moving = direction.copy()
-                    moving.ravel()[blocked] = 0.0
-                slope = float(np.vdot(grad_x, moving))
-                if slope >= 0:
-                    lam = min(lam * 100.0, 1e8)
-                    _log.debug("skip non-descent direction: slope %.3e lam %.1e", slope, lam)
-                else:
-                    accepted = line_search(direction, 1.0, 10)
-                    lam = max(lam / 10.0, 1e-12) if accepted else min(lam * 100.0, 1e8)
+        # with no delta pinned, the diagonal summed above is the trace
+        trace = float(M.trace()) if pinned else diagonal_sum
+        M.flat[::M.shape[0] + 1] += lam * (trace / M.shape[0] + 1e-12)
+        try:
+            direction = np.linalg.solve(M, rhs).reshape(h, 4)
+        except np.linalg.LinAlgError:
+            direction = None
+        if direction is not None:
+            # slope of alpha -> clip(x + alpha d) at 0+: components pushing
+            # against an active rbox bound do not move
+            blocked = [j for j, upper in on_bound
+                       if (direction.item(j) > 0.0 if upper else direction.item(j) < 0.0)]
+            moving = direction
+            if blocked:
+                moving = direction.copy()
+                moving.ravel()[blocked] = 0.0
+            slope = float(np.vdot(grad_x, moving))
+            if slope >= 0:
+                lam = min(lam * 100.0, 1e8)
+                _log.debug("skip non-descent direction: slope %.3e lam %.1e", slope, lam)
+            else:
+                accepted = line_search(direction, 1.0, 10)
+                lam = max(lam / 10.0, 1e-12) if accepted else min(lam * 100.0, 1e8)
 
         if accepted is None:
             scale = float(rbox.max()) / (float(np.abs(grad_x).max()) + 1e-300)
@@ -593,32 +602,9 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, x0: np.ndarray,
         on_bound = at_bounds(flat)
         if moved <= settings.step_tolerance * (1.0 + max(map(abs, flat))):
             break
-    return controls, cost, iteration
-
-
-def _optimize(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
-              constraints: ControlConstraints, settings: OptimizerSettings):
-    """Solve from the (H, 4) control schedule ``start``, then from
-    ``settings.restarts`` random delta starts, and return the best
-    ``(controls, cost)``: ``start`` itself unless a solve improved on it.
-
-    ``start`` may hold deltas beyond the ``rate/sqrt(2)`` box the solver
-    searches in; its first solve then begins from the clipped deltas, a
-    different and possibly worse schedule.
-    """
-    rbox = constraints.rates() / math.sqrt(2.0)
-    starts = [np.diff(np.vstack([prev, start]), axis=0)]
-    best_controls, best_cost = start, predictor.cost(start)
-    if settings.restarts:
-        # the first default_rng() of a process adds about 1 MB of resident memory
-        rng = np.random.default_rng(settings.seed)
-        starts += [rng.uniform(-rbox, rbox, size=(predictor.horizon, 4))
-                   for _ in range(settings.restarts)]
-    for x0 in starts:
-        controls, cost, _ = _solve_deltas(predictor, prev, x0, constraints, settings)
-        if cost < best_cost:
-            best_controls, best_cost = controls, cost
-    return best_controls, best_cost
+    if cost < start_cost:
+        return controls, cost, iteration
+    return start, start_cost, iteration
 
 
 class RecedingHorizonController:
@@ -665,7 +651,7 @@ class RecedingHorizonController:
                                 if key in keys}
         predictor = _Predictor(grid, poses, applied, prescribed, self.model, self.cal,
                                self.scaling, self._geometry_cache, self._radius)
-        controls, _ = _optimize(predictor, prev, warm, self.constraints, self.settings)
+        controls, _, _ = _solve_deltas(predictor, prev, warm, self.constraints, self.settings)
 
         self._warm = controls
         return SpreaderControls.from_array(controls[0])

@@ -98,7 +98,9 @@ def trajectory(plan: DrivePlan, dt: float) -> list[TractorState]:
         raise ConfigurationError(f"step size must be positive and finite, got {dt!r}")
     states = [plan.start]
     for seg in plan.segments:
-        n_steps = round(seg.duration / dt)
+        # a dt so small that the count overflows is not a multiple either
+        ratio = seg.duration / dt
+        n_steps = round(ratio) if math.isfinite(ratio) else 0
         if n_steps < 1 or abs(n_steps * dt - seg.duration) > _DURATION_TOL * max(1.0, seg.duration):
             raise ConfigurationError(
                 f"segment duration {seg.duration} is not an integer multiple of dt={dt}"

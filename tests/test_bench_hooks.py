@@ -55,14 +55,17 @@ def test_a_traced_solve_records_its_folds_and_iterations(monkeypatch):
                                            np.full((10, 10), 4.0), DepositionModel.FULL_NORMAL,
                                            DEFAULT_CALIBRATION)
         prev = np.array([45.0, 45.0, 600.0, 600.0])
-        controllers._optimize(predictor, prev, prev[None, :], DEFAULT_CONSTRAINTS,
-                              OptimizerSettings())
+        _, _, iterations = controllers._solve_deltas(predictor, prev, prev[None, :],
+                                                     DEFAULT_CONSTRAINTS, OptimizerSettings())
     finally:
         tracer.uninstall()
     summary = tracer.summary()
     assert summary["spans"]["controllers.fold"]["calls"] >= 1
     assert summary["spans"]["controllers.solve"]["calls"] == 1
-    assert summary["counts"]["iterations"] > 0
+    # the tracer reads the settings as the fifth argument and the
+    # iterations as the third result
+    assert iterations > 0
+    assert summary["counts"]["iterations"] == iterations
 
 
 @pytest.mark.parametrize("kind", ["greedy", "mpc-triangle", "mpc-full"])
@@ -114,13 +117,16 @@ def test_the_kernel_probe_times_every_kernel_on_the_package(monkeypatch):
 def test_a_generated_workload_loads_with_the_shipped_triangle_support(monkeypatch, tmp_path,
                                                                       name):
     # bench/workloads.py copies the shipped Scenario.support into every
-    # generated scenario's [run] triangle_support key
+    # generated scenario's [run] triangle_support key, and every shipped
+    # optimizer setting, the pinned ones included, into its [optimizer]
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
+    from spreadopt import OptimizerSettings
     from spreadopt.spread import TriangleSupport
 
     inputs = workloads.generate(name, tmp_path)
     config, _ = workloads.validate(inputs)
     assert "triangle_support = sigma" in inputs.scenario.read_text()
     assert config.scenario.support is TriangleSupport.SIGMA
+    assert config.settings == OptimizerSettings()

@@ -388,10 +388,10 @@ OPTIMIZER_SECTION = """
 max_iterations = 7
 gradient_tolerance = 1e-4
 step_tolerance = 1e-8
-finite_diff_epsilon = 1e-3
-gauss_newton = false
-restarts = 2
-seed = 5
+finite_diff_epsilon = 1e-5
+gauss_newton = true
+restarts = 0
+seed = 0
 """
 
 
@@ -403,13 +403,28 @@ def with_optimizer(section):
 def test_every_optimizer_key_is_read(tmp_path):
     path = tmp_path / "tuned.ini"
     path.write_text(with_optimizer(OPTIMIZER_SECTION))
-    expected = OptimizerSettings(max_iterations=7, gradient_tolerance=1e-4, step_tolerance=1e-8,
-                                 finite_diff_epsilon=1e-3, gauss_newton=False, restarts=2,
-                                 seed=5)
+    expected = OptimizerSettings(max_iterations=7, gradient_tolerance=1e-4, step_tolerance=1e-8)
     defaults = OptimizerSettings()
-    assert all(getattr(expected, name) != getattr(defaults, name)
-               for name in OptimizerSettings.__dataclass_fields__)
+    # the other keys accept only their shipped values, the defaults
+    live = ("max_iterations", "gradient_tolerance", "step_tolerance")
+    assert all(getattr(expected, name) != getattr(defaults, name) for name in live)
     assert load_scenario(path).settings == expected
+
+
+@pytest.mark.parametrize("line", ["finite_diff_epsilon = 1e-3", "gauss_newton = false",
+                                  "restarts = 1", "restarts = inf", "seed = 5", "seed = nan"])
+def test_a_pinned_optimizer_key_accepts_only_its_shipped_value(tmp_path, capsys, line):
+    key, _, value = line.partition(" = ")
+    shipped = re.search(rf"^{key} = .*$", TINY_SCENARIO, re.MULTILINE).group()
+    code, err = validate_with(tmp_path, capsys,
+                              scenario=TINY_SCENARIO.replace(shipped, line))
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert key in err[0]
+    # the library rejects the value as written, a string included
+    with pytest.raises(ConfigurationError, match=key):
+        OptimizerSettings(**{key: value})
 
 
 def test_the_packaged_optimizer_section_is_the_in_code_default():
@@ -556,19 +571,21 @@ def test_a_default_section_is_rejected_by_name(tmp_path, capsys, file, body):
     assert "unknown section [DEFAULT]" in err[0]
 
 
-def test_validate_flags_a_plan_that_does_not_integrate_at_dt(tmp_path, capsys):
+# 1e-320 makes each segment's step count overflow to infinity
+@pytest.mark.parametrize("dt", ["0.3", "1e-320"])
+def test_validate_flags_a_plan_that_does_not_integrate_at_dt(tmp_path, capsys, dt):
     # run makes the same check before its first decision
     text = default_scenario_path().read_text()
     assert "dt = 1\n" in text
     path = tmp_path / "scenario.ini"
-    path.write_text(text.replace("dt = 1\n", "dt = 0.3\n"))
+    path.write_text(text.replace("dt = 1\n", f"dt = {dt}\n"))
     assert main(["validate", "--scenario", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("problem:")
-    assert "not an integer multiple of dt=0.3" in captured.err
+    assert f"not an integer multiple of dt={dt}" in captured.err
     assert captured.out.splitlines()[-1] != "ok"
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert "not an integer multiple of dt=0.3" in capsys.readouterr().err
+    assert f"not an integer multiple of dt={dt}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, broken, section", [

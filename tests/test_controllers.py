@@ -100,8 +100,8 @@ def predictor_for(grid, tail, applied, prescribed, model=DepositionModel.FULL_NO
 
 def optimized(predictor, initial, previous, constraints=DEFAULT_CONSTRAINTS,
               settings=OptimizerSettings()):
-    return controllers._optimize(predictor, previous.as_array(), initial, constraints,
-                                 settings)[0]
+    return controllers._solve_deltas(predictor, previous.as_array(), initial, constraints,
+                                     settings)[0]
 
 
 def decide(kind, horizon, tail, applied, prescribed, previous, grid):
@@ -331,8 +331,8 @@ def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
     monkeypatch.setattr(controllers, "_fold_jacobian", counted_fold)
     tracemalloc.start()
     try:
-        controllers._optimize(predictor, prev, prev[None, :], DEFAULT_CONSTRAINTS,
-                              OptimizerSettings())
+        controllers._solve_deltas(predictor, prev, prev[None, :], DEFAULT_CONSTRAINTS,
+                                  OptimizerSettings())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -373,8 +373,8 @@ def test_a_several_pose_solve_allocates_no_field_sized_temporaries():
     start = np.tile(prev, (h, 1)) + [[5.0, -5.0, 30.0, -30.0], [10.0, -10.0, 60.0, -60.0]]
     tracemalloc.start()
     try:
-        controls, _ = controllers._optimize(predictor, prev, start, DEFAULT_CONSTRAINTS,
-                                            OptimizerSettings())
+        controls, _, _ = controllers._solve_deltas(predictor, prev, start, DEFAULT_CONSTRAINTS,
+                                                   OptimizerSettings())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -467,8 +467,8 @@ def test_gauss_newton_skips_a_direction_that_clipping_made_non_descent():
     predictor.cost = counted_cost
     predictor.cost_residual_jacobian = counted_jacobian
     prev = previous.as_array()
-    controllers._optimize(predictor, prev, initial, DEFAULT_CONSTRAINTS,
-                          OptimizerSettings(max_iterations=4))
+    controllers._solve_deltas(predictor, prev, initial, DEFAULT_CONSTRAINTS,
+                              OptimizerSettings(max_iterations=4))
 
     # the parent spent 14 evaluations: one for each of three accepted
     # Gauss-Newton steps, then ten failed halvings along the fourth
@@ -531,8 +531,8 @@ def test_a_converged_solve_spends_no_cost_evaluation_after_its_last_jacobian(cap
     predictor.cost_residual_jacobian = counted_jacobian
     prev = np.array([45.0, 45.0, 600.0, 600.0])
     with caplog.at_level(logging.DEBUG, logger="spreadopt.optimizer"):
-        controls, _ = controllers._optimize(predictor, prev, prev[None, :],
-                                            DEFAULT_CONSTRAINTS, OptimizerSettings())
+        controls, _, _ = controllers._solve_deltas(predictor, prev, prev[None, :],
+                                                   DEFAULT_CONSTRAINTS, OptimizerSettings())
     assert np.all(np.abs(controls[0, :2] - prev[:2]) < RATE_DIAG)  # an interior optimum
     assert any(record.getMessage().startswith("stop: model gain")
                for record in caplog.records)
@@ -543,7 +543,7 @@ def test_a_converged_solve_spends_no_cost_evaluation_after_its_last_jacobian(cap
 def test_a_start_far_from_the_optimum_does_not_stop_at_once():
     predictor = interior_optimum_problem()
     prev = np.array([100.0, 100.0, 600.0, 600.0])
-    _, cost, iterations = controllers._solve_deltas(predictor, prev, np.zeros((1, 4)),
+    _, cost, iterations = controllers._solve_deltas(predictor, prev, prev[None, :],
                                                     DEFAULT_CONSTRAINTS, OptimizerSettings())
     assert iterations > 1
     assert cost < 0.9 * predictor.cost(prev[None, :])
@@ -587,17 +587,20 @@ def test_a_jacobian_at_the_accepted_candidate_rebuilds_no_pattern(horizon, monke
         predictor.cost = counted(predictor.cost, per_cost)
         predictor.cost_residual_jacobian = counted(predictor.cost_residual_jacobian,
                                                    per_jacobian)
-        _, _, iterations = controllers._solve_deltas(predictor, prev, np.zeros((horizon, 4)),
+        start = np.tile(prev, (horizon, 1))
+        _, _, iterations = controllers._solve_deltas(predictor, prev, start,
                                                      DEFAULT_CONSTRAINTS, OptimizerSettings())
         assert iterations > 2 and len(per_jacobian) == iterations
-        # the first Jacobian evaluates the start; each later one is taken at
-        # the candidate the line search has just evaluated and accepted
-        assert per_jacobian[0][1] == (2 * horizon, 2 * horizon)
-        assert {built for _, built in per_jacobian[1:]} == {(0, 0)}
+        # the start's cost evaluation builds every disc; the first Jacobian
+        # is taken at the start, each later one at the candidate the line
+        # search has just evaluated and accepted
+        assert per_cost[0][0].tobytes() == start.tobytes()
+        assert per_cost[0][1] == (2 * horizon, 2 * horizon)
+        assert {built for _, built in per_jacobian} == {(0, 0)}
         # a cost evaluation builds parameters and density factors only for
         # the discs whose rpm changed, bitwise, since the evaluation before it
-        last = per_jacobian[0][0]
-        for controls, built in per_cost:
+        last = start
+        for controls, built in per_cost[1:]:
             changed = int(np.count_nonzero(controls[:, 2:].view(np.int64)
                                            != last[:, 2:].view(np.int64)))
             assert built == (changed, changed)
@@ -688,8 +691,7 @@ def test_the_record_survives_an_evaluation_that_fails_mid_schedule():
             used.cost_residual_jacobian(bad, masks)
 
 
-@pytest.mark.parametrize("restarts", [0, 1])
-def test_optimize_evaluates_its_start_once_per_solve(restarts, monkeypatch):
+def test_a_solve_evaluates_its_start_once(monkeypatch):
     grid, prescribed = small_field(n=16, side=60.0, dose=4.0)
     tail = straight_tail(TractorState(15.0, 30.0, 0.0), 5.0, 2)
     predictor = predictor_for(grid, tail, grid.zeros(), prescribed)
@@ -710,17 +712,16 @@ def test_optimize_evaluates_its_start_once_per_solve(restarts, monkeypatch):
 
     predictor.cost = logged("cost", cost)
     predictor.cost_residual_jacobian = logged("jac", jacobian)
-    controllers._optimize(predictor, prev, start, DEFAULT_CONSTRAINTS,
-                          OptimizerSettings(restarts=restarts, seed=3))
+    controllers._solve_deltas(predictor, prev, start, DEFAULT_CONSTRAINTS, OptimizerSettings())
     # the start's cost evaluation multiplies its four deposits, and the
-    # first solve's first Jacobian, at the start, finds them in the record
+    # solve's first Jacobian, at the start, finds them in the record
     assert events[0] == ("cost", start.tobytes(), 4)
     assert events[1] == ("jac", start.tobytes(), 0)
     at_start = [deposits for _, controls, deposits in events
                 if controls == start.tobytes() and deposits]
     assert at_start == [4]
-    # only a restart's first Jacobian, at its random start, evaluates
-    assert sum(1 for kind, _, deposits in events if kind == "jac" and deposits) == restarts
+    # every later Jacobian, too, is taken at controls just evaluated
+    assert not any(deposits for kind, _, deposits in events if kind == "jac")
 
 
 def test_optimizer_is_deterministic():
@@ -735,22 +736,8 @@ def test_optimizer_is_deterministic():
         return optimized(predictor, initial, previous, settings=settings)
 
     assert np.array_equal(solve(OptimizerSettings()), solve(OptimizerSettings()))
-    seeded = OptimizerSettings(restarts=2, seed=7)
-    assert np.array_equal(solve(seeded), solve(seeded))
-
-
-def test_restarts_can_only_improve():
-    grid, prescribed = small_field(n=8, side=30.0)
-    start = TractorState(5.0, 15.0, 0.0)
-    tail = straight_tail(start, 5.0, 2)
-    previous = SpreaderControls(45.0, 45.0, 600.0, 600.0)
-    initial = schedule_of([(45.0, 45.0, 600.0, 600.0)] * 2)
-
-    def final_cost(settings):
-        predictor = predictor_for(grid, tail, grid.zeros(), prescribed)
-        return predictor.cost(optimized(predictor, initial, previous, settings=settings))
-
-    assert final_cost(OptimizerSettings(restarts=3, seed=1)) <= final_cost(OptimizerSettings()) + 1e-9
+    tuned = OptimizerSettings(max_iterations=3, gradient_tolerance=1e-3)
+    assert np.array_equal(solve(tuned), solve(tuned))
 
 
 def test_settings_validation():
@@ -759,12 +746,13 @@ def test_settings_validation():
     with pytest.raises(ConfigurationError):
         OptimizerSettings(gradient_tolerance=-1.0)
     with pytest.raises(ConfigurationError):
-        OptimizerSettings(restarts=-1)
-    with pytest.raises(ConfigurationError):
-        OptimizerSettings(seed=-1)
-    with pytest.raises(ConfigurationError):
-        OptimizerSettings(seed=1.5)
-    assert type(OptimizerSettings(seed=3.0).seed) is int
+        OptimizerSettings(step_tolerance=math.nan)
+    for name in ("restarts", "seed"):
+        for value in (-1, 1.5, 3, math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match=name):
+                OptimizerSettings(**{name: value})
+        # the shipped value as a whole float echoes as the integer
+        assert type(getattr(OptimizerSettings(**{name: 0.0}), name)) is int
 
 
 def _scenario_of_horizon(horizon):
@@ -783,8 +771,6 @@ INTEGER_FIELDS = {
             DepositionModel.FULL_NORMAL, value, CAL, DEFAULT_CONSTRAINTS, OptimizerSettings())),
     "OptimizerSettings.max_iterations": (
         "max_iterations", lambda value: OptimizerSettings(max_iterations=value)),
-    "OptimizerSettings.restarts": ("restarts", lambda value: OptimizerSettings(restarts=value)),
-    "OptimizerSettings.seed": ("seed", lambda value: OptimizerSettings(seed=value)),
 }
 
 

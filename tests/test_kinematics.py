@@ -76,6 +76,12 @@ def test_fractional_segment_duration_is_rejected():
         trajectory(plan, 1.0)
 
 
+def test_a_step_count_that_overflows_is_rejected():
+    # 10 / 1e-320 is an infinite step count, which round() cannot convert
+    with pytest.raises(ConfigurationError, match="not an integer multiple of dt=1e-320"):
+        trajectory(S_PLAN, 1e-320)
+
+
 def test_nonfinite_state_is_rejected():
     with pytest.raises(InvalidStateError):
         TractorState(math.nan, 0.0, 0.0)

@@ -4,7 +4,7 @@ Each example draws a field of 6-30 cells per side, a driven tail of 1-4
 poses, random applied and prescribed maps, either deposition model, either
 scaling, a previous control anywhere in the actuator boxes (edges
 included) and a feasible warm start whose pair changes reach up to the
-full rate disc.  ``controllers._optimize`` must return a schedule that
+full rate disc.  ``controllers._solve_deltas`` must return a schedule that
 meets the boxes and the 2-norm pair rate limit, predicts no worse than the
 warm start, and is bitwise the same on a second call.
 """
@@ -73,44 +73,21 @@ def problems(draw):
 def _check_solver(predictor, previous, start):
     assert chain_feasible(start, previous, CONSTRAINTS)
     prev = previous.as_array()
-    controls, cost = controllers._optimize(predictor, prev, start, CONSTRAINTS,
-                                           OptimizerSettings())
+    controls, cost, iterations = controllers._solve_deltas(predictor, prev, start, CONSTRAINTS,
+                                                           OptimizerSettings())
     assert chain_feasible(controls, previous, CONSTRAINTS)
     assert cost == predictor.cost(controls)
     assert predictor.cost(controls) <= predictor.cost(start)
-    again, again_cost = controllers._optimize(predictor, prev, start, CONSTRAINTS,
-                                              OptimizerSettings())
+    again, again_cost, again_iterations = controllers._solve_deltas(
+        predictor, prev, start, CONSTRAINTS, OptimizerSettings())
     assert again.tobytes() == controls.tobytes()
-    assert again_cost == cost
+    assert (again_cost, again_iterations) == (cost, iterations)
 
 
 @settings(max_examples=15, deadline=None)
 @given(problem=problems())
 def test_solver_returns_a_feasible_no_worse_deterministic_schedule(problem):
     _check_solver(*problem)
-
-
-@settings(max_examples=30, deadline=None)
-@given(problem=problems())
-def test_a_gradient_only_solve_never_rises_stays_feasible_and_repeats(problem):
-    # gauss_newton = false: every step is a projected gradient step
-    predictor, previous, start = problem
-    prev = previous.as_array()
-    gradient_only = OptimizerSettings(gauss_newton=False)
-    x0 = np.diff(np.vstack([prev, start]), axis=0)
-    # the solve starts from the deltas clipped to its box
-    rbox = CONSTRAINTS.rates() / math.sqrt(2.0)
-    begin = controllers._unroll(x0.clip(-rbox, rbox), prev, CONSTRAINTS.lower(),
-                                CONSTRAINTS.upper())
-    controls, cost, iterations = controllers._solve_deltas(predictor, prev, x0, CONSTRAINTS,
-                                                           gradient_only)
-    assert cost == predictor.cost(controls)
-    assert cost <= predictor.cost(begin)
-    assert chain_feasible(controls, previous, CONSTRAINTS)
-    again, again_cost, again_iterations = controllers._solve_deltas(
-        predictor, prev, x0, CONSTRAINTS, gradient_only)
-    assert again.tobytes() == controls.tobytes()
-    assert (again_cost, again_iterations) == (cost, iterations)
 
 
 @settings(max_examples=300, deadline=None)

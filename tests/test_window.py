@@ -306,8 +306,8 @@ def test_a_pose_off_the_field_deposits_nothing_and_keeps_the_warm_start():
     value, e, S, rows = predictor.cost_residual_jacobian(warm, np.ones(warm.shape))
     assert value == predictor.cost(warm) == float(np.sum(prescribed ** 2))
     assert e.size == rows.size == 0 and S.shape == (0, 4)
-    controls, cost = controllers._optimize(predictor, warm[0], warm, DEFAULT_CONSTRAINTS,
-                                           OptimizerSettings())
+    controls, cost, _ = controllers._solve_deltas(predictor, warm[0], warm, DEFAULT_CONSTRAINTS,
+                                                  OptimizerSettings())
     assert np.array_equal(controls, warm) and cost == value
     previous = SpreaderControls(*warm[0])
     assert controller.plan_controls([far], grid.zeros(), prescribed, previous,
