@@ -10,6 +10,7 @@ warm start, and is bitwise the same on a second call.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +89,34 @@ def _check_solver(predictor, previous, start):
 @given(problem=problems())
 def test_solver_returns_a_feasible_no_worse_deterministic_schedule(problem):
     _check_solver(*problem)
+
+
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("singular")
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=problems())
+def test_a_gradient_only_solve_never_rises_stays_feasible_and_repeats(problem):
+    # with every Gauss-Newton system singular, each step is the projected
+    # gradient fallback's
+    predictor, previous, start = problem
+    prev = previous.as_array()
+    x0 = np.diff(np.vstack([prev, start]), axis=0)
+    # the solve starts from the deltas clipped to its box
+    rbox = CONSTRAINTS.rates() / math.sqrt(2.0)
+    begin = controllers._unroll(x0.clip(-rbox, rbox), prev, CONSTRAINTS.lower(),
+                                CONSTRAINTS.upper())
+    with mock.patch.object(np.linalg, "solve", _singular):
+        controls, cost, iterations = controllers._solve_deltas(predictor, prev, start,
+                                                               CONSTRAINTS, OptimizerSettings())
+        again, again_cost, again_iterations = controllers._solve_deltas(
+            predictor, prev, start, CONSTRAINTS, OptimizerSettings())
+    assert cost == predictor.cost(controls)
+    assert cost <= predictor.cost(begin)
+    assert chain_feasible(controls, previous, CONSTRAINTS)
+    assert again.tobytes() == controls.tobytes()
+    assert (again_cost, again_iterations) == (cost, iterations)
 
 
 @settings(max_examples=300, deadline=None)
