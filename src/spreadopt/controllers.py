@@ -20,10 +20,11 @@ gradient's product with the direction, less the components pushing
 against an active delta bound, is negative.  Clipping often makes the
 direction non-descent (Bertsekas, projected Newton, 1982); such a
 direction is treated as a failed search without spending a cost
-evaluation.  A solve stops without searching at all when the Gauss-Newton
-model promises less than the line search's acceptance threshold over the
-deltas that may move (the predicted-reduction test of Levenberg-Marquardt
-methods).
+evaluation.  A solve has one convergence test, the predicted-reduction test
+of Levenberg-Marquardt methods: it stops without searching at all when the
+Gauss-Newton model promises less than the line search's acceptance
+threshold, ``1e-12 max(1, cost)``, over the deltas that may move.  Otherwise
+it ends when neither search lowers the cost, or at ``max_iterations``.
 
 The greedy controller is the one-step case of the same solver, its
 unroll and its fold included, with the full deposition model; the
@@ -75,17 +76,18 @@ class ControllerKind(str, enum.Enum):
 
 
 # the optimizer keys that nothing reads, and the one value each accepts
-_PINNED = {"finite_diff_epsilon": 1e-5, "gauss_newton": True, "restarts": 0, "seed": 0}
+_PINNED = {"gradient_tolerance": 1e-6, "step_tolerance": 1e-10, "finite_diff_epsilon": 1e-5,
+           "gauss_newton": True, "restarts": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Tuning knobs of the schedule optimizer.
 
-    ``gradient_tolerance`` bounds the infinity norm of the projected
-    gradient at which iteration stops; ``step_tolerance`` the relative
-    change of the delta iterate.  The keys of :data:`_PINNED` are read by
-    nothing: each accepts only its shipped value until it is removed.
+    ``max_iterations`` caps the iterations of one solve, a safeguard
+    behind :func:`_solve_deltas`'s convergence test.  The other keys, those
+    of :data:`_PINNED`, are read by nothing: each accepts only its shipped
+    value until it is removed.
     """
 
     max_iterations: int = 60
@@ -99,10 +101,6 @@ class OptimizerSettings:
     def __post_init__(self):
         object.__setattr__(self, "max_iterations",
                            checked_integer("max_iterations", self.max_iterations))
-        for name in ("gradient_tolerance", "step_tolerance"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be positive, got {value!r}")
         for name, shipped in _PINNED.items():
             value = getattr(self, name)
             if value != shipped:
@@ -477,11 +475,15 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
     """Minimize the predicted cost over delta space from the (H, 4) control
     schedule ``start``.
 
-    Returns ``(controls, cost, iterations)``: the last iterate, the solve's
-    best since every accepted step lowers the cost, if it predicts below
-    ``start``, else ``start`` and its cost.  ``start`` may hold deltas
-    beyond the ``rate/sqrt(2)`` box the solver searches in; the solve then
-    begins from the clipped deltas, a different and possibly worse schedule.
+    The solve ends when the Gauss-Newton model promises less than the
+    line search's acceptance threshold (its one convergence test), when
+    neither the Gauss-Newton nor the gradient search lowers the cost, or
+    after ``settings.max_iterations`` iterations.  Returns ``(controls,
+    cost, iterations)``: the last iterate, the solve's best since every
+    accepted step lowers the cost, if it predicts below ``start``, else
+    ``start`` and its cost.  ``start`` may hold deltas beyond the
+    ``rate/sqrt(2)`` box the solver searches in; the solve then begins
+    from the clipped deltas, a different and possibly worse schedule.
     """
     lo = constraints.lower()
     hi = constraints.upper()
@@ -491,17 +493,16 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
     # each delta's bound, flat and step-major as the iterate
     bounds = rbox.tolist() * h
 
-    def at_bounds(flat):
+    def at_bounds(deltas):
         """Flat index of each delta on its bound, and whether it is the
         upper one: the box holds every iterate, so there ``x >= rbox`` is
         ``x > 0``."""
-        return [(j, v > 0.0) for j, (v, r) in enumerate(zip(flat, bounds))
+        return [(j, v > 0.0) for j, (v, r) in enumerate(zip(deltas.ravel().tolist(), bounds))
                 if v <= -r or v >= r]
 
     start_cost = predictor.cost(start)
     x = np.clip(np.diff(np.vstack([prev, start]), axis=0), low, rbox)
-    flat = x.ravel().tolist()
-    on_bound = at_bounds(flat)
+    on_bound = at_bounds(x)
     controls = _unroll(x, prev, lo, hi)
     lam = 1e-8
     min_gain = 1e-12
@@ -527,11 +528,9 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
         del e, S
         grad_x = grad.reshape(h, 4)
         rhs = -0.5 * grad
-        pg_norm = float(abs(x - (x - grad_x).clip(low, rbox)).max())
         if _log.isEnabledFor(logging.DEBUG):
+            pg_norm = float(abs(x - (x - grad_x).clip(low, rbox)).max())
             _log.debug("iter %d cost %.6e pg %.3e lam %.1e", iteration, cost, pg_norm, lam)
-        if pg_norm <= settings.gradient_tolerance:
-            break
 
         # the model's largest reduction over the deltas that may move:
         # below the line search's acceptance threshold, no step passes it.
@@ -594,14 +593,8 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
 
         if accepted is None:
             break
-        new_x, controls, cost = accepted
-        new = new_x.ravel().tolist()
-        # the accepted deltas are finite: their controls were evaluated
-        moved = max(abs(a - b) for a, b in zip(new, flat))
-        x, flat = new_x, new
-        on_bound = at_bounds(flat)
-        if moved <= settings.step_tolerance * (1.0 + max(map(abs, flat))):
-            break
+        x, controls, cost = accepted
+        on_bound = at_bounds(x)
     if cost < start_cost:
         return controls, cost, iteration
     return start, start_cost, iteration

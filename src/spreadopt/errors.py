@@ -51,8 +51,13 @@ def checked_integer(name: str, value, positive: bool = True) -> int:
     ``positive`` and at least zero otherwise; else a
     :class:`ConfigurationError` naming ``name``.  Finiteness is tested
     first: ``int()`` of an infinity or a NaN raises a bare OverflowError or
-    ValueError."""
-    if not (math.isfinite(value) and int(value) == value and value >= int(positive)):
+    ValueError, and ``math.isfinite`` of a value that is not a real number,
+    such as a string, a bare TypeError."""
+    try:
+        whole = math.isfinite(value) and int(value) == value and value >= int(positive)
+    except TypeError:
+        whole = False
+    if not whole:
         kind = "positive" if positive else "non-negative"
         raise ConfigurationError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)

@@ -386,8 +386,8 @@ def test_every_run_choice_value_is_accepted(tmp_path, key, kind):
 OPTIMIZER_SECTION = """
 [optimizer]
 max_iterations = 7
-gradient_tolerance = 1e-4
-step_tolerance = 1e-8
+gradient_tolerance = 1e-6
+step_tolerance = 1e-10
 finite_diff_epsilon = 1e-5
 gauss_newton = true
 restarts = 0
@@ -403,16 +403,18 @@ def with_optimizer(section):
 def test_every_optimizer_key_is_read(tmp_path):
     path = tmp_path / "tuned.ini"
     path.write_text(with_optimizer(OPTIMIZER_SECTION))
-    expected = OptimizerSettings(max_iterations=7, gradient_tolerance=1e-4, step_tolerance=1e-8)
+    expected = OptimizerSettings(max_iterations=7)
     defaults = OptimizerSettings()
     # the other keys accept only their shipped values, the defaults
-    live = ("max_iterations", "gradient_tolerance", "step_tolerance")
+    live = ("max_iterations",)
     assert all(getattr(expected, name) != getattr(defaults, name) for name in live)
     assert load_scenario(path).settings == expected
 
 
-@pytest.mark.parametrize("line", ["finite_diff_epsilon = 1e-3", "gauss_newton = false",
-                                  "restarts = 1", "restarts = inf", "seed = 5", "seed = nan"])
+@pytest.mark.parametrize("line", ["gradient_tolerance = 1e-4", "gradient_tolerance = nan",
+                                  "step_tolerance = 1e-8", "finite_diff_epsilon = 1e-3",
+                                  "gauss_newton = false", "restarts = 1", "restarts = inf",
+                                  "seed = 5", "seed = nan"])
 def test_a_pinned_optimizer_key_accepts_only_its_shipped_value(tmp_path, capsys, line):
     key, _, value = line.partition(" = ")
     shipped = re.search(rf"^{key} = .*$", TINY_SCENARIO, re.MULTILINE).group()
