@@ -143,13 +143,6 @@ class _SectionReader:
         """Whitespace-separated numbers, such as polynomial coefficients."""
         return self._parse(key, lambda raw: tuple(map(parse_number, raw.split())))
 
-    def integer(self, key: str) -> int:
-        value = self.number(key)
-        if not math.isfinite(value) or int(value) != value:
-            raise ConfigurationError(
-                f"{self.section}.{key} in {self.path} must be an integer, got {value}")
-        return int(value)
-
     def boolean(self, key: str) -> bool:
         return self._parse(key, parse_bool)
 
@@ -164,10 +157,10 @@ class _SectionReader:
                 f"{[member.value for member in kind]}") from None
 
     def instance(self, cls):
-        """Dataclass ``cls`` from this section, one key per field parsed as
-        the field's type."""
-        readers = {"bool": self.boolean, "int": self.integer, "float": self.number}
-        return self.build(cls, **{f.name: readers[f.type](f.name)
+        """Dataclass ``cls`` from this section, one key per field: a boolean
+        field parsed as one, any other as a number, which ``cls`` checks."""
+        readers = {"bool": self.boolean}
+        return self.build(cls, **{f.name: readers.get(f.type, self.number)(f.name)
                                   for f in dataclasses.fields(cls)})
 
     def build(self, cls, *args, **kwargs):
@@ -206,7 +199,7 @@ def load_scenario(path) -> RunConfig:
     grid = field_sec.build(
         FieldGrid,
         side_length=field_sec.number("side_length"),
-        n_cells=field_sec.integer("n_cells"),
+        n_cells=field_sec.number("n_cells"),
         origin=(field_sec.number("origin_x"), field_sec.number("origin_y")),
     )
 
@@ -260,7 +253,7 @@ def load_scenario(path) -> RunConfig:
         dt=run_sec.number("dt"),
         initial_controls=_SectionReader(parser, path, "controls").instance(SpreaderControls),
         controller=run_sec.choice("controller", ControllerKind),
-        horizon=run_sec.integer("horizon"),
+        horizon=run_sec.number("horizon"),
         scaling=run_sec.choice("scaling", DepositScaling),
         support=run_sec.choice("triangle_support", TriangleSupport),
     )

@@ -37,11 +37,13 @@ of the discs' bands (:class:`_Predictor`), and each iteration forms its
 4H x 4H normal equations from that Jacobian's Gram matrix, so no iteration
 fills, folds or multiplies a Jacobian with a row for every cell.  Sums over
 fewer rows round differently from the dense ones, so Gauss-Newton steps
-agree with dense evaluation to rounding, not bitwise.  A single pose, as in
-greedy and in an MPC's final decision, also evaluates its cost on its bands
-alone: the field is read once per decision, not on every evaluation.
-Either way a prediction fills one work array in place, field-sized for
-several poses and the size of the pose's reach box for one.
+agree with dense evaluation to rounding, not bitwise.  Every prediction
+fills one work array in place on the span its discs can change and adds
+the change of that span's squares to a base cost.  A single pose, as in
+greedy and in an MPC's final decision, works in its distance order: the
+span is the union of its bands and the base cost sums the field once per
+decision, so an evaluation does not read the field.  Several poses work in
+the field's own order, over every cell, from a base cost of zero.
 """
 
 from __future__ import annotations
@@ -132,23 +134,25 @@ class _Predictor:
     rows.  One crescent covers a few percent of a large field, so the bands
     skip most of the kernel work.
 
-    Each evaluation fills one work array in place with the residual: the
-    applied amounts, plus the discs' deposits in disc order, less the
-    prescription.  The cost is summed in one of two ways, chosen by the
-    number of poses.  A single pose's two windows are slices of one
-    distance order, so their union is the slice ``[lo, hi)`` of it.  Its
-    predictor gathers the applied map, the prescription and their
-    difference ``r0`` in that order once per geometry, with a work array of
-    the geometry's size, and sums the base cost ``c0 = r0 . r0`` over every
-    cell once.  An evaluation then fills the work array on ``[lo, hi)``
-    alone and returns ``c0 + (e . e - r0 . r0)`` over the slice.  Every
-    residual entry is bitwise the dense one; only the cost's summation
-    order differs, by rounding.  Several poses' bands are not slices of one
-    order, so their union is found by marking cells of the field, and their
-    work array is field-sized: each evaluation fills it and sums its squares
-    over all ``n_cells`` cells.  The field-sized work matters only where an
-    evaluation's kernel work is small against it, as for one pose on a
-    large field.
+    Each evaluation fills one work array in place with the residual on a
+    span of it: the applied amounts, plus the discs' deposits in disc order,
+    less the prescription.  It returns ``c0 + (e . e - r0 . r0)`` over the
+    span: the base cost ``c0`` plus the change of the span's squares from
+    ``r0``, the residual without deposits.  The span and the order of the
+    work array depend on the number of poses.  A single pose's two windows
+    are slices of one distance order, so their union is the slice ``[lo,
+    hi)`` of it.  Its predictor gathers the applied map, the prescription
+    and ``r0`` in that order once per geometry, with a work array of the
+    geometry's size, and sums ``c0 = r0 . r0`` over every cell once; each
+    disc indexes the work array by its window.  Every residual entry is
+    bitwise the dense one; only the cost's summation order differs, by
+    rounding.  Several poses' bands are not slices of one order, so their
+    work array is field-sized and in the field's own order: the span is
+    every cell, each disc indexes the work array by its band cells, ``c0``
+    is zero and ``r0`` empty, so the cost is bitwise ``e . e`` over all
+    ``n_cells`` cells, and the union of the bands is found by marking cells
+    of the field.  The field-sized work matters only where an evaluation's
+    kernel work is small against it, as for one pose on a large field.
 
     One record of the last evaluation is kept: the bits of its controls,
     its objective (its residual stays in the work array), and per
@@ -203,6 +207,9 @@ class _Predictor:
             self._base_cost = float(r0 @ r0)
             self._gather()
         else:
+            # every cell in the field's own order, so no base cost and no r0
+            self._base_cost = 0.0
+            self._near = self.applied, self.target, np.empty(0)
             # the residual's work array: a fresh field-sized array per
             # evaluation would be returned to the kernel on free and fault its
             # pages back in on every allocation
@@ -279,30 +286,23 @@ class _Predictor:
         """Objective for a (H, 4) control array."""
         return self._evaluate(controls)
 
-    def _field_cost(self, values) -> float:
-        """Fill the residual over every cell with the record's deposits at
-        the flows in ``values``, and sum its squares."""
-        e = self._work
-        np.copyto(e, self.applied)
-        for (_, flow_j, _, _, _), (_, band, factors) in zip(self._layout, self._discs):
-            e[band[1]] += deposit_from_factors(values[flow_j], factors, band[4])
-        e -= self.target
-        return float(e @ e)
-
-    def _band_cost(self, values) -> float:
-        """Fill the residual on the union slice of the one pose's two
-        windows with the record's deposits at the flows in ``values``, and
-        add the change of its squares' sum to the base cost."""
-        (_, left, _), (_, right, _) = self._discs
-        lo = min(left[0].start, right[0].start)
-        hi = max(left[0].stop, right[0].stop)
+    def _fill_cost(self, values) -> float:
+        """Fill the residual on the span of the work array the discs can
+        change, with the record's deposits at the flows in ``values``, and add
+        the change of its squares' sum to the base cost.  One pose's span is
+        the union slice of its two windows in its distance order; several
+        poses' is every cell in field order, where each disc indexes the work
+        array by its band cells."""
+        one = self.horizon == 1
+        windows = [band[0] for _, band, _ in self._discs]
+        lo, hi = ((min(w.start for w in windows), max(w.stop for w in windows)) if one
+                  else (0, self.n_cells))
         applied, target, r0 = self._near
-        e = self._work[lo:hi]
-        np.copyto(e, applied[lo:hi])
+        np.copyto(self._work[lo:hi], applied[lo:hi])
         for (_, flow_j, _, _, _), (_, band, factors) in zip(self._layout, self._discs):
-            window = band[0]
-            e[window.start - lo:window.stop - lo] += deposit_from_factors(values[flow_j],
-                                                                          factors, band[4])
+            self._work[band[0] if one else band[1]] += deposit_from_factors(values[flow_j],
+                                                                             factors, band[4])
+        e = self._work[lo:hi]
         e -= target[lo:hi]
         r0 = r0[lo:hi]
         return self._base_cost + (float(e @ e) - float(r0 @ r0))
@@ -334,7 +334,7 @@ class _Predictor:
                 band = self._band(i, params)
                 factors = disc_factors(band[2], band[3], params, self.model)
             self._discs[k] = (params, band, factors)
-        value = self._band_cost(values) if self.horizon == 1 else self._field_cost(values)
+        value = self._fill_cost(values)
         if not math.isfinite(value):
             raise NumericalFailureError(f"predicted cost is not finite for controls {controls!r}")
         self._value, self._key = value, key

@@ -46,18 +46,17 @@ class RunAbortedError(SpreadOptError, RuntimeError):
         self.step = step
 
 
-def checked_integer(name: str, value, positive: bool = True) -> int:
-    """``value`` as an ``int`` if it is a whole number, at least one if
-    ``positive`` and at least zero otherwise; else a
-    :class:`ConfigurationError` naming ``name``.  Finiteness is tested
-    first: ``int()`` of an infinity or a NaN raises a bare OverflowError or
-    ValueError, and ``math.isfinite`` of a value that is not a real number,
-    such as a string, a bare TypeError."""
+def checked_integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a whole number of at least one, else
+    a :class:`ConfigurationError` naming ``name``.  Every integer setting,
+    from a file or from the library, is checked here once, by its
+    constructor.  Finiteness is tested first: ``int()`` of an infinity or a
+    NaN raises a bare OverflowError or ValueError, and ``math.isfinite`` of a
+    value that is not a real number, such as a string, a bare TypeError."""
     try:
-        whole = math.isfinite(value) and int(value) == value and value >= int(positive)
+        whole = math.isfinite(value) and int(value) == value and value >= 1
     except TypeError:
         whole = False
     if not whole:
-        kind = "positive" if positive else "non-negative"
-        raise ConfigurationError(f"{name} must be a {kind} integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     return int(value)

@@ -32,7 +32,7 @@ class FieldGrid:
     def __post_init__(self):
         if not (math.isfinite(self.side_length) and self.side_length > 0):
             raise ConfigurationError(f"field side length must be positive, got {self.side_length!r}")
-        object.__setattr__(self, "n_cells", checked_integer("cell count", self.n_cells))
+        object.__setattr__(self, "n_cells", checked_integer("n_cells", self.n_cells))
         ox, oy = self.origin
         if not (math.isfinite(ox) and math.isfinite(oy)):
             raise ConfigurationError(f"field origin must be finite, got {self.origin!r}")

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, InvalidStateError
 
 _DURATION_TOL = 1e-9
+# the most steps a plan may take: each is one state and one controller decision
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,12 @@ def trajectory(plan: DrivePlan, dt: float) -> list[TractorState]:
     The returned list includes both endpoints, so a plan of total duration
     ``T`` yields ``T/dt + 1`` states.  Every segment duration must be an
     integer multiple of ``dt``; mixed-step integration is not supported.
+    Every segment's steps are counted before any state is built, and a plan
+    of more than :data:`MAX_STEPS` steps is rejected.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"step size must be positive and finite, got {dt!r}")
-    states = [plan.start]
+    counts = []
     for seg in plan.segments:
         # a dt so small that the count overflows is not a multiple either
         ratio = seg.duration / dt
@@ -105,6 +109,12 @@ def trajectory(plan: DrivePlan, dt: float) -> list[TractorState]:
             raise ConfigurationError(
                 f"segment duration {seg.duration} is not an integer multiple of dt={dt}"
             )
+        counts.append(n_steps)
+    if sum(counts) > MAX_STEPS:
+        raise ConfigurationError(
+            f"dt={dt} gives the plan {sum(counts)} steps, more than the {MAX_STEPS} allowed")
+    states = [plan.start]
+    for seg, n_steps in zip(plan.segments, counts):
         for _ in range(n_steps):
             states.append(step(states[-1], seg, dt))
     return states

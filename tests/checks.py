@@ -114,31 +114,32 @@ def normal_equations_reference(S, e, masks):
 
 
 def field_order_prediction(predictor, controls):
-    """A one-pose prediction over every cell, in field order: the applied
-    map copied, each disc's deposit on its band scattered in disc order, the
-    prescription subtracted and the squares summed.  Returns that cost, the
-    residual and the Jacobian with a row per cell (columns in control
-    order, every column built), and each disc's band cells.
-    ``predictor.geometry[0]`` must reach both bands."""
-    values = np.asarray(controls, dtype=float).reshape(4).tolist()
+    """A prediction over every cell, in field order: the applied map
+    copied, each disc's deposit on its band scattered in step-major disc
+    order, the prescription subtracted and the squares summed.  Returns
+    that cost, the residual and the Jacobian with a row per cell (columns
+    step-major in control order, every column built), and each disc's band
+    cells.  Each pose's ``predictor.geometry`` must reach both its bands."""
+    steps = np.asarray(controls, dtype=float).reshape(-1, 4).tolist()
     cal, model = predictor.cal, predictor.model
     amount = predictor.applied.copy()
-    S = np.zeros((predictor.n_cells, 4))
+    S = np.zeros((predictor.n_cells, 4 * len(steps)))
     bands = []
-    for flow_col, rpm_col, side, sign in _DISC_COLUMNS:
-        rpm = values[rpm_col]
-        params = pattern_from_controls(rpm, values[flow_col], cal, side)
-        _, cells, dist, angle, scale = band(
-            predictor.geometry[0], *band_bounds(params, model, predictor.scaling))
-        amount[cells] += disc_deposit(dist, angle, scale, params, model)
-        unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(dist, angle, scale, params,
-                                                                  model)
-        S[cells, flow_col] = unit
-        S[cells, rpm_col] = (d_dist * cal.distance_slope(rpm)
-                             + d_sd * cal.sigma_distance_slope(rpm)
-                             + d_angle * (sign * cal.angle_slope(rpm))
-                             + d_sa * cal.sigma_angle_slope(rpm))
-        bands.append(cells)
+    for i, (values, geometry) in enumerate(zip(steps, predictor.geometry)):
+        for flow_col, rpm_col, side, sign in _DISC_COLUMNS:
+            rpm = values[rpm_col]
+            params = pattern_from_controls(rpm, values[flow_col], cal, side)
+            _, cells, dist, angle, scale = band(
+                geometry, *band_bounds(params, model, predictor.scaling))
+            amount[cells] += disc_deposit(dist, angle, scale, params, model)
+            unit, d_dist, d_sd, d_angle, d_sa = disc_deposit_partials(dist, angle, scale,
+                                                                      params, model)
+            S[cells, 4 * i + flow_col] = unit
+            S[cells, 4 * i + rpm_col] = (d_dist * cal.distance_slope(rpm)
+                                         + d_sd * cal.sigma_distance_slope(rpm)
+                                         + d_angle * (sign * cal.angle_slope(rpm))
+                                         + d_sa * cal.sigma_angle_slope(rpm))
+            bands.append(cells)
     e = amount - predictor.target
     return float(e @ e), e, S, bands
 

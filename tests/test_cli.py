@@ -217,11 +217,11 @@ def test_invalid_calibration_values_name_the_file(scenario_file, tmp_path, line,
 @pytest.mark.parametrize("file, line, broken, key", [
     ("scenario", "dt = 1", "dt = pi/0", "run.dt"),
     ("calibration", "flow_max = 200", "flow_max = pi/0", "constraints.flow_max"),
-    ("scenario", "n_cells = 8", "n_cells = nan", "field.n_cells"),
-    ("scenario", "horizon = 2", "horizon = inf", "run.horizon"),
+    ("scenario", "n_cells = 8", "n_cells = nan", "[field] n_cells"),
+    ("scenario", "horizon = 2", "horizon = inf", "[run] horizon"),
     pytest.param("scenario", "max_iterations = 60", "max_iterations = nan",
-                 "optimizer.max_iterations", id="optimizer-max_iterations"),
-    pytest.param("scenario", "restarts = 0", "restarts = inf", "optimizer.restarts",
+                 "[optimizer] max_iterations", id="optimizer-max_iterations"),
+    pytest.param("scenario", "restarts = 0", "restarts = inf", "[optimizer] restarts",
                  id="optimizer-restarts"),
     pytest.param("scenario", "seed = 0", "seed = -1", "[optimizer] seed", id="optimizer-seed"),
 ])
@@ -588,6 +588,25 @@ def test_validate_flags_a_plan_that_does_not_integrate_at_dt(tmp_path, capsys, d
     assert captured.out.splitlines()[-1] != "ok"
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert f"not an integer multiple of dt={dt}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_plan_of_too_many_steps_fails_before_any_state(tmp_path, capsys, monkeypatch,
+                                                         command):
+    # the shipped plan at dt = 1e-9 would ask for 6.2e10 states
+    def forbidden(*args):
+        raise AssertionError("a state was built")
+    monkeypatch.setattr(spreadopt.kinematics, "step", forbidden)
+    path = tmp_path / "scenario.ini"
+    path.write_text(default_scenario_path().read_text().replace("dt = 1\n", "dt = 1e-9\n"))
+    args = [command, "--scenario", str(path)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("problem:" if command == "validate" else "error:")
+    assert "dt=1e-09 gives the plan 62000000000 steps" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("line, broken, section", [

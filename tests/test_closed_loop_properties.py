@@ -10,6 +10,7 @@ mpc-full) the predictor's cost of each applied control must equal the
 plant's cost after that step.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,8 @@ from spreadopt import (
     run,
 )
 from spreadopt import controllers
+from spreadopt.config import default_calibration_path, default_scenario_path, load_scenario
+from spreadopt.calibration import load_calibration
 
 from checks import chain_feasible, controls_in_boxes
 
@@ -115,3 +118,41 @@ def test_closed_loop_is_feasible_predicted_and_repeatable(scenario):
 @given(scenario=scenarios())
 def test_closed_loop_invariants_over_many_scenarios(scenario):
     _check_closed_loop(scenario)
+
+
+def _shipped(kind, **plan):
+    """The shipped scenario under controller ``kind``, its plan's fields
+    replaced by ``plan``, with the shipped calibration and settings."""
+    config = load_scenario(default_scenario_path())
+    cal, constraints = load_calibration(default_calibration_path())
+    scenario = dataclasses.replace(config.scenario, controller=kind,
+                                   plan=dataclasses.replace(config.scenario.plan, **plan))
+    return scenario, cal, constraints, config.settings
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_a_zero_width_flow_box_runs_to_the_end(kind):
+    # flow_min = flow_max leaves each solve the speeds alone; the first 26
+    # shipped steps take in the first turn
+    scenario, cal, constraints, settings_ = _shipped(kind)
+    scenario = dataclasses.replace(scenario, plan=dataclasses.replace(
+        scenario.plan, segments=scenario.plan.segments[:2]))
+    pinned = dataclasses.replace(constraints, flow_min=45.0, flow_max=45.0)
+    record = run(scenario, cal, pinned, settings_)
+    assert record.n_steps == 26
+    assert chain_feasible(record.controls, scenario.initial_controls, pinned)
+    assert np.all(record.controls[:, :2] == 45.0)
+    assert math.isfinite(record.final_cost)
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_a_plan_entirely_off_the_field_runs_to_the_end(kind):
+    # no band of any speed reaches the field from any pose of the plan
+    scenario, cal, constraints, settings_ = _shipped(kind, start=TractorState(-500.0, -500.0,
+                                                                              0.0))
+    record = run(scenario, cal, constraints, settings_)
+    assert record.n_steps == 62
+    assert chain_feasible(record.controls, scenario.initial_controls, constraints)
+    # nothing lands, so the cost stays the prescription's sum of squares
+    assert not record.final_map.any()
+    assert record.final_cost == float(np.sum(scenario.prescription ** 2)) == 3240000.0

@@ -764,7 +764,7 @@ def _scenario_of_horizon(horizon):
 
 # each constructor's integer field: the name its error gives, and a build
 INTEGER_FIELDS = {
-    "FieldGrid.n_cells": ("cell count", lambda value: FieldGrid(150.0, value)),
+    "FieldGrid.n_cells": ("n_cells", lambda value: FieldGrid(150.0, value)),
     "Scenario.horizon": ("horizon", _scenario_of_horizon),
     "RecedingHorizonController.horizon": (
         "horizon", lambda value: controllers.RecedingHorizonController(

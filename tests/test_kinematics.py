@@ -12,6 +12,7 @@ from spreadopt import (
     step,
     trajectory,
 )
+from spreadopt import kinematics
 
 S_PLAN = DrivePlan(
     TractorState(50.0, 100.0, 0.0),
@@ -80,6 +81,32 @@ def test_a_step_count_that_overflows_is_rejected():
     # 10 / 1e-320 is an infinite step count, which round() cannot convert
     with pytest.raises(ConfigurationError, match="not an integer multiple of dt=1e-320"):
         trajectory(S_PLAN, 1e-320)
+
+
+def _no_state_built(monkeypatch):
+    """Make building any state fail the test, so that no plan of too many
+    steps is ever integrated."""
+    def forbidden(*args):
+        raise AssertionError("a state was built")
+    monkeypatch.setattr(kinematics, "step", forbidden)
+
+
+def test_a_plan_of_too_many_steps_is_rejected_before_any_state(monkeypatch):
+    _no_state_built(monkeypatch)
+    # 62 s at dt = 1e-9: every segment is a whole number of steps
+    with pytest.raises(ConfigurationError,
+                       match=r"^dt=1e-09 gives the plan 62000000000 steps, more than the "
+                             r"1000000 allowed$"):
+        trajectory(S_PLAN, 1e-9)
+
+
+def test_the_step_bound_counts_every_segment(monkeypatch):
+    monkeypatch.setattr(kinematics, "MAX_STEPS", 62)
+    assert len(trajectory(S_PLAN, 1.0)) == 63
+    _no_state_built(monkeypatch)
+    # 124 steps in all, though no segment alone takes more than 32
+    with pytest.raises(ConfigurationError, match="^dt=0.5 gives the plan 124 steps"):
+        trajectory(S_PLAN, 0.5)
 
 
 def test_nonfinite_state_is_rejected():

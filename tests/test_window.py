@@ -13,6 +13,7 @@ full-model prediction on an empty map.
 """
 
 import decimal
+import functools
 import math
 
 import numpy as np
@@ -155,9 +156,9 @@ def test_windowed_predictor_matches_the_dense_kernel(n, side, fx, fy, heading, f
 
 
 @st.composite
-def reach_box_problems(draw):
-    """A predictor over 1-3 poses of a straight drive, with controls in or
-    at the bounds of the actuator box.  Poses sit anywhere on the field, on
+def reach_box_problems(draw, horizons=st.integers(1, 3)):
+    """A predictor over ``horizons`` poses (1-3) of a straight drive, with
+    controls in or at the bounds of the actuator box.  Poses sit anywhere on the field, on
     its corners and edges, or entirely off it."""
     n = draw(st.integers(2, 40))
     side = draw(st.floats(10.0, 300.0))
@@ -167,7 +168,7 @@ def reach_box_problems(draw):
         # far enough that no band of any speed reaches the field
         fx = draw(st.sampled_from([-1.0, 1.0])) * 10.0 + fx
     heading = draw(st.floats(-math.pi, math.pi))
-    horizon = draw(st.integers(1, 3))
+    horizon = draw(horizons)
     command = DriveCommand(draw(st.floats(0.0, 8.0)), draw(st.floats(-0.4, 0.4)),
                            float(horizon))
     poses = trajectory(DrivePlan(TractorState(fx * side, fy * side, heading), (command,)),
@@ -210,6 +211,28 @@ def test_reach_box_predictor_equals_the_whole_field_predictor(problem, model, sc
         near = full.dist <= geometry.radius
         assert np.array_equal(geometry.cells[:near.sum()], full.cells[near])
         assert geometry.cells.size <= full.cells.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=reach_box_problems(horizons=st.integers(2, 4)),
+       model=st.sampled_from(DepositionModel), scaling=st.sampled_from(DepositScaling),
+       cal=st.sampled_from([CAL, PEAKED]), sized=st.booleans())
+def test_a_several_pose_prediction_is_the_field_order_prediction(problem, model, scaling, cal,
+                                                                 sized):
+    # several poses fill every cell in field order: cost, residual rows and
+    # Jacobian rows are bitwise those of scattering every disc in turn
+    grid, poses, applied, prescribed, controls = problem
+    radius = _box_radius(cal, model) if sized else 0.0
+    predictor = controllers._Predictor(grid, poses, applied, prescribed, model, cal, scaling,
+                                       radius=radius)
+    whole = controllers._Predictor(grid, poses, applied, prescribed, model, cal, scaling)
+    expected, residual, jacobian, bands = field_order_prediction(whole, controls)
+    assert predictor.cost(controls) == expected
+    value, e, S, rows = predictor.cost_residual_jacobian(controls, np.ones(controls.shape))
+    assert value == expected
+    assert np.array_equal(rows, functools.reduce(np.union1d, bands))
+    assert e.tobytes() == residual[rows].tobytes()
+    assert S.tobytes() == jacobian[rows].tobytes()
 
 
 def test_the_box_radius_covers_the_actuator_box_and_a_wider_band_grows_it():
