@@ -10,8 +10,8 @@ Subcommands:
   running, echoing the resolved configuration.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
-failure during a run, 3 comparison finished but at least one variant
-failed.
+failure or out of memory during a run, 3 comparison finished but at least
+one variant failed.
 """
 
 from __future__ import annotations

@@ -41,9 +41,10 @@ agree with dense evaluation to rounding, not bitwise.  Every prediction
 fills one work array in place on the span its discs can change and adds
 the change of that span's squares to a base cost.  A single pose, as in
 greedy and in an MPC's final decision, works in its distance order: the
-span is the union of its bands and the base cost sums the field once per
-decision, so an evaluation does not read the field.  Several poses work in
-the field's own order, over every cell, from a base cost of zero.
+span is the slice of it that spans its bands and the base cost sums the
+field once per decision, so an evaluation does not read the field.
+Several poses work in the field's own order, over every cell, from a base
+cost of zero.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ class _Predictor:
     scattered back to the cells.  Outside the band the normal model's
     deposit is at most ``spread.WINDOW_TOLERANCE`` per gram of flow (times
     the conservative area scale) and the triangle's is exactly zero.  The
-    residual and the Jacobian that the solver reads keep only the bands'
-    rows.  One crescent covers a few percent of a large field, so the bands
-    skip most of the kernel work.
+    residual and the Jacobian that the solver reads keep only the rows that
+    span the bands (:meth:`_rows`).  One crescent covers a few percent of a
+    large field, so the bands skip most of the kernel work.
 
     Each evaluation fills one work array in place with the residual on a
     span of it: the applied amounts, plus the discs' deposits in disc order,
@@ -140,8 +141,10 @@ class _Predictor:
     span: the base cost ``c0`` plus the change of the span's squares from
     ``r0``, the residual without deposits.  The span and the order of the
     work array depend on the number of poses.  A single pose's two windows
-    are slices of one distance order, so their union is the slice ``[lo,
-    hi)`` of it.  Its predictor gathers the applied map, the prescription
+    are slices of one distance order, so the slice ``[lo, hi)`` from the
+    first start to the last stop spans both; its residual and Jacobian
+    rows are that slice, the Jacobian's zero between windows that are
+    apart.  Its predictor gathers the applied map, the prescription
     and ``r0`` in that order once per geometry, with a work array of the
     geometry's size, and sums ``c0 = r0 . r0`` over every cell once; each
     disc indexes the work array by its window.  Every residual entry is
@@ -165,11 +168,11 @@ class _Predictor:
     candidate the line search has just accepted, so a Jacobian adds only
     the partials and the chain rule through the calibration.  At other
     controls, each disc whose rpm is bitwise the record's keeps its band and
-    factors, which depend only on the pose and the rpm, and its parameters
-    too unless its flow changed; it only multiplies its deposit again.  Rpm repeats mostly
-    because the unroll clips it at the actuator box.  Only the two factors
-    are kept per disc, not the offsets or the deposit, so the record stays
-    within a few band-sized arrays per disc.  Every reuse gives bitwise the
+    factors, which depend only on the pose and the rpm, and only multiplies
+    its deposit again.  Rpm repeats mostly because the unroll clips it at
+    the actuator box.  Only the two factors are kept per disc, not the
+    offsets or the deposit, so the record stays within a few band-sized
+    arrays per disc.  Every reuse gives bitwise the
     results of evaluating afresh.
     """
 
@@ -256,22 +259,18 @@ class _Predictor:
         self._work = np.empty(cells.size)
 
     def _rows(self):
-        """Cell index of each Jacobian row, one per cell of the union of the
-        discs' bands, each band's rows among them, and where the work array
-        holds the residual on those rows: slices of the one pose's distance
-        order, or the rows of the field."""
+        """Cell index of each Jacobian row, each band's rows among them, and
+        where the work array holds the residual on those rows.  One pose's
+        rows are the slice of its distance order that spans both windows;
+        several poses' are the union of the bands, in the field's order."""
         if self.horizon == 1:
-            # both windows are slices of the one pose's distance order: their
-            # union is one slice of it, or two when they are apart
+            # rows between windows that are apart are zero, with the true
+            # residual
             order = self.geometry[0].cells
-            (a1, b1), (a2, b2) = ((band[0].start, band[0].stop) for _, band, _ in self._discs)
-            if max(a1, a2) <= min(b1, b2):
-                lo, hi = min(a1, a2), max(b1, b2)
-                return (order[lo:hi], [slice(a1 - lo, b1 - lo), slice(a2 - lo, b2 - lo)],
-                        [slice(lo, hi)])
-            return (np.concatenate([order[a1:b1], order[a2:b2]]),
-                    [slice(0, b1 - a1), slice(b1 - a1, b1 - a1 + b2 - a2)],
-                    [slice(a1, b1), slice(a2, b2)])
+            windows = [band[0] for _, band, _ in self._discs]
+            lo, hi = min(w.start for w in windows), max(w.stop for w in windows)
+            return (order[lo:hi], [slice(w.start - lo, w.stop - lo) for w in windows],
+                    slice(lo, hi))
         marked, position = self._marked, self._position
         cells = [band[1] for _, band, _ in self._discs]
         for band_cells in cells:
@@ -280,7 +279,7 @@ class _Predictor:
         marked[rows] = False
         position[rows] = np.arange(rows.size)
         # gathered one band at a time, as the caller scatters it
-        return rows, (position[band_cells] for band_cells in cells), [rows]
+        return rows, (position[band_cells] for band_cells in cells), rows
 
     def cost(self, controls: np.ndarray) -> float:
         """Objective for a (H, 4) control array."""
@@ -290,7 +289,7 @@ class _Predictor:
         """Fill the residual on the span of the work array the discs can
         change, with the record's deposits at the flows in ``values``, and add
         the change of its squares' sum to the base cost.  One pose's span is
-        the union slice of its two windows in its distance order; several
+        the slice of its distance order that spans both windows; several
         poses' is every cell in field order, where each disc indexes the work
         array by its band cells."""
         one = self.horizon == 1
@@ -325,8 +324,7 @@ class _Predictor:
             if same[rpm_j]:
                 params, band, factors = self._discs[k]
                 if not same[flow_j]:
-                    params = PatternParams(flow, params.center_distance, params.sigma_distance,
-                                           params.center_angle, params.sigma_angle)
+                    params = self._disc_params(flow, values[rpm_j], side)
             else:
                 # the old factors are freed before the new ones are built
                 self._discs[k] = None
@@ -343,8 +341,8 @@ class _Predictor:
     def cost_residual_jacobian(self, controls: np.ndarray, masks: np.ndarray):
         """Objective, then the residual and its Jacobian with respect to
         every control entry (columns step-major in component order) on the
-        union of the discs' bands, and the cell index of each of their rows.
-        Every other row of the Jacobian is zero.
+        rows of :meth:`_rows`, and the cell index of each row.  Every other
+        row of the Jacobian is zero.
 
         ``masks`` are the clip masks of the unroll that gave ``controls``
         (:func:`_clip_masks`).  The fold multiplies an rpm column whose mask
@@ -356,6 +354,7 @@ class _Predictor:
         value = self._evaluate(controls)
         rows, band_rows, held = self._rows()
         S = np.zeros((rows.size, 4 * self.horizon))
+        # building every rpm column took shipped mpc-full's controller time 19% up
         kept = masks.ravel().tolist()
         for (_, flow_j, rpm_j, _, sign), at, disc in zip(self._layout, band_rows, self._discs):
             if kept[rpm_j]:
@@ -365,7 +364,7 @@ class _Predictor:
                 S[at, flow_j] = deposit_from_factors(1.0, factors, band[4])
         # gathered once the last disc's partials are freed: they and the
         # Jacobian are the solve's peak
-        return value, np.concatenate([self._work[piece] for piece in held]), S, rows
+        return value, np.array(self._work[held]), S, rows
 
     def _disc_columns(self, S, at, flow_j, rpm_j, sign, rpm, params, band, factors):
         """Write one disc's flow and rpm columns into rows ``at`` of ``S``.
@@ -430,24 +429,13 @@ def _fold_jacobian(S: np.ndarray, masks: np.ndarray) -> np.ndarray:
     next step's folded columns, zeroed where that step's control was
     clipped.  Splitting the columns into steps is a view of any 2-D array,
     a transposed one included, so the fold always lands in ``S``.
-
-    Down to the next clipped step, those sums are one running sum over the
-    steps in reverse, started from the last folded step; addition is
-    commutative, so it rounds as the sums one step at a time.
     """
     h = masks.shape[0]
     blocks = S.reshape(S.shape[0], h, 4)
-    kept = masks.tolist()
-    end = h
-    for i in reversed(range(h)):
-        clipped = not all(kept[i])
-        if clipped or i == 0:
-            run = blocks[:, i:end + 1][:, ::-1]
-            if run.shape[1] > 1:
-                np.add.accumulate(run, axis=1, out=run)
-            if clipped:
-                blocks[:, i] *= masks[i]
-            end = i
+    blocks[:, h - 1] *= masks[h - 1]
+    for i in reversed(range(h - 1)):
+        blocks[:, i] += blocks[:, i + 1]
+        blocks[:, i] *= masks[i]
     return S
 
 
@@ -461,6 +449,7 @@ def _normal_equations(S: np.ndarray, e: np.ndarray, masks: np.ndarray):
     Both work on 4H columns and at most 4H + 1 rows, whatever the number of
     cells.
     """
+    # folding S first took shipped mpc-full's controller time 41% up
     n = S.shape[1]
     stacked = np.empty((n + 1, n))
     np.matmul(S.T, S, out=stacked[:n])
@@ -549,7 +538,8 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
             diagonal_sum = float(diagonal.sum())
             floor = 1e-12 * (diagonal_sum / rhs_f.size + 1e-12)
             # r^T A^-1 r >= |r|^2 / trace(A) for positive definite A: solve
-            # only when that bound does not clear the threshold
+            # only when that bound does not clear the threshold (always solving
+            # took large-field-greedy's controller time 12% up)
             gain = float(rhs_f @ rhs_f) / (diagonal_sum + floor * rhs_f.size)
             if gain < threshold:
                 M_ff = M[np.ix_(free, free)] if pinned else M.copy()

@@ -102,7 +102,8 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
 
     :func:`check_setup` runs before the first decision; each controller
     output is additionally verified before it is applied.  A controller
-    failure raises :class:`RunAbortedError` carrying the partial record.
+    failure, or a ``MemoryError`` in the controller or the plant's deposit,
+    raises :class:`RunAbortedError` carrying the partial record.
     """
     states = check_setup(scenario, constraints)
     n = len(states) - 1
@@ -130,8 +131,8 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
         try:
             decided = controller.plan_controls(tail, applied, scenario.prescription,
                                                previous, scenario.grid)
-        except SpreadOptError as exc:
-            raise RunAbortedError(f"controller failed at step {k}: {exc}",
+        except (SpreadOptError, MemoryError) as exc:
+            raise RunAbortedError(f"controller failed at step {k}: {_reason(exc)}",
                                   record=partial(k - 1), step=k) from exc
         controller_seconds[k - 1] = time.perf_counter() - started
         if not satisfies_constraints(decided, previous, constraints):
@@ -141,7 +142,11 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
 
         pose = states[k]
         left, right = patterns_from_controls(decided, cal)
-        deposit = total_deposit(pose, left, right, scenario.grid, scenario.scaling)
+        try:
+            deposit = total_deposit(pose, left, right, scenario.grid, scenario.scaling)
+        except MemoryError as exc:
+            raise RunAbortedError(f"plant deposit failed at step {k}: {_reason(exc)}",
+                                  record=partial(k - 1), step=k) from exc
         applied += deposit
 
         idx = k - 1
@@ -154,6 +159,12 @@ def run(scenario: Scenario, cal: CalibrationModel, constraints: ControlConstrain
 
     return RunRecord(times, poses, controls_out, deposit_mass, cost_trace, applied,
                      cost(applied, scenario.prescription), controller_seconds)
+
+
+def _reason(exc: Exception) -> str:
+    """An exception's message, or its type's name if it has none, as a bare
+    ``MemoryError`` has not."""
+    return str(exc) or type(exc).__name__
 
 
 def write_trace(path, record: RunRecord) -> None:

@@ -1,17 +1,24 @@
 """Reference computations the tests hold the predictor and solver to, the
 strategy that draws their starting controls, the projection that turns a
-wished control into a feasible one, and the step-by-step forms of the
-per-call helpers."""
+wished control into a feasible one, the step-by-step forms of the
+per-call helpers, and a calibration whose windows come apart."""
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from spreadopt import (CalibrationDomainError, SpreaderControls, pattern_from_controls,
-                       satisfies_constraints)
+from spreadopt import (DEFAULT_CALIBRATION, CalibrationDomainError, CalibrationModel,
+                       SpreaderControls, pattern_from_controls, satisfies_constraints)
 from spreadopt.controllers import _DISC_COLUMNS
 from spreadopt.spread import band, band_bounds, disc_deposit, disc_deposit_partials
+
+# a radial spread narrow enough that the two discs' windows come apart when
+# their speeds differ, under either model
+NARROW = CalibrationModel(distance_coeffs=(1.0 / 24.0, -7.5),
+                          sigma_distance_coeffs=(0.0, 0.0, 0.3),
+                          angle_coeffs=DEFAULT_CALIBRATION.angle_coeffs,
+                          sigma_angle_coeffs=DEFAULT_CALIBRATION.sigma_angle_coeffs)
 
 
 def analytic_gradient(predictor, controls):

@@ -809,6 +809,33 @@ def test_an_aborted_run_writes_its_partial_record_and_a_diagnostic(scenario_file
     assert "step 2" in (out / "diagnostic.txt").read_text()
 
 
+@pytest.mark.parametrize("where", ["controller", "plant"])
+def test_a_run_out_of_memory_exits_2_with_a_diagnostic(scenario_file, tmp_path, monkeypatch,
+                                                       capsys, where):
+    # the second call raises as numpy does when an allocation fails; nothing
+    # large is allocated
+    owner, name = ((RecedingHorizonController, "plan_controls") if where == "controller"
+                   else (spreadopt.simulation, "total_deposit"))
+    real = getattr(owner, name)
+    calls = []
+
+    def exhausted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise MemoryError("Unable to allocate 335. MiB for an array with shape (43912800,)")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, exhausted)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(read_trace(out / "trace.csv")["k"]) == 1
+    assert dict(summary_pairs(out / "summary.txt"))["n_steps"] == "1"
+    diagnostic = (out / "diagnostic.txt").read_text()
+    assert diagnostic.startswith("aborted at step 2: ") and "Unable to allocate" in diagnostic
+
+
 def test_a_failed_compare_variant_leaves_the_others_complete(scenario_file, tmp_path,
                                                               monkeypatch, capsys):
     failing_plan_controls(

@@ -25,6 +25,7 @@ from spreadopt import (
     total_deposit,
     trajectory,
 )
+from spreadopt import simulation
 from spreadopt.simulation import (TRACE_COLUMNS, RunRecord, _format, read_trace,
                                   write_run_outputs, write_trace)
 
@@ -146,6 +147,49 @@ def test_an_exhausted_replay_aborts_with_a_partial_record():
     assert err.step == 3
     assert err.record.n_steps == 2
     assert err.record.final_cost == err.record.cost_trace[-1]
+
+
+def out_of_memory_at(step, call):
+    """``call`` that raises ``MemoryError`` on its ``step``-th call, as numpy
+    does when an allocation fails; no memory is exhausted."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == step:
+            raise MemoryError("Unable to allocate 335. MiB for an array with shape (43912800,)")
+        return call(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("where", ["controller", "plant"])
+def test_a_memory_error_in_a_run_aborts_with_a_partial_record(monkeypatch, where):
+    scenario = tiny_scenario(steps=4)
+    controller = ScheduleReplayController(fixed_schedule(4))
+    if where == "controller":
+        controller.plan_controls = out_of_memory_at(2, controller.plan_controls)
+    else:
+        monkeypatch.setattr(simulation, "total_deposit",
+                            out_of_memory_at(2, simulation.total_deposit))
+    with pytest.raises(RunAbortedError) as excinfo:
+        run(scenario, CAL, DEFAULT_CONSTRAINTS, SETTINGS, controller=controller)
+    err = excinfo.value
+    assert err.step == 2 and err.record.n_steps == 1
+    assert str(err).startswith(f"{'plant deposit' if where == 'plant' else where} failed "
+                               "at step 2: Unable to allocate")
+    assert isinstance(err.__cause__, MemoryError)
+
+
+def test_a_bare_memory_error_is_named_by_its_type():
+    scenario = tiny_scenario(steps=3)
+
+    class Exhausted:
+        def plan_controls(self, plan_tail, applied, prescribed, previous, grid):
+            raise MemoryError
+
+    with pytest.raises(RunAbortedError, match="^controller failed at step 1: MemoryError$"):
+        run(scenario, CAL, DEFAULT_CONSTRAINTS, SETTINGS, controller=Exhausted())
 
 
 def test_an_infeasible_controller_output_aborts():
