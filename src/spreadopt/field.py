@@ -18,12 +18,17 @@ import numpy as np
 from .errors import ConfigurationError, ShapeError, checked_integer
 
 _CSV_FORMAT = "%.12g"
+# the most cells a field may have per side: a run's peak memory grew by
+# about 30 bytes a cell (some four float64 maps) from 720 to 1440 cells a
+# side, so a field at the bound peaks near 2 GB
+MAX_N_CELLS = 8192
 
 
 @dataclass(frozen=True)
 class FieldGrid:
     """Geometry of the field: a square of side ``side_length`` split into
-    ``n_cells`` by ``n_cells`` equal cells, anchored at ``origin``."""
+    ``n_cells`` by ``n_cells`` equal cells, anchored at ``origin``, with at
+    most :data:`MAX_N_CELLS` cells a side."""
 
     side_length: float
     n_cells: int
@@ -32,7 +37,11 @@ class FieldGrid:
     def __post_init__(self):
         if not (math.isfinite(self.side_length) and self.side_length > 0):
             raise ConfigurationError(f"field side length must be positive, got {self.side_length!r}")
-        object.__setattr__(self, "n_cells", checked_integer("n_cells", self.n_cells))
+        n_cells = checked_integer("n_cells", self.n_cells)
+        if n_cells > MAX_N_CELLS:
+            raise ConfigurationError(
+                f"n_cells={n_cells} is more than the {MAX_N_CELLS} cells a side allowed")
+        object.__setattr__(self, "n_cells", n_cells)
         ox, oy = self.origin
         if not (math.isfinite(ox) and math.isfinite(oy)):
             raise ConfigurationError(f"field origin must be finite, got {self.origin!r}")

@@ -130,7 +130,7 @@ def field_order_prediction(predictor, controls):
     steps = np.asarray(controls, dtype=float).reshape(-1, 4).tolist()
     cal, model = predictor.cal, predictor.model
     amount = predictor.applied.copy()
-    S = np.zeros((predictor.n_cells, 4 * len(steps)))
+    S = np.zeros((predictor.applied.size, 4 * len(steps)))
     bands = []
     for i, (values, geometry) in enumerate(zip(steps, predictor.geometry)):
         for flow_col, rpm_col, side, sign in _DISC_COLUMNS:

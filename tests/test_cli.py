@@ -1,13 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import logging
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spreadopt
 from spreadopt import (ConfigurationError, ControllerKind, DepositionModel, DepositScaling,
@@ -17,6 +21,7 @@ from spreadopt.calibration import _PATTERN_KEYS, ControlConstraints
 from spreadopt.config import (_SCENARIO_SECTIONS, default_calibration_path,
                               default_scenario_path, field_names, load_scenario)
 from spreadopt.controllers import RecedingHorizonController
+from spreadopt.field import MAX_N_CELLS
 from spreadopt.simulation import read_trace
 from spreadopt.spread import TriangleSupport
 
@@ -617,10 +622,14 @@ def test_a_plan_of_too_many_steps_fails_before_any_state(tmp_path, capsys, monke
     ("    5 0 3", "    -5 0 3", "plan"),
     ("dt = 1", "dt = 0", "run"),
     ("horizon = 2", "horizon = 0", "run"),
-    # about 7 EiB, which no allocation can take even in part
+    # one cell a side past the bound, and fields of about 7 EiB, 2^67 bytes
+    # and 8e36 bytes, which no allocation can take even in part
+    ("n_cells = 8", f"n_cells = {MAX_N_CELLS + 1}", "field"),
     ("n_cells = 8", "n_cells = 1000000000", "field"),
+    ("n_cells = 8", "n_cells = 4294967296", "field"),
+    ("n_cells = 8", "n_cells = 1e18", "field"),
 ], ids=["n_cells", "side_length", "uniform", "start_x", "segment", "dt", "horizon",
-        "n_cells_too_large"])
+        "n_cells_past_the_bound", "n_cells_too_large", "n_cells_2e32", "n_cells_1e18"])
 def test_an_out_of_range_scenario_value_names_the_file_and_the_section(tmp_path, capsys, line,
                                                                        broken, section):
     assert TINY_SCENARIO.count(line) == 1
@@ -628,6 +637,33 @@ def test_an_out_of_range_scenario_value_names_the_file_and_the_section(tmp_path,
     assert code == 1
     assert len(err) == 1
     assert err[0].startswith(f"error: {tmp_path / 'scenario.ini'}: [{section}] ")
+
+
+# every key set in the packaged inputs, by file
+VALUE_KEYS = [(file, match[1]) for file, path in INPUT_FILES.items()
+              for match in re.finditer(r"^(\w+) =", path().read_text(), re.MULTILINE)]
+ODD_VALUES = ["4294967296", "1e18", "1e308", "1e-9", "5e-324", "-1", "-4294967296", "0", "nan",
+              "inf", "-inf", "abc", "", "%"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(at=st.sampled_from(VALUE_KEYS), value=st.sampled_from(ODD_VALUES))
+@example(at=("scenario", "n_cells"), value="4294967296")
+def test_validate_ends_cleanly_whatever_one_value_is(at, value):
+    # one value of the packaged scenario or calibration set to an odd one:
+    # validate accepts it or names the fault, and nothing escapes main
+    file, key = at
+    text = re.sub(rf"^{key} =.*$", f"{key} = {value}", INPUT_FILES[file]().read_text(),
+                  count=1, flags=re.MULTILINE)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"{file}.ini"
+        path.write_text(text)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate", f"--{file}", str(path)])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith(("error:", "problem:"))
 
 
 def test_a_misspelt_run_key_is_rejected(tmp_path, capsys):

@@ -260,7 +260,7 @@ def _check_normal_equations(predictor, controls, masks):
     M, grad_x = controllers._normal_equations(S, e, masks)
 
     # the dense reference: every cell a row, the residual of every cell
-    dense = np.zeros((predictor.n_cells, S.shape[1]))
+    dense = np.zeros((predictor.applied.size, S.shape[1]))
     dense[rows] = S
     residual = predictor.applied - predictor.target
     residual[rows] = e
@@ -351,29 +351,35 @@ def test_greedy_solve_allocates_no_field_sized_temporaries(monkeypatch):
     assert peak < n * n * 8
 
 
+def _built_bytes(grid, poses, applied, prescribed, radius):
+    """Bytes a several-pose predictor keeps once built, with its geometry
+    cached, as the controller builds it."""
+    cache = {}
+    args = (grid, poses, applied, prescribed, DepositionModel.FULL_NORMAL, CAL)
+    controllers._Predictor(*args, geometry_cache=cache, radius=radius)
+    tracemalloc.start()
+    try:
+        predictor = controllers._Predictor(*args, geometry_cache=cache, radius=radius)
+        built, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return predictor, built
+
+
 def test_a_several_pose_solve_allocates_no_field_sized_temporaries():
     # the cell size of the greedy test, on a field four times its area, so
     # that the four bands' records, partials and Jacobian stay under one map
     n, h = 360, 2
     grid = FieldGrid(600.0, n)
     prescribed = as_amount_map(np.full((n, n), 20.0), grid)
-    applied = grid.zeros()
     plan = DrivePlan(TractorState(300.0, 300.0, 0.3), (DriveCommand(8.0, 0.1, float(h)),))
     poses = trajectory(plan, 1.0)[1:]
-    cache = {}
-    controllers._Predictor(grid, poses, applied, prescribed, DepositionModel.FULL_NORMAL, CAL,
-                           geometry_cache=cache)
-    tracemalloc.start()
-    try:
-        predictor = controllers._Predictor(grid, poses, applied, prescribed,
-                                           DepositionModel.FULL_NORMAL, CAL, geometry_cache=cache)
-        built, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # with the geometry cached, building keeps one float64 work map and
-    # _rows's row positions and marks: 17 bytes a cell, 25 with a second map
-    kept = np.dtype(np.float64).itemsize + np.dtype(np.intp).itemsize + 1
-    assert kept * n * n <= built < (kept + 1) * n * n
+    radius = controllers._reach_radius(CAL, DepositionModel.FULL_NORMAL, DEFAULT_CONSTRAINTS)
+    predictor, built = _built_bytes(grid, poses, grid.zeros(), prescribed, radius)
+    # building keeps the maps gathered on the union of the poses' boxes and
+    # each pose's positions in it: 2.3 bytes a cell, against 17 when the work
+    # array, _rows's marks and its row positions were field-sized
+    assert built < n * n * 8 / 3
     prev = np.array([45.0, 45.0, 600.0, 600.0])
     start = np.tile(prev, (h, 1)) + [[5.0, -5.0, 30.0, -30.0], [10.0, -10.0, 60.0, -60.0]]
     tracemalloc.start()
@@ -384,9 +390,26 @@ def test_a_several_pose_solve_allocates_no_field_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert controls.shape == (h, 4)
-    # every evaluation fills the work map in place: the peak is the bands'
-    # records, partials and Jacobian, under one n_cells map
+    # every evaluation fills the work array in place: the peak is the bands'
+    # records, partials and Jacobian, about half of one n_cells map
     assert peak < n * n * 8
+
+
+def test_a_several_pose_predictor_keeps_the_same_bytes_on_a_larger_field():
+    # the same poses and cells on a field 16 times the area: a prediction
+    # works on the poses' boxes, so nothing it keeps grows with the field
+    radius = controllers._reach_radius(CAL, DepositionModel.FULL_NORMAL, DEFAULT_CONSTRAINTS)
+    plan = DrivePlan(TractorState(150.0, 150.0, 0.3), (DriveCommand(8.0, 0.1, 3.0),))
+    poses = trajectory(plan, 1.0)[1:]
+    kept = []
+    for n in (180, 720):
+        grid = FieldGrid(n * 300.0 / 180, n)
+        prescribed = as_amount_map(np.full((n, n), 20.0), grid)
+        kept.append(_built_bytes(grid, poses, grid.zeros(), prescribed, radius)[1])
+    # equal arrays; Python's own small objects move the count by some 100
+    # bytes from one build to the next, where a field-sized array would add
+    # megabytes
+    assert abs(kept[1] - kept[0]) < 1024
 
 
 # --- optimizer ------------------------------------------------------------------

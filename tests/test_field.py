@@ -11,6 +11,7 @@ from spreadopt import (
     load_map,
     save_map,
 )
+from spreadopt.field import MAX_N_CELLS
 
 
 def test_grid_geometry():
@@ -25,6 +26,13 @@ def test_default_field_has_8100_cells():
     assert (xs[0, 0], ys[0, 0]) == pytest.approx((150.0 / 180, 150.0 / 180))
     for centers in (xs, ys):
         assert (centers > 0.0).all() and (centers < 150.0).all()
+
+
+def test_the_cell_count_is_bounded_before_any_map_is_allocated():
+    # a grid holds no map, so one at the bound costs nothing to build
+    assert FieldGrid(1.0, MAX_N_CELLS).n_cells == MAX_N_CELLS
+    with pytest.raises(ConfigurationError, match=f"n_cells={MAX_N_CELLS + 1} is more than"):
+        FieldGrid(1.0, MAX_N_CELLS + 1)
 
 
 def test_single_cell_center_is_the_midpoint():

@@ -5,7 +5,8 @@ the geometry of each pose's reach box, and its Jacobian has rows only on
 the cells that span those bands.  These tests hold it to the dense kernels:
 bitwise equal inside the window, negligible (normal model) or zero
 (triangle model) outside it; to a whole-field predictor: bitwise equal
-cost, residual, Jacobian and rows; and in closed loop to runs with the
+residual, Jacobian and rows, and cost (within rounding for several poses,
+which sum it on the union of their boxes); and in closed loop to runs with the
 window widened to the whole grid: controls and maps equal within rounding,
 final costs bitwise.  The plant deposits on the same bands and is held to
 a dense deposit within the window tolerance, and bitwise to a one-pose
@@ -200,11 +201,17 @@ def test_reach_box_predictor_equals_the_whole_field_predictor(problem, model, sc
                                       radius=radius)
 
     boxed, whole = predictor(radius), predictor(math.inf)
-    assert boxed.cost(controls) == whole.cost(controls)
+    value, whole_value = boxed.cost(controls), whole.cost(controls)
+    # one pose sums its cost on the same slice of one order either way;
+    # several poses on their boxes' union or on every cell, which round apart
+    if len(poses) == 1:
+        assert value == whole_value
+    else:
+        assert abs(value - whole_value) <= 1e-12 * whole_value
     ones = np.ones(controls.shape)
-    value, e, S, rows = boxed.cost_residual_jacobian(controls, ones)
-    whole_value, whole_e, whole_S, whole_rows = whole.cost_residual_jacobian(controls, ones)
-    assert value == whole_value
+    got, e, S, rows = boxed.cost_residual_jacobian(controls, ones)
+    whole_got, whole_e, whole_S, whole_rows = whole.cost_residual_jacobian(controls, ones)
+    assert got == value and whole_got == whole_value
     assert np.array_equal(rows, whole_rows)
     assert np.array_equal(e, whole_e) and np.array_equal(S, whole_S)
     for geometry, full in zip(boxed.geometry, whole.geometry):
@@ -220,17 +227,20 @@ def test_reach_box_predictor_equals_the_whole_field_predictor(problem, model, sc
        cal=st.sampled_from([CAL, PEAKED]), sized=st.booleans())
 def test_a_several_pose_prediction_is_the_field_order_prediction(problem, model, scaling, cal,
                                                                  sized):
-    # several poses fill every cell in field order: cost, residual rows and
-    # Jacobian rows are bitwise those of scattering every disc in turn
+    # several poses fill the union of their boxes in field order: residual
+    # rows and Jacobian rows are bitwise those of scattering every disc in
+    # turn, and the cost, summed on the union from the field's base cost,
+    # equal within rounding
     grid, poses, applied, prescribed, controls = problem
     radius = _box_radius(cal, model) if sized else 0.0
     predictor = controllers._Predictor(grid, poses, applied, prescribed, model, cal, scaling,
                                        radius=radius)
     whole = controllers._Predictor(grid, poses, applied, prescribed, model, cal, scaling)
     expected, residual, jacobian, bands = field_order_prediction(whole, controls)
-    assert predictor.cost(controls) == expected
-    value, e, S, rows = predictor.cost_residual_jacobian(controls, np.ones(controls.shape))
-    assert value == expected
+    value = predictor.cost(controls)
+    assert abs(value - expected) <= 1e-12 * expected
+    got, e, S, rows = predictor.cost_residual_jacobian(controls, np.ones(controls.shape))
+    assert got == value
     assert np.array_equal(rows, functools.reduce(np.union1d, bands))
     assert e.tobytes() == residual[rows].tobytes()
     assert S.tobytes() == jacobian[rows].tobytes()
