@@ -22,9 +22,14 @@ direction non-descent (Bertsekas, projected Newton, 1982); such a
 direction is treated as a failed search without spending a cost
 evaluation.  A solve has one convergence test, the predicted-reduction test
 of Levenberg-Marquardt methods: it stops without searching at all when the
-Gauss-Newton model promises less than the line search's acceptance
-threshold, ``1e-12 max(1, cost)``, over the deltas that may move.  Otherwise
-it ends when neither search lowers the cost, or at ``max_iterations``.
+Gauss-Newton model promises less than ``sqrt(eps) max(1, cost)`` over the
+deltas that may move (:data:`STOP_GAIN`: the relative reduction at which
+MINPACK's ``ftol`` stops, below which a step refines only digits that
+rounding already blurs).  Otherwise it ends when neither search lowers the
+cost, or at ``max_iterations``.  The line search accepts any decrease above
+``1e-12 max(1, cost)`` (:data:`ACCEPT_GAIN`), far below the stop: at the
+stop's value it rejected the short steps of capped MPC solves, which then
+spent twice the cost evaluations.
 
 The greedy controller is the one-step case of the same solver, its
 unroll and its fold included, with the full deposition model; the
@@ -49,6 +54,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +80,11 @@ class ControllerKind(str, enum.Enum):
     MPC_TRIANGLE = "mpc-triangle"
     MPC_FULL = "mpc-full"
 
+
+# a solve stops when the Gauss-Newton model promises a relative gain below
+# STOP_GAIN; the line search accepts a relative decrease above ACCEPT_GAIN
+STOP_GAIN = math.sqrt(sys.float_info.epsilon)
+ACCEPT_GAIN = 1e-12
 
 # the optimizer keys that nothing reads, and the one value each accepts
 _PINNED = {"gradient_tolerance": 1e-6, "step_tolerance": 1e-10, "finite_diff_epsilon": 1e-5,
@@ -456,15 +467,18 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
     """Minimize the predicted cost over delta space from the (H, 4) control
     schedule ``start``.
 
-    The solve ends when the Gauss-Newton model promises less than the
-    line search's acceptance threshold (its one convergence test), when
-    neither the Gauss-Newton nor the gradient search lowers the cost, or
-    after ``settings.max_iterations`` iterations.  Returns ``(controls,
-    cost, iterations)``: the last iterate, the solve's best since every
-    accepted step lowers the cost, if it predicts below ``start``, else
-    ``start`` and its cost.  ``start`` may hold deltas beyond the
-    ``rate/sqrt(2)`` box the solver searches in; the solve then begins
-    from the clipped deltas, a different and possibly worse schedule.
+    The solve ends when the Gauss-Newton model promises a gain below
+    ``STOP_GAIN * max(1, cost)`` (its one convergence test), when neither
+    the Gauss-Newton nor the gradient search lowers the cost, or after
+    ``settings.max_iterations`` iterations.  The line search accepts any
+    decrease above ``ACCEPT_GAIN * max(1, cost)``, a threshold kept far
+    below the stop: at the stop's value, capped MPC solves rejected the
+    short steps they live on and spent twice the cost evaluations.
+    Returns ``(controls, cost, iterations)``: the last iterate, the solve's
+    best since every accepted step lowers the cost, if it predicts below
+    ``start``, else ``start`` and its cost.  ``start`` may hold deltas
+    beyond the ``rate/sqrt(2)`` box the solver searches in; the solve then
+    begins from the clipped deltas, a different and possibly worse schedule.
     """
     lo = constraints.lower()
     hi = constraints.upper()
@@ -486,7 +500,6 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
     on_bound = at_bounds(x)
     controls = _unroll(x, prev, lo, hi)
     lam = 1e-8
-    min_gain = 1e-12
 
     def line_search(direction, alpha, tries):
         """First halving of ``alpha`` whose projected step decreases the cost."""
@@ -494,7 +507,7 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
             candidate = (x + alpha * direction).clip(low, rbox)
             cand_controls = _unroll(candidate, prev, lo, hi)
             cand_cost = predictor.cost(cand_controls)
-            if cand_cost < cost - threshold:
+            if cand_cost < cost - ACCEPT_GAIN * max(1.0, cost):
                 return candidate, cand_controls, cand_cost
             alpha *= 0.5
         return None
@@ -513,10 +526,11 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
             pg_norm = float(abs(x - (x - grad_x).clip(low, rbox)).max())
             _log.debug("iter %d cost %.6e pg %.3e lam %.1e", iteration, cost, pg_norm, lam)
 
-        # the model's largest reduction over the deltas that may move:
-        # below the line search's acceptance threshold, no step passes it.
-        # A delta on its bound is pinned if the gradient pushes it outward.
-        threshold = min_gain * max(1.0, cost)
+        # the model's largest reduction over the deltas that may move: below
+        # sqrt(eps) of the cost, a step would only change digits that
+        # rounding already blurs.  A delta on its bound is pinned if the
+        # gradient pushes it outward.
+        threshold = STOP_GAIN * max(1.0, cost)
         pinned = [j for j, upper in on_bound if (grad.item(j) < 0.0 if upper
                                                  else grad.item(j) > 0.0)]
         gain = 0.0
@@ -541,7 +555,7 @@ def _solve_deltas(predictor: _Predictor, prev: np.ndarray, start: np.ndarray,
                 except np.linalg.LinAlgError:
                     gain = math.inf
         if gain < threshold:
-            _log.debug("stop: model gain %.3e below the acceptance threshold", gain)
+            _log.debug("stop: model gain %.3e below the stop tolerance %.3e", gain, threshold)
             break
 
         accepted = None

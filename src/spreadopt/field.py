@@ -41,6 +41,9 @@ class FieldGrid:
         if n_cells > MAX_N_CELLS:
             raise ConfigurationError(
                 f"n_cells={n_cells} is more than the {MAX_N_CELLS} cells a side allowed")
+        if self.side_length / n_cells == 0.0:
+            raise ConfigurationError(f"field side length {self.side_length!r} over "
+                                     f"n_cells={n_cells} gives cells of zero size")
         object.__setattr__(self, "n_cells", n_cells)
         ox, oy = self.origin
         if not (math.isfinite(ox) and math.isfinite(oy)):

@@ -26,12 +26,13 @@ from spreadopt import (
     SpreaderControls,
     TractorState,
     bearing,
+    make_controller,
     patterns_from_controls,
     run,
     total_deposit,
     trajectory,
 )
-from spreadopt import controllers
+from spreadopt import controllers, simulation
 from spreadopt.cli import main
 from spreadopt.config import default_scenario_path, load_scenario
 from spreadopt.simulation import read_trace
@@ -61,13 +62,41 @@ def _read_comparison(path):
     return rows
 
 
+def _counting_evaluations(monkeypatch):
+    """Count each controller's cost and Jacobian evaluations, by the kind
+    of the run that built the controller."""
+    counts = {}
+    current = []
+
+    def counted_controller(kind, *args, **kwargs):
+        current[:] = [kind.value]
+        counts[kind.value] = {"cost": 0, "jacobian": 0}
+        return make_controller(kind, *args, **kwargs)
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            counts[current[0]][name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(simulation, "make_controller", counted_controller)
+    monkeypatch.setattr(controllers._Predictor, "cost",
+                        counted("cost", controllers._Predictor.cost))
+    monkeypatch.setattr(controllers._Predictor, "cost_residual_jacobian",
+                        counted("jacobian", controllers._Predictor.cost_residual_jacobian))
+    return counts
+
+
 @pytest.fixture(scope="session")
 def comparison(tmp_path_factory):
-    """Two identical full comparisons of all three controllers."""
+    """Two identical full comparisons of all three controllers, with each
+    controller's cost and Jacobian evaluations counted in the first."""
     first = tmp_path_factory.mktemp("compare_a")
     second = tmp_path_factory.mktemp("compare_b")
     started = time.perf_counter()
-    assert main(["compare", "--out", str(first)]) == 0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        evaluations = _counting_evaluations(monkeypatch)
+        assert main(["compare", "--out", str(first)]) == 0
     elapsed = time.perf_counter() - started
     assert main(["compare", "--out", str(second)]) == 0
     traces = {name: read_trace(first / name / "trace.csv") for name in CONTROLLERS}
@@ -76,6 +105,7 @@ def comparison(tmp_path_factory):
         "repeat_rows": _read_comparison(second / "comparison.csv"),
         "traces": traces,
         "elapsed": elapsed,
+        "evaluations": evaluations,
     }
 
 
@@ -159,10 +189,19 @@ def test_criterion_4_greedy_is_an_order_of_magnitude_faster(comparison, capfd):
         return (f"{times['mpc-triangle'] / times['greedy']:.1f}x"
                 f" / {times['mpc-full'] / times['greedy']:.1f}x")
 
+    # the deterministic work ratio: evaluations do not depend on the machine
+    work = comparison["evaluations"]
+
+    def work_ratios(kind):
+        return " / ".join(f"{work[name][kind] / work['greedy'][kind]:.1f}x"
+                          for name in ("mpc-triangle", "mpc-full"))
+
     _report(capfd, 4, ok,
             f"greedy {wall['greedy']:.2f}s vs triangle {wall['mpc-triangle']:.2f}s"
             f" and full {wall['mpc-full']:.2f}s controller time, fastest of two runs"
-            f" ({ratios(wall)}; single runs {ratios(runs[0])} and {ratios(runs[1])})")
+            f" ({ratios(wall)}; single runs {ratios(runs[0])} and {ratios(runs[1])});"
+            f" evaluations over greedy's: cost {work_ratios('cost')},"
+            f" Jacobian {work_ratios('jacobian')}")
 
 
 def test_criterion_5_gradient_matches_finite_differences(default_config, capfd):

@@ -617,6 +617,8 @@ def test_a_plan_of_too_many_steps_fails_before_any_state(tmp_path, capsys, monke
 @pytest.mark.parametrize("line, broken, section", [
     ("n_cells = 8", "n_cells = 0", "field"),
     ("side_length = 40", "side_length = -1", "field"),
+    # positive, but its cells' size underflows to zero
+    ("side_length = 40", "side_length = 5e-324", "field"),
     ("uniform = 20", "uniform = inf", "prescription"),
     ("start_x = 6", "start_x = inf", "plan"),
     ("    5 0 3", "    -5 0 3", "plan"),
@@ -628,8 +630,9 @@ def test_a_plan_of_too_many_steps_fails_before_any_state(tmp_path, capsys, monke
     ("n_cells = 8", "n_cells = 1000000000", "field"),
     ("n_cells = 8", "n_cells = 4294967296", "field"),
     ("n_cells = 8", "n_cells = 1e18", "field"),
-], ids=["n_cells", "side_length", "uniform", "start_x", "segment", "dt", "horizon",
-        "n_cells_past_the_bound", "n_cells_too_large", "n_cells_2e32", "n_cells_1e18"])
+], ids=["n_cells", "side_length", "side_length_zero_cells", "uniform", "start_x", "segment",
+        "dt", "horizon", "n_cells_past_the_bound", "n_cells_too_large", "n_cells_2e32",
+        "n_cells_1e18"])
 def test_an_out_of_range_scenario_value_names_the_file_and_the_section(tmp_path, capsys, line,
                                                                        broken, section):
     assert TINY_SCENARIO.count(line) == 1
@@ -664,6 +667,38 @@ def test_validate_ends_cleanly_whatever_one_value_is(at, value):
     assert code in (0, 1)
     if code == 1:
         assert err.getvalue().startswith(("error:", "problem:"))
+
+
+# every key set in the tiny scenario and the packaged calibration: a run on
+# them takes a few milliseconds
+RUN_INPUTS = {"scenario": TINY_SCENARIO, "calibration": default_calibration_path().read_text()}
+RUN_KEYS = [(file, match[1]) for file, text in RUN_INPUTS.items()
+            for match in re.finditer(r"^(\w+) =", text, re.MULTILINE)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(at=st.sampled_from(RUN_KEYS), value=st.sampled_from(ODD_VALUES))
+@example(at=("scenario", "side_length"), value="5e-324")
+def test_run_ends_cleanly_whatever_one_value_is(at, value):
+    # one value of the 8-cell, 3-step greedy scenario or of the calibration
+    # set to an odd one: run completes, or fails with an error line, and
+    # nothing escapes main
+    file, key = at
+    texts = dict(RUN_INPUTS)
+    texts[file] = re.sub(rf"^{key} =.*$", f"{key} = {value}", texts[file], count=1,
+                         flags=re.MULTILINE)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        argv = ["run", "--out", str(Path(directory) / "out")]
+        for name, text in texts.items():
+            path = Path(directory) / f"{name}.ini"
+            path.write_text(text)
+            argv += [f"--{name}", str(path)]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines())
 
 
 def test_a_misspelt_run_key_is_rejected(tmp_path, capsys):

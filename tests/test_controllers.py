@@ -542,8 +542,9 @@ def interior_optimum_problem():
                                   prescribed, DepositionModel.FULL_NORMAL, CAL)
 
 
-def test_a_converged_solve_spends_no_cost_evaluation_after_its_last_jacobian(caplog):
-    predictor = interior_optimum_problem()
+def recorded_evaluations(predictor):
+    """The list to which each of ``predictor``'s cost evaluations appends
+    "cost" and each Jacobian "jac", in call order."""
     events = []
     cost, jacobian = predictor.cost, predictor.cost_residual_jacobian
 
@@ -557,6 +558,12 @@ def test_a_converged_solve_spends_no_cost_evaluation_after_its_last_jacobian(cap
 
     predictor.cost = counted_cost
     predictor.cost_residual_jacobian = counted_jacobian
+    return events
+
+
+def test_a_converged_solve_spends_no_cost_evaluation_after_its_last_jacobian(caplog):
+    predictor = interior_optimum_problem()
+    events = recorded_evaluations(predictor)
     prev = np.array([45.0, 45.0, 600.0, 600.0])
     with caplog.at_level(logging.DEBUG, logger="spreadopt.optimizer"):
         controls, _, _ = controllers._solve_deltas(predictor, prev, prev[None, :],
@@ -566,6 +573,29 @@ def test_a_converged_solve_spends_no_cost_evaluation_after_its_last_jacobian(cap
                for record in caplog.records)
     # without the model's stop, 14 projected-gradient halvings failed here
     assert events[-1] == "jac"
+
+
+def test_a_start_promising_less_than_the_stop_tolerance_stops_at_once(caplog):
+    # the eighth iterate from the held control: its model promises a relative
+    # gain between the acceptance threshold and the stop tolerance, so a line
+    # search would still accept steps there
+    prev = np.array([45.0, 45.0, 600.0, 600.0])
+    start, _, iterations = controllers._solve_deltas(
+        interior_optimum_problem(), prev, prev[None, :], DEFAULT_CONSTRAINTS,
+        OptimizerSettings(max_iterations=8))
+    assert iterations == 8
+    predictor = interior_optimum_problem()
+    events = recorded_evaluations(predictor)
+    with caplog.at_level(logging.DEBUG, logger="spreadopt.optimizer"):
+        controls, value, iterations = controllers._solve_deltas(
+            predictor, prev, start, DEFAULT_CONSTRAINTS, OptimizerSettings())
+    assert iterations == 1 and events == ["cost", "jac"]
+    assert np.array_equal(controls, start)
+    stops = [record for record in caplog.records
+             if record.getMessage().startswith("stop: model gain")]
+    assert len(stops) == 1
+    gain = stops[0].args[0]
+    assert controllers.ACCEPT_GAIN * value < gain < controllers.STOP_GAIN * value
 
 
 def test_a_start_far_from_the_optimum_does_not_stop_at_once():

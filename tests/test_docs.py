@@ -1,10 +1,12 @@
-"""The README's configuration examples and flags match the program."""
+"""The README's configuration examples, flags and solver tolerances match
+the program."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from spreadopt import controllers
 from spreadopt.calibration import load_calibration
 from spreadopt.cli import _build_parser
 from spreadopt.config import load_scenario
@@ -50,3 +52,11 @@ def test_every_flag_the_readme_names_is_an_option():
 def test_every_option_is_named_in_the_readme():
     missing = program_options() - readme_flags()
     assert not missing, sorted(missing)
+
+
+def test_the_readme_states_the_solver_tolerances():
+    # the stop tolerance, to three digits, and the acceptance threshold,
+    # and no other tolerance, in the paragraph on the convergence test
+    paragraph = next(p for p in README.split("\n\n") if "model-gain test" in p)
+    stated = {float(number) for number in re.findall(r"`([0-9.]+e-[0-9]+)`", paragraph)}
+    assert stated == {float(f"{controllers.STOP_GAIN:.3g}"), controllers.ACCEPT_GAIN}
